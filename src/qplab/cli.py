@@ -49,7 +49,7 @@ def _pencil_from_args(args) -> PencilOfQuadrics:
             return PencilOfQuadrics(lams)
         except PencilError as exc:
             raise InputError(str(exc)) from exc
-    if getattr(args, "g", None):
+    if getattr(args, "g", None) is not None:
         if args.g < 2:
             raise InputError("need g >= 2")
         return canonical_pencil(args.g)

@@ -3,7 +3,11 @@
 Matrices are lists of row lists.  Rational matrices go through fraction-free
 (Bareiss) elimination; matrices with biquadratic entries use ordinary
 division-based elimination, raising :class:`NonInvertibleError` if no
-invertible pivot can be found in a nonzero column.
+invertible pivot can be found in a nonzero column.  Determinants over the
+biquadratic algebra eliminate with invertible pivots too; cofactor expansion
+is kept for sizes up to 3 and as the fallback when a nonzero column holds
+nothing but zero divisors.  Span tests (:func:`rank_exact`,
+:func:`same_span`) take one echelon form each.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def check_exact_matrix(m):
             if isinstance(x, Biquad):
                 if ctx is None:
                     ctx = x.ctx
-                elif x.ctx != ctx:
+                elif x.ctx is not ctx and x.ctx != ctx:
                     raise ModeMismatchError("mixed biquadratic contexts in matrix")
     return ctx
 
@@ -51,34 +55,45 @@ def _is_rational_matrix(m):
     return all(isinstance(x, RATIONAL_TYPES) for row in m for x in row)
 
 
-def _row_echelon_generic(m):
-    """Division-based echelon form. Returns (rows, pivot_cols)."""
+def _pivot_row(a, r, c):
+    """First row at or below r whose entry in column c is invertible.
+
+    Returns None when the column is zero there, and raises
+    :class:`NonInvertibleError` when it is nonzero but every nonzero entry is a
+    zero divisor (a biquadratic element of norm 0).
+    """
+    nrows = len(a)
+    for i in range(r, nrows):
+        x = a[i][c]
+        if not x:
+            continue
+        if isinstance(x, Biquad):
+            if x.norm() != 0:
+                return i
+        else:
+            return i
+    if any(a[i][c] for i in range(r, nrows)):
+        raise NonInvertibleError(
+            f"no invertible pivot in column {c} of a nonzero column"
+        )
+    return None
+
+
+def _row_echelon_generic(m, limit=None):
+    """Division-based reduced echelon form. Returns (rows, pivot_cols).
+
+    Stops after ``limit`` pivots when a limit is given.
+    """
     a = [list(row) for row in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        if r >= nrows:
+        if r >= nrows or r == limit:
             break
-        piv = None
-        for i in range(r, nrows):
-            x = a[i][c]
-            if not x:
-                continue
-            if isinstance(x, Biquad):
-                if x.norm() != 0:
-                    piv = i
-                    break
-            else:
-                piv = i
-                break
+        piv = _pivot_row(a, r, c)
         if piv is None:
-            # nonzero non-invertible entries would be zero divisors
-            if any(a[i][c] for i in range(r, nrows)):
-                raise NonInvertibleError(
-                    f"no invertible pivot in column {c} of a nonzero column"
-                )
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = Fraction(1) / a[r][c]
@@ -187,23 +202,34 @@ def nullspace_naive(m):
     return _back_substitute(rows, pivots, len(m[0]), Fraction(1), Fraction(0))
 
 
-def rank_exact(m) -> int:
+def _pivot_columns(m, limit=None) -> list:
+    """Indices of the columns of m outside the span of the columns before them.
+
+    These are the pivot columns of one echelon form of m, so they are exactly
+    the columns a greedy "keep it unless it lies in the span of those kept"
+    loop picks.  Stops after ``limit`` of them when a limit is given.
+    """
     if not m or not m[0]:
-        return 0
+        return []
     if _is_rational_matrix(m):
-        _, pivots = _row_echelon_bareiss(m)
-    else:
-        check_exact_matrix(m)
-        _, pivots = _row_echelon_generic(m)
-    return len(pivots)
+        return _row_echelon_bareiss(m)[1][:limit]
+    check_exact_matrix(m)
+    return _row_echelon_generic(m, limit)[1]
+
+
+def rank_exact(m) -> int:
+    return len(_pivot_columns(m))
 
 
 def det_exact(m):
-    """Exact determinant; Bareiss for rationals, cofactor expansion otherwise.
+    """Exact determinant.
 
-    Cofactor expansion avoids divisions entirely, so it is safe over the
-    biquadratic algebra even in the presence of zero divisors.  Sizes in this
-    package never exceed ~8.
+    Rational matrices use Bareiss elimination.  Over the biquadratic algebra,
+    matrices of size 3 or less use cofactor expansion (the cheapest there);
+    larger ones use elimination with invertible pivots: O(n^3) products and
+    one inverse per pivot.  When a nonzero column holds only zero divisors no
+    invertible pivot exists, and the division-free cofactor expansion gives
+    the result.
     """
     n = len(m)
     if n == 0:
@@ -231,7 +257,42 @@ def det_exact(m):
                 a[i][c] = Fraction(0)
             prev = a[c][c]
         return sign * a[n - 1][n - 1]
-    return _det_cofactor(m)
+    if n <= 3:
+        return _det_cofactor(m)
+    try:
+        return _det_eliminate(m)
+    except NonInvertibleError:
+        return _det_cofactor(m)
+
+
+def _det_eliminate(m):
+    """Product of the pivots of a forward elimination with invertible pivots."""
+    a = [list(row) for row in m]
+    n = len(a)
+    det = None
+    negate = False
+    for c in range(n):
+        piv = _pivot_row(a, c, c)
+        if piv is None:
+            # a zero column: the matrix is singular; return a Biquad zero
+            x = next((x for row in m for x in row if isinstance(x, Biquad)), m[0][0])
+            return x - x
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            negate = not negate
+        p = a[c][c]
+        det = p if det is None else det * p
+        if c + 1 < n:
+            inv = Fraction(1) / p
+            top = a[c]
+            for i in range(c + 1, n):
+                f = a[i][c]
+                if f:
+                    f = f * inv
+                    row = a[i]
+                    for j in range(c + 1, n):
+                        row[j] = row[j] - f * top[j]
+    return -det if negate else det
 
 
 def _det_cofactor(m):
@@ -298,5 +359,7 @@ def in_span(vectors, v) -> bool:
 
 
 def same_span(a, b) -> bool:
-    """True iff two families of vectors span the same subspace, exactly."""
-    return all(in_span(b, v) for v in a) and all(in_span(a, v) for v in b)
+    """True iff two families of vectors span the same subspace, exactly:
+    rank(a) == rank(b) == rank(a + b)."""
+    r = rank_exact(a)
+    return r == rank_exact(b) and r == rank_exact(a + b)

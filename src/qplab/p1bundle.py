@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import in_span, nullspace_exact, same_span
+from .linalg import _pivot_columns, in_span, nullspace_exact, rank_exact, same_span
 from .pencil import PencilOfQuadrics
 from .polymatrix import Poly, PolyMatrix
 from .variety import PointOnX, TangentFrame, _invert, _invertible_pivot
@@ -116,8 +116,6 @@ def _verify_kernel(kb: KernelBasis):
     # predictable-degree certificate: leading coefficient vectors independent
     leads = [[poly.coeff(d) for poly in col] for col, d in zip(kb.columns, kb.degrees)]
     m = [[leads[c][r] for c in range(len(leads))] for r in range(len(leads[0]))]
-    from .linalg import rank_exact
-
     if rank_exact(m) != len(leads):
         raise SplittingError("leading coefficient vectors are dependent")
 
@@ -128,18 +126,16 @@ def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
     pivot = _invertible_pivot(v)
     inv_vp = _invert(v[pivot])
     degrees = []
-    reduced_constants = []
+    reduced = []
     for col, d in zip(kb.columns, kb.degrees):
         if d == 0:
             w = [poly.coeff(0) for poly in col]
             f = w[pivot] * inv_vp
-            r = [wi - f * vi for wi, vi in zip(w, v)]
-            if any(r):
-                if not in_span(reduced_constants, r):
-                    reduced_constants.append(r)
-                    degrees.append(0)
+            reduced.append([wi - f * vi for wi, vi in zip(w, v)])
         else:
             degrees.append(d)
+    # one O summand per reduced constant outside the span of those before it
+    degrees += [0] * len(_pivot_columns(list(zip(*reduced))))
     degrees.sort()
     expected = [0] * (2 * kb.point.pencil.g - 1) + [1]
     if degrees != expected:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import in_span, nullspace_exact, solve_exact
+from .linalg import _pivot_columns, nullspace_exact, solve_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
@@ -259,16 +259,15 @@ def _invert(c):
 
 
 def _independent_subset(vectors, count):
-    """First `count` vectors that are exactly linearly independent."""
-    chosen = []
-    for w in vectors:
-        if len(chosen) == count:
-            break
-        if not in_span(chosen, w):
-            chosen.append(w)
-    if len(chosen) != count:
+    """First `count` vectors that are exactly linearly independent.
+
+    Each one lies outside the span of those before it: the first `count` pivot
+    columns of one echelon form of the matrix with these vectors as columns.
+    """
+    picked = _pivot_columns(list(zip(*vectors)), count)
+    if len(picked) != count:
         raise ArithmeticError("could not extract an independent subset")
-    return chosen
+    return [vectors[k] for k in picked]
 
 
 def quotient_full(x: PointOnX):

@@ -411,7 +411,7 @@ def verify_all(p: PencilOfQuadrics, seed: int, budget: float = 1.0) -> dict:
         "vandermonde": run_vandermonde_check(p.g, seed, scaled(100)),
         "quotient": run_quotient_check(p, seed, scaled(200)),
         "skew": run_skew_battery(seed, scaled(500), scaled(200)),
-        "invariance": run_invariance_check(p, seed, scaled(100)),
+        "invariance": run_invariance_check(p, seed, scaled(100, 2 * p.g - 1)),
         "falsifiability": run_falsifiability_check(p, seed, tol),
     }
     return {

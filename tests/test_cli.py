@@ -64,6 +64,13 @@ def test_malformed_lambdas_exit_2():
     assert run_cli("pencil-info").returncode == 2  # neither --g nor --lambdas
 
 
+@pytest.mark.parametrize("g", ["0", "1"])
+def test_genus_below_two_exit_2(g):
+    r = run_cli("pencil-info", "--g", g)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "need g >= 2"
+
+
 def test_bundle_splitting_roundtrip(tmp_path):
     r = run_cli("sample", "--g", "2", "--seed", "5")
     point = json.loads(r.stdout)["metrics"]["point"]
@@ -118,6 +125,14 @@ def test_verify_all_deterministic_and_thread_independent():
     c = run_cli(*args, env_extra={"QPLAB_THREADS": "4"})
     assert a.returncode == 0
     assert a.stdout == b.stdout == c.stdout
+
+
+def test_verify_all_g4_smallest_budget_passes():
+    # the invariance section draws at least 2g - 1 samples, enough for its rank
+    r = run_cli("verify-all", "--g", "4", "--seed", "0", "--budget", "0.05")
+    assert r.returncode == 0, r.stdout + r.stderr
+    invariance = json.loads(r.stdout)["metrics"]["sections"]["invariance"]
+    assert invariance["pass"] and invariance["image_rank"] == invariance["expected_rank"] == 7
 
 
 def test_json_out_flag(tmp_path):

@@ -1,5 +1,6 @@
 """Exact linear algebra: fraction-free elimination against independent oracles."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (
+    Biquad,
     BiquadContext,
     NonInvertibleError,
     det_exact,
@@ -19,6 +21,7 @@ from qplab import (
     same_span,
     solve_exact,
 )
+from qplab.linalg import _det_cofactor, _det_eliminate
 
 
 def rational_matrices(rows, cols):
@@ -102,3 +105,82 @@ def test_span_predicates():
     assert not in_span([e1], e2)
     assert same_span([e1, e2], [[1, 1], [1, -1]])
     assert not same_span([e1], [e2])
+
+
+def random_biquad_matrix(ctx, n, seed):
+    rng = random.Random(seed)
+
+    def coord():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    return [[ctx.element(coord(), coord(), coord(), coord()) for _ in range(n)]
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "ctx", [BiquadContext(10, -14), BiquadContext(Fraction(5, 3), Fraction(-7, 2))]
+)
+def test_det_exact_biquad_matches_cofactor(ctx):
+    for n in range(1, 8):
+        m = random_biquad_matrix(ctx, n, seed=n)
+        d = det_exact(m)
+        assert isinstance(d, Biquad)
+        assert d == _det_cofactor(m)
+    # row swaps (a zero leading entry) and a singular matrix
+    m = random_biquad_matrix(ctx, 5, seed=11)
+    m[0][0] = ctx.embed(0)
+    assert det_exact(m) == _det_cofactor(m)
+    m[3] = list(m[1])
+    zero = det_exact(m)
+    assert isinstance(zero, Biquad) and not zero
+
+
+def test_det_exact_zero_divisor_column_falls_back_to_cofactor():
+    # split context: sqrt(u) - 2 is nonzero with norm 0, so a column holding
+    # only multiples of it has no invertible pivot
+    ctx = BiquadContext(4, 3)
+    zd = ctx.sqrt_u() - 2
+    m = random_biquad_matrix(ctx, 5, seed=5)
+    for i, row in enumerate(m):
+        row[2] = zd * (i + 1)
+    with pytest.raises(NonInvertibleError):
+        _det_eliminate(m)
+    d = det_exact(m)
+    assert d == _det_cofactor(m)
+    assert d
+
+
+def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
+    ctx = BiquadContext(10, -14)
+    m = random_biquad_matrix(ctx, 8, seed=8)
+    count = [0]
+    mul = Biquad.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Biquad, "__mul__", counting)
+    monkeypatch.setattr(Biquad, "__rmul__", counting)
+    d = det_exact(m)
+    assert d
+    # cofactor expansion would take 69280 products here
+    assert 0 < count[0] < 8 ** 3
+
+
+def test_same_span_biquad_families():
+    ctx = BiquadContext(Fraction(5, 3), Fraction(-7, 2))
+    r, s = ctx.sqrt_u(), ctx.sqrt_w()
+    a = [[r, ctx.embed(1), s, ctx.embed(0)], [ctx.embed(2), r * s, ctx.embed(0), s]]
+    # invertible recombinations and a dependent extra vector span the same space
+    b = [
+        [x + r * y for x, y in zip(*a)],
+        [s * x - y for x, y in zip(*a)],
+        [(r + 1) * x for x in a[0]],
+    ]
+    assert same_span(a, b)
+    assert same_span(b, a)
+    # one vector of a with an independent one, or a alone with one more vector
+    assert not same_span(a, [a[0], [ctx.embed(0), ctx.embed(1), r, ctx.embed(0)]])
+    assert not same_span(a, a + [[ctx.embed(1), ctx.embed(0), ctx.embed(0), ctx.embed(0)]])
+    assert not same_span(a[:1], a)

@@ -14,8 +14,10 @@ from qplab import (
     v_perp_kernel,
     vandermonde_normalizer,
 )
-from qplab.linalg import same_span
+from qplab.linalg import in_span, same_span
+from qplab.p1bundle import KernelBasis, SplittingError
 from qplab.polymatrix import Poly
+from qplab.variety import _invert, _invertible_pivot
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -52,6 +54,44 @@ def test_splitting_type():
         assert st.degrees == tuple([0] * (2 * p.g - 1) + [1])
         assert st.total_degree() == -1
         assert st.as_multiset()[0] == 2 * p.g - 1
+
+
+def greedy_constant_count(kb):
+    """Oracle: degree-0 summands counted by the greedy in_span loop."""
+    v = kb.point.coords
+    pivot = _invertible_pivot(v)
+    inv_vp = _invert(v[pivot])
+    kept = []
+    for col, d in zip(kb.columns, kb.degrees):
+        if d == 0:
+            w = [poly.coeff(0) for poly in col]
+            f = w[pivot] * inv_vp
+            r = [wi - f * vi for wi, vi in zip(w, v)]
+            if any(r) and not in_span(kept, r):
+                kept.append(r)
+    return len(kept)
+
+
+def test_splitting_matches_greedy_span_loop():
+    for p, seed in ((P2, 59), (P3, 59)):
+        x = sample_point(p, seed)
+        kb = v_perp_kernel(p, x)
+        assert greedy_constant_count(kb) == 2 * p.g - 1
+        st = n_tilde_splitting(kb)
+        assert st.degrees.count(0) == greedy_constant_count(kb)
+        const = [c for c, d in zip(kb.columns, kb.degrees) if d == 0]
+        other = [c for c, d in zip(kb.columns, kb.degrees) if d != 0]
+        point_col = [Poly([c]) for c in x.coords]
+        # repeated columns and the line of x add no summand
+        padded = KernelBasis(x, const + const[:2] + [point_col] + other,
+                             [0] * (len(const) + 3) + [1], kb.row_map)
+        assert greedy_constant_count(padded) == 2 * p.g - 1
+        assert n_tilde_splitting(padded) == st
+        # two missing constant columns leave one summand short for both
+        short = KernelBasis(x, const[2:] + other, [0] * (len(const) - 2) + [1], kb.row_map)
+        assert greedy_constant_count(short) == 2 * p.g - 2
+        with pytest.raises(SplittingError):
+            n_tilde_splitting(short)
 
 
 def test_kernel_requires_exact_point():
