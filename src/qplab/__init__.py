@@ -2,8 +2,8 @@
 
 Exposes exact (rational / biquadratic) and float arithmetic, points and
 cotangent data of the quadric intersection X, the fibration map and its
-geometric twin via degenerate restricted pencils, polynomial-matrix kernel
-bases on P^1, skew-symmetric invariants, and seed-driven verification
+geometric twin via degenerate restricted pencils, kernel bases of the pencil
+row map on P^1, skew-symmetric invariants, and seed-driven verification
 batteries with a CLI front end.
 """
 
@@ -33,7 +33,6 @@ from .linalg import (
     in_span,
     matvec,
     nullspace_exact,
-    nullspace_naive,
     rank_exact,
     same_span,
     solve_exact,
@@ -53,9 +52,7 @@ from .pencil import (
     PencilOfQuadrics,
     SignGroupElement,
     canonical_pencil,
-    new_pencil,
 )
-from .polymatrix import Poly, PolyMatrix
 from .scalars import (
     Biquad,
     BiquadContext,

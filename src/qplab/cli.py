@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -187,20 +188,31 @@ def _cmd_vandermonde(args) -> int:
     return _report(args, "vandermonde", True, metrics, 0)
 
 
+def _check_fit_counts(p: PencilOfQuadrics, args):
+    if args.train < 4 * p.g:
+        raise InputError(f"need --train >= {4 * p.g}")
+    if args.holdout < 1:
+        raise InputError("need --holdout >= 1")
+
+
 def _cmd_verify_diagram(args) -> int:
     p = _pencil_from_args(args)
+    _check_fit_counts(p, args)
     rep = run_diagram_check(p, args.seed, args.train, args.holdout, args.tol)
     return _report(args, "verify-diagram", rep["pass"], rep, args.train + args.holdout)
 
 
 def _cmd_verify_even(args) -> int:
     p = _pencil_from_args(args)
+    _check_fit_counts(p, args)
     rep = run_even_check(p, args.seed, args.train, args.holdout, args.tol)
     return _report(args, "verify-even", rep["pass"], rep, args.train + args.holdout)
 
 
 def _cmd_verify_lagrangian(args) -> int:
     p = _pencil_from_args(args)
+    if args.count < 1:
+        raise InputError("need --count >= 1")
     rep = run_lagrangian_check(
         p, args.seed, args.count, fd_step=args.fd_step, tol=args.tol
     )
@@ -209,6 +221,8 @@ def _cmd_verify_lagrangian(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     p = _pencil_from_args(args)
+    if not (math.isfinite(args.budget) and args.budget > 0):
+        raise InputError("need a finite --budget > 0")
     rep = verify_all(p, args.seed, budget=args.budget)
     total = sum(
         s.get("samples", s.get("pencils", s.get("pfaffian_cases", 0)))
@@ -317,11 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; re-raise others unchanged
-        raise exc
+    args = ap.parse_args(argv)  # argparse exits 2 on usage errors
     try:
         if getattr(args, "train", -1) is None:
             p = _pencil_from_args(args)

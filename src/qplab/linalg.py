@@ -24,7 +24,6 @@ from .scalars import (
 
 __all__ = [
     "nullspace_exact",
-    "nullspace_naive",
     "det_exact",
     "rank_exact",
     "solve_exact",
@@ -188,18 +187,6 @@ def nullspace_exact(m):
     one = ctx.embed(1)
     zero = ctx.embed(0)
     return _back_substitute(a, pivots, ncols, one, zero)
-
-
-def nullspace_naive(m):
-    """Nullspace via plain division-based rational elimination.
-
-    Independent oracle for :func:`nullspace_exact` on rational input.
-    """
-    if not m or not m[0]:
-        return []
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, pivots = _row_echelon_generic(a)
-    return _back_substitute(rows, pivots, len(m[0]), Fraction(1), Fraction(0))
 
 
 def _pivot_columns(m, limit=None) -> list:

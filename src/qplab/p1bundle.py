@@ -1,9 +1,10 @@
-"""Vector bundles on P^1 attached to a point of X, as polynomial-matrix kernels.
+"""Vector bundles on P^1 attached to a point of X, as kernels of a row map.
 
 For an exact point x the row map M(t) = ((t - lambda_k) x_k) has a minimal
-kernel basis of rank 2g+1 with column degrees {0 repeated 2g, 1}; the constant
-columns span S = V^perp(q1) ∩ V^perp(q2) (which contains x itself), and
-quotienting by the line of x realizes the splitting O^{2g-1} ⊕ O(-1) whose
+kernel basis of rank 2g+1 with column degrees {0 repeated 2g, 1}.  A column of
+degree d is stored as its d+1 coefficient vectors, the t^k one at index k.  The
+constant columns span S = V^perp(q1) ∩ V^perp(q2) (which contains x itself),
+and quotienting by the line of x realizes the splitting O^{2g-1} ⊕ O(-1) whose
 trivial part is the tangent space.
 """
 
@@ -13,9 +14,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _pivot_columns, in_span, nullspace_exact, rank_exact, same_span
+from .linalg import (
+    _pivot_columns,
+    in_span,
+    matvec,
+    nullspace_exact,
+    rank_exact,
+    same_span,
+)
 from .pencil import PencilOfQuadrics
-from .polymatrix import Poly, PolyMatrix
 from .variety import PointOnX, TangentFrame, _invert, _invertible_pivot
 
 __all__ = [
@@ -38,9 +45,8 @@ class KernelBasis:
     """Minimal kernel basis of the 1x(2g+2) row map M(t) = ((t-lambda_k) x_k)."""
 
     point: PointOnX
-    columns: list          # list of Poly vectors (lists of Poly)
+    columns: list          # per column, its coefficient vectors [w0] or [w0, w1]
     degrees: list          # per-column minimal degree
-    row_map: PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -54,13 +60,6 @@ class SplittingType:
 
     def total_degree(self) -> int:
         return -sum(self.degrees)
-
-
-def _row_map(p: PencilOfQuadrics, x: PointOnX) -> PolyMatrix:
-    entries = [
-        [Poly([-lam * c, c]) for lam, c in zip(p.lambdas, x.coords)]
-    ]
-    return PolyMatrix(entries)
 
 
 def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
@@ -94,27 +93,29 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     for sol in big:
         w1 = sol[n:]
         if any(w1) and not in_span(constants, w1):
-            degree_one = (sol[:n], w1)
+            degree_one = [sol[:n], w1]
             break
     if degree_one is None:
         raise SplittingError("no degree-1 kernel column with independent leading term")
-    row_map = _row_map(p, x)
-    cols = [[Poly([c]) for c in w] for w in constants]
-    w0, w1 = degree_one
-    cols.append([Poly([c0, c1]) for c0, c1 in zip(w0, w1)])
+    cols = [[w] for w in constants] + [degree_one]
     degrees = [0] * len(constants) + [1]
-    kb = KernelBasis(point=x, columns=cols, degrees=degrees, row_map=row_map)
+    kb = KernelBasis(point=x, columns=cols, degrees=degrees)
     _verify_kernel(kb)
     return kb
 
 
 def _verify_kernel(kb: KernelBasis):
+    # M(t) = t*a - b with a = x and b = (lambda_k x_k), so the t^k coefficient
+    # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k
+    v = kb.point.coords
+    rows = [v, [l * c for l, c in zip(kb.point.pencil.lambdas, v)]]
     for col in kb.columns:
-        out = kb.row_map.apply_to_poly_vector(col)
+        aw, bw = zip(*(matvec(rows, w) for w in col))
+        out = [-bw[0]] + [x - y for x, y in zip(aw, bw[1:])] + [aw[-1]]
         if any(out):
             raise SplittingError("column fails M(t) * column = 0")
     # predictable-degree certificate: leading coefficient vectors independent
-    leads = [[poly.coeff(d) for poly in col] for col, d in zip(kb.columns, kb.degrees)]
+    leads = [col[d] for col, d in zip(kb.columns, kb.degrees)]
     m = [[leads[c][r] for c in range(len(leads))] for r in range(len(leads[0]))]
     if rank_exact(m) != len(leads):
         raise SplittingError("leading coefficient vectors are dependent")
@@ -129,7 +130,7 @@ def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
     reduced = []
     for col, d in zip(kb.columns, kb.degrees):
         if d == 0:
-            w = [poly.coeff(0) for poly in col]
+            w = col[0]
             f = w[pivot] * inv_vp
             reduced.append([wi - f * vi for wi, vi in zip(w, v)])
         else:
@@ -145,11 +146,7 @@ def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
 
 def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool:
     """True iff the constant kernel columns span exactly S of the frame."""
-    constants = [
-        [poly.coeff(0) for poly in col]
-        for col, d in zip(kb.columns, kb.degrees)
-        if d == 0
-    ]
+    constants = [col[0] for col, d in zip(kb.columns, kb.degrees) if d == 0]
     return same_span(constants, frame.S_basis)
 
 

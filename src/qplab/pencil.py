@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polymatrix import Poly, PolyMatrix
 from .scalars import rational_to_string
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "HyperellipticData",
     "SignGroupElement",
     "PencilError",
-    "new_pencil",
     "canonical_pencil",
 ]
 
@@ -57,21 +55,8 @@ class PencilOfQuadrics:
         return 2 * self.g + 2
 
     def gram(self, t):
-        """Gram matrix of q_t = t*q1 - q2 at an affine parameter t.
-
-        With t=None, returns the symbolic PolyMatrix diag(t - lambda_k).
-        """
+        """Gram matrix of q_t = t*q1 - q2 at an affine parameter t."""
         n = self.dim_ambient
-        if t is None:
-            return PolyMatrix(
-                [
-                    [
-                        Poly([-self.lambdas[i], Fraction(1)]) if i == j else Poly([])
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
         zero = t - t
         return [
             [(t - self.lambdas[i]) if i == j else zero for j in range(n)]
@@ -145,10 +130,6 @@ class PencilOfQuadrics:
 
     def __repr__(self):
         return f"PencilOfQuadrics(g={self.g}, lambdas={list(self.lambdas)})"
-
-
-def new_pencil(lambdas) -> PencilOfQuadrics:
-    return PencilOfQuadrics(lambdas)
 
 
 def canonical_pencil(g: int) -> PencilOfQuadrics:

@@ -60,7 +60,9 @@ class SampleBudgetError(RuntimeError):
 
 def derived_rng(seed: int, index: int) -> np.random.Generator:
     """Philox substream for sample #index of run `seed` (counter-derived)."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1), index]))
+    mask = 2 ** 64 - 1
+    key = np.array([seed & mask, index & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class PointOnX:

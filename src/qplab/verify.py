@@ -2,15 +2,12 @@
 
 Each run_* function is deterministic in (pencil, seed, counts) and returns a
 plain dict with a "pass" key plus section-specific metrics; verify_all stitches
-them into one report.  Independent samples may be fanned out to a thread pool
-(QPLAB_THREADS); all reductions are order-independent (max / all), so verdicts
-and reports do not depend on the worker count.
+them into one report.  Samples are drawn and checked one after another in
+index order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -65,24 +62,8 @@ __all__ = [
 ]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QPLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _train_pairs(p: PencilOfQuadrics, seed: int, count: int):
-    return _pmap(lambda i: sample_pair(p, seed, index=i), range(count))
+    return [sample_pair(p, seed, index=i) for i in range(count)]
 
 
 def run_diagram_check(
@@ -95,9 +76,7 @@ def run_diagram_check(
     """Fit the identification on `train` samples, verify on fresh holdouts."""
     train_pairs = _train_pairs(p, seed, train)
     ident = fit_identification(p, train_pairs)
-    holdout_pairs = _pmap(
-        lambda i: sample_pair(p, seed, index=train + i), range(holdout)
-    )
+    holdout_pairs = [sample_pair(p, seed, index=train + i) for i in range(holdout)]
     report = verify_identification(ident, holdout_pairs, tol)
     return {
         "pass": bool(report["pass"]),
@@ -125,9 +104,9 @@ def run_even_check(
     """
     train_pairs = _train_pairs(p, seed, train)
     ident = fit_identification(p, train_pairs)
-    holdout_pairs = _pmap(
-        lambda i: sample_pair(p, seed, index=train + i, on_Y=True), range(holdout)
-    )
+    holdout_pairs = [
+        sample_pair(p, seed, index=train + i, on_Y=True) for i in range(holdout)
+    ]
     report = verify_identification(ident, holdout_pairs, tol)
     lam_last = p.lambdas[-1]
 
@@ -137,7 +116,7 @@ def run_even_check(
         form = f_H(y, xi)
         return (not val.components[-1]) and (not form.eval_affine(lam_last))
 
-    vanishing = _pmap(exact_vanishing, holdout_pairs)
+    vanishing = [exact_vanishing(pair) for pair in holdout_pairs]
     ok = bool(report["pass"]) and all(vanishing)
     return {
         "pass": ok,
@@ -161,7 +140,7 @@ def run_lagrangian_check(
         x, xi = sample_pair(p, seed, index=i)
         return verify_lagrangian(p, x, xi, fd_step=fd_step, tol=tol)
 
-    reports = _pmap(one, range(count))
+    reports = [one(i) for i in range(count)]
     generic = [r for r in reports if r["generic"]]
     defect = max((r["isotropy_defect"] for r in generic), default=0.0)
     ranks = sorted({r["jacobian_rank"] for r in reports})
@@ -187,7 +166,7 @@ def run_splitting_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         return st.degrees == expected and trivial_factor_matches_tangent(kb, frame)
 
     try:
-        results = _pmap(one, range(count))
+        results = [one(i) for i in range(count)]
     except SplittingError as exc:
         return {"pass": False, "samples": count, "error": str(exc)}
     return {"pass": all(results), "samples": count, "matches": sum(results)}
@@ -221,7 +200,7 @@ def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
                 return False
         return True
 
-    results = _pmap(one, range(count))
+    results = [one(i) for i in range(count)]
     return {"pass": all(results), "pencils": count, "g": g}
 
 
@@ -241,7 +220,7 @@ def run_quotient_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
             prod = prod * y
         return (not lin1) and (not lin2) and (ys[-1] * ys[-1] - prod == 0)
 
-    results = _pmap(one, range(count))
+    results = [one(i) for i in range(count)]
     return {"pass": all(results), "samples": count}
 
 
@@ -289,8 +268,8 @@ def run_skew_battery(
             return True
         return False
 
-    pf_ok = all(_pmap(pf_one, range(pf_cases)))
-    rank2_ok = all(_pmap(rank2_one, range(rank2_cases)))
+    pf_ok = all([pf_one(i) for i in range(pf_cases)])
+    rank2_ok = all([rank2_one(i) for i in range(rank2_cases)])
     return {
         "pass": pf_ok and rank2_ok,
         "pfaffian_cases": pf_cases,
@@ -329,7 +308,7 @@ def run_invariance_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         row = np.array([to_complex(c) for c in base])
         return sign_ok and gauge_ok and scale_ok, row
 
-    results = _pmap(one, range(count))
+    results = [one(i) for i in range(count)]
     ok_flags = [r[0] for r in results]
     matrix = np.array([r[1] for r in results])
     sv = np.linalg.svd(matrix, compute_uv=False)
@@ -349,7 +328,7 @@ def run_falsifiability_check(p: PencilOfQuadrics, seed: int, tol: float) -> dict
     covector with eta(v) != 0.  The section passes iff both are caught."""
     train_pairs = _train_pairs(p, seed, 4 * p.g)
     ident = fit_identification(p, train_pairs)
-    holdout = _pmap(lambda i: sample_pair(p, seed, index=4 * p.g + i), range(10))
+    holdout = [sample_pair(p, seed, index=4 * p.g + i) for i in range(10)]
     clean = verify_identification(ident, holdout, tol)
 
     bad_l = ident.L.copy()

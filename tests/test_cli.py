@@ -71,6 +71,26 @@ def test_genus_below_two_exit_2(g):
     assert json.loads(r.stderr)["error"] == "need g >= 2"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-all", "--g", "2", "--budget", "0"],
+        ["verify-all", "--g", "2", "--budget", "-1"],
+        ["verify-all", "--g", "2", "--budget", "nan"],
+        ["verify-diagram", "--g", "2", "--train", "3"],
+        ["verify-diagram", "--g", "2", "--holdout", "0"],
+        ["verify-even", "--g", "2", "--holdout", "-3"],
+        ["verify-lagrangian", "--g", "2", "--count", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_counts_exit_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"].startswith("need ")
+
+
 def test_bundle_splitting_roundtrip(tmp_path):
     r = run_cli("sample", "--g", "2", "--seed", "5")
     point = json.loads(r.stdout)["metrics"]["point"]

@@ -16,12 +16,16 @@ from qplab import (
     in_span,
     matvec,
     nullspace_exact,
-    nullspace_naive,
     rank_exact,
     same_span,
     solve_exact,
 )
-from qplab.linalg import _det_cofactor, _det_eliminate
+from qplab.linalg import (
+    _back_substitute,
+    _det_cofactor,
+    _det_eliminate,
+    _row_echelon_generic,
+)
 
 
 def rational_matrices(rows, cols):
@@ -36,11 +40,19 @@ def rational_matrices(rows, cols):
     )
 
 
+def _nullspace_naive(m):
+    """Oracle for nullspace_exact on rational input: plain division-based
+    elimination instead of fraction-free Bareiss."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, pivots = _row_echelon_generic(a)
+    return _back_substitute(rows, pivots, len(m[0]), Fraction(1), Fraction(0))
+
+
 @given(rational_matrices(3, 5))
 @settings(max_examples=60, deadline=None)
 def test_nullspace_matches_naive_oracle(m):
     fast = nullspace_exact(m)
-    naive = nullspace_naive(m)
+    naive = _nullspace_naive(m)
     assert len(fast) == len(naive)
     for v in fast:
         assert all(not r for r in matvec(m, v))

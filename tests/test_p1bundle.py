@@ -15,12 +15,22 @@ from qplab import (
     vandermonde_normalizer,
 )
 from qplab.linalg import in_span, same_span
-from qplab.p1bundle import KernelBasis, SplittingError
-from qplab.polymatrix import Poly
+from qplab.p1bundle import KernelBasis, SplittingError, _verify_kernel
 from qplab.variety import _invert, _invertible_pivot
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
+
+
+def row_map_at(p, x, t, col):
+    """sum_k (t - lambda_k) x_k w_k(t) for a column of coefficient vectors."""
+    total = Fraction(0)
+    for k, (lam, c) in enumerate(zip(p.lambdas, x.coords)):
+        w = col[0][k]
+        for d, coeffs in enumerate(col[1:], start=1):
+            w = w + coeffs[k] * t ** d
+        total = total + (t - lam) * c * w
+    return total
 
 
 def test_kernel_basis_shape_and_exactness():
@@ -28,21 +38,38 @@ def test_kernel_basis_shape_and_exactness():
         x = sample_point(p, 41)
         kb = v_perp_kernel(p, x)
         assert sorted(kb.degrees) == [0] * (2 * p.g) + [1]
-        # every column is annihilated by the symbolic row map
+        assert [len(col) for col in kb.columns] == [d + 1 for d in kb.degrees]
+        # every column is annihilated by M(t): a polynomial of degree <= 2 in t
+        # that vanishes at three values of t is zero
         for col in kb.columns:
-            out = kb.row_map.apply_to_poly_vector(col)
-            assert all(not poly for poly in out)
+            for t in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+                assert not row_map_at(p, x, t, col)
+
+
+def test_verify_kernel_rejects_broken_columns():
+    x = sample_point(P2, 41)
+    kb = v_perp_kernel(P2, x)
+    assert x.coords[0]
+    e0 = [Fraction(int(k == 0)) for k in range(P2.dim_ambient)]
+    # w1 + e0 moves the t^2 coefficient a.w1 by x_0
+    d1 = kb.degrees.index(1)
+    w0, w1 = kb.columns[d1]
+    broken = list(kb.columns)
+    broken[d1] = [w0, [c + e for c, e in zip(w1, e0)]]
+    with pytest.raises(SplittingError):
+        _verify_kernel(KernelBasis(x, broken, kb.degrees))
+    # e0 is off S: its product with x is x_0
+    broken = list(kb.columns)
+    broken[kb.degrees.index(0)] = [e0]
+    with pytest.raises(SplittingError):
+        _verify_kernel(KernelBasis(x, broken, kb.degrees))
 
 
 def test_constant_columns_span_common_orthogonal():
     x = sample_point(P2, 43)
     kb = v_perp_kernel(P2, x)
     frame = tangent_frame(x)
-    constants = [
-        [poly.coeff(0) for poly in col]
-        for col, d in zip(kb.columns, kb.degrees)
-        if d == 0
-    ]
+    constants = [col[0] for col, d in zip(kb.columns, kb.degrees) if d == 0]
     assert same_span(constants, frame.S_basis)
     assert trivial_factor_matches_tangent(kb, frame)
 
@@ -64,7 +91,7 @@ def greedy_constant_count(kb):
     kept = []
     for col, d in zip(kb.columns, kb.degrees):
         if d == 0:
-            w = [poly.coeff(0) for poly in col]
+            w = col[0]
             f = w[pivot] * inv_vp
             r = [wi - f * vi for wi, vi in zip(w, v)]
             if any(r) and not in_span(kept, r):
@@ -81,14 +108,14 @@ def test_splitting_matches_greedy_span_loop():
         assert st.degrees.count(0) == greedy_constant_count(kb)
         const = [c for c, d in zip(kb.columns, kb.degrees) if d == 0]
         other = [c for c, d in zip(kb.columns, kb.degrees) if d != 0]
-        point_col = [Poly([c]) for c in x.coords]
+        point_col = [list(x.coords)]
         # repeated columns and the line of x add no summand
         padded = KernelBasis(x, const + const[:2] + [point_col] + other,
-                             [0] * (len(const) + 3) + [1], kb.row_map)
+                             [0] * (len(const) + 3) + [1])
         assert greedy_constant_count(padded) == 2 * p.g - 1
         assert n_tilde_splitting(padded) == st
         # two missing constant columns leave one summand short for both
-        short = KernelBasis(x, const[2:] + other, [0] * (len(const) - 2) + [1], kb.row_map)
+        short = KernelBasis(x, const[2:] + other, [0] * (len(const) - 2) + [1])
         assert greedy_constant_count(short) == 2 * p.g - 2
         with pytest.raises(SplittingError):
             n_tilde_splitting(short)
@@ -125,12 +152,3 @@ def test_vandermonde_closed_form_general():
     # it annihilates every power row lambda^0 .. lambda^{2g}
     for k in range(n - 1):
         assert sum(a[j] * p.lambdas[j] ** k for j in range(n)) == 0
-
-
-def test_poly_helpers():
-    z = Poly([])
-    assert z.degree == -1 and not z
-    f = Poly([Fraction(1), Fraction(2), Fraction(0)])
-    assert f.degree == 1
-    assert f(Fraction(3)) == 7
-    assert (f * Poly([Fraction(0), Fraction(1)])).degree == 2

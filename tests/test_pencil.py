@@ -9,7 +9,6 @@ from qplab import (
     PencilOfQuadrics,
     SignGroupElement,
     canonical_pencil,
-    new_pencil,
 )
 
 
@@ -43,8 +42,6 @@ def test_gram_and_degenerate_members():
         assert gram[j][j] == 0
         k = p.degenerate_kernel(j)
         assert all(sum(gram[i][l] * k[l] for l in range(6)) == 0 for i in range(6))
-    sym = p.gram(None)
-    assert sym.entries[0][0].degree == 1
 
 
 def test_quadric_evaluation():
@@ -101,7 +98,3 @@ def test_hyperelliptic_data():
     assert hyp.genus == 3
     assert len(hyp.branch_params) == 8
     assert all(b == Fraction(-1) for _, b in hyp.branch_params)
-
-
-def test_new_pencil_alias():
-    assert new_pencil(range(6)) == canonical_pencil(2)

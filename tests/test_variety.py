@@ -1,5 +1,6 @@
 """Point sampling, membership, tangent frames, gauge classes, quotients."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,25 @@ def test_determinism_and_substreams():
     r1 = derived_rng(7, 0).integers(0, 1 << 30, size=4)
     r2 = derived_rng(7, 0).integers(0, 1 << 30, size=4)
     assert list(r1) == list(r2)
+
+
+def test_derived_rng_reference_streams():
+    # pinned: keys in [0, 2^63) draw the same streams as before the uint64 key
+    assert list(derived_rng(1, 0).integers(0, 1 << 30, size=3)) == [
+        492347575, 325953694, 783254411,
+    ]
+    assert list(derived_rng(1, -1).integers(0, 1 << 30, size=3)) == [
+        419954210, 584780256, 67792069,
+    ]
+
+
+@pytest.mark.parametrize("a, b", [(-1, -2), (1 << 63, (1 << 63) + 1)])
+def test_derived_rng_distinct_seeds_distinct_streams(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ra = derived_rng(a, 0).integers(0, 1 << 30, size=4)
+        rb = derived_rng(b, 0).integers(0, 1 << 30, size=4)
+    assert list(ra) != list(rb)
 
 
 def test_point_json_roundtrip():
