@@ -165,6 +165,8 @@ def _cmd_skew_invariants(args) -> int:
         m = [[Fraction(str(c)) for c in row] for row in rows]
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"bad matrix file: {exc}") from exc
+    if not m:
+        raise InputError("bad matrix file: empty matrix")
     try:
         skew = SkewMap(m)
     except (SkewnessError, ValueError) as exc:

@@ -1,18 +1,23 @@
 """Dense exact linear algebra over rationals and biquadratic extensions.
 
-Matrices are lists of row lists.  Rational matrices go through fraction-free
-(Bareiss) elimination; matrices with biquadratic entries use ordinary
-division-based elimination, raising :class:`NonInvertibleError` if no
-invertible pivot can be found in a nonzero column.  Determinants over the
-biquadratic algebra eliminate with invertible pivots too; cofactor expansion
-is kept for sizes up to 3 and as the fallback when a nonzero column holds
-nothing but zero divisors.  Span tests (:func:`rank_exact`,
-:func:`same_span`) take one echelon form each.
+Matrices are lists of row lists.  A rational matrix is taken onto Python ints
+once: each row is scaled by the lcm of its denominators.  One fraction-free
+(Bareiss) elimination on those ints, with exact integer division by the
+previous pivot, serves the echelon form (nullspace, solve, rank, pivot
+columns) and the determinant; the result becomes a ``Fraction`` once, at the
+end.  Matrices with biquadratic entries use ordinary division-based
+elimination, raising :class:`NonInvertibleError` if no invertible pivot can be
+found in a nonzero column.  Determinants over the biquadratic algebra
+eliminate with invertible pivots too; cofactor expansion is kept for sizes up
+to 3 and as the fallback when a nonzero column holds nothing but zero
+divisors.  Span tests (:func:`rank_exact`, :func:`same_span`) take one echelon
+form each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .scalars import (
     RATIONAL_TYPES,
@@ -106,48 +111,69 @@ def _row_echelon_generic(m, limit=None):
     return a, pivots
 
 
-def _row_echelon_bareiss(m):
-    """Fraction-free elimination for integer/rational matrices.
+def _integer_rows(m):
+    """Each row of a rational matrix times the lcm of its denominators.
+
+    Returns (rows, scales): integer rows and the positive scale of each.
+    """
+    rows, scales = [], []
+    for row in m:
+        # a list, not a generator expression: star-unpacking a generator
+        # made the peak RSS of long runs creep up (measured on CPython 3.11)
+        scale = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _bareiss(a, limit=None):
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
+
+    Each step sets a[i][j] = (p * a[i][j] - a[i][c] * a[r][j]) // prev below
+    the pivot p, where prev is the previous pivot; by Sylvester's identity the
+    entries stay integer minors of a, so the division is exact.  Stops after
+    ``limit`` pivots when a limit is given.  Returns (pivot_cols, negate),
+    where negate tells whether the row swaps made an odd permutation.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    prev = 1
+    pivots = []
+    negate = False
+    r = 0
+    for c in range(ncols):
+        if r >= nrows or r == limit:
+            break
+        for piv in range(r, nrows):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            negate = not negate
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, negate
+
+
+def _row_echelon_bareiss(m, limit=None):
+    """Fraction-free echelon form of a rational matrix, on Python ints.
 
     Returns (rows, pivot_cols) with rows in (unnormalized) echelon form.
     """
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    # clear denominators row-wise so the Bareiss divisions stay exact
-    for i, row in enumerate(a):
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        a[i] = [x * den for x in row]
-    prev = Fraction(1)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) / prev
-            a[i][c] = Fraction(0)
-        prev = a[r][c]
-        pivots.append(c)
-        r += 1
+    a, _ = _integer_rows(m)
+    pivots, _ = _bareiss(a, limit)
     return a, pivots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _back_substitute(a, pivots, ncols, one, zero):
@@ -172,9 +198,9 @@ def _back_substitute(a, pivots, ncols, one, zero):
 def nullspace_exact(m):
     """Basis of the right nullspace of an exact matrix.
 
-    Rational matrices use fraction-free elimination; matrices over a
-    biquadratic extension use exact division-based elimination.  Returns [] for
-    a trivial kernel.
+    Rational matrices use the integer fraction-free elimination; matrices over
+    a biquadratic extension use exact division-based elimination.  Returns []
+    for a trivial kernel.
     """
     if not m or not m[0]:
         return []
@@ -199,7 +225,7 @@ def _pivot_columns(m, limit=None) -> list:
     if not m or not m[0]:
         return []
     if _is_rational_matrix(m):
-        return _row_echelon_bareiss(m)[1][:limit]
+        return _row_echelon_bareiss(m, limit)[1]
     check_exact_matrix(m)
     return _row_echelon_generic(m, limit)[1]
 
@@ -211,7 +237,10 @@ def rank_exact(m) -> int:
 def det_exact(m):
     """Exact determinant.
 
-    Rational matrices use Bareiss elimination.  Over the biquadratic algebra,
+    A rational matrix has its rows scaled to integers (row i by s_i) and goes
+    through the integer Bareiss elimination; the determinant is the sign of
+    the row swaps times the last pivot over the product of the s_i, one
+    ``Fraction`` built at the end.  Over the biquadratic algebra,
     matrices of size 3 or less use cofactor expansion (the cheapest there);
     larger ones use elimination with invertible pivots: O(n^3) products and
     one inverse per pivot.  When a nonzero column holds only zero divisors no
@@ -224,26 +253,11 @@ def det_exact(m):
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if _is_rational_matrix(m):
-        a = [[Fraction(x) for x in row] for row in m]
-        sign = 1
-        prev = Fraction(1)
-        for c in range(n - 1):
-            piv = None
-            for i in range(c, n):
-                if a[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                for j in range(c + 1, n):
-                    a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) / prev
-                a[i][c] = Fraction(0)
-            prev = a[c][c]
-        return sign * a[n - 1][n - 1]
+        a, scales = _integer_rows(m)
+        pivots, negate = _bareiss(a)
+        if len(pivots) < n:
+            return Fraction(0)
+        return Fraction(-a[-1][-1] if negate else a[-1][-1], prod(scales))
     if n <= 3:
         return _det_cofactor(m)
     try:
@@ -319,7 +333,7 @@ def solve_exact(m, rhs):
     x = [zero] * ncols
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
-        s = a[r][ncols]
+        s = zero + a[r][ncols]  # a Fraction, not an int, on Bareiss rows
         for c in range(pc + 1, ncols):
             if x[c]:
                 s = s - a[r][c] * x[c]

@@ -42,7 +42,9 @@ class PencilOfQuadrics:
     __slots__ = ("g", "lambdas")
 
     def __init__(self, lambdas):
-        lambdas = tuple(Fraction(x) for x in lambdas)
+        # a list, not a generator expression: tuple() over a generator made
+        # the peak RSS of long runs creep up (measured on CPython 3.11)
+        lambdas = tuple([Fraction(x) for x in lambdas])
         if len(lambdas) < 6 or len(lambdas) % 2 != 0:
             raise PencilError("need an even number (>= 6) of coefficients")
         if len(set(lambdas)) != len(lambdas):

@@ -2,6 +2,9 @@
 the invariant vector (a_1, ..., a_{g-1}, Pf), rank/nilpotency and the rank-two
 orthogonal decomposition.
 
+Exact invariants run on Python ints: the matrix is scaled once by the lcm of
+its denominators, and each result becomes a ``Fraction`` once, at the end.
+
 The Pfaffian sign convention: the direct sum of standard 2x2 blocks with +1
 above the diagonal has Pfaffian +1.
 """
@@ -10,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
-from .linalg import nullspace_exact, rank_exact
+from .linalg import _pivot_columns, nullspace_exact, rank_exact
 from .scalars import is_exact, to_complex
 
 __all__ = [
@@ -112,8 +117,11 @@ class HitchinVector:
 def char_coeffs(m: SkewMap):
     """(a_1, ..., a_n) with det(xI - A) = x^{2n} + a_1 x^{2n-2} + ... + a_n.
 
-    Faddeev-LeVerrier recursion; the odd-power coefficients are verified to
-    vanish exactly (exact mode).
+    Exact mode runs the Faddeev-LeVerrier recursion on Python ints: with D the
+    lcm of the denominators of A, B = D*A is an integer matrix, so every M_k
+    and c_k of the recursion for B is an integer and a_j = c_{2j} / D^{2j}.
+    The division c_k = -tr(M_k)/k is checked to be exact, and the odd-power
+    coefficients are verified to vanish exactly.
     """
     size = m.size
     if m.mode != "exact":
@@ -123,86 +131,93 @@ def char_coeffs(m: SkewMap):
         if max(abs(x) for x in odd) > 1e-9 * scale:
             raise ArithmeticError("odd characteristic coefficients not negligible")
         return tuple(complex(cs[k]) for k in range(2, size + 1, 2))
-    a = m.entries
-    # Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I)
-    mk = [[Fraction(a[i][j]) for j in range(size)] for i in range(size)]
+    b, d = _scaled_to_integers(m.entries)
+    # Faddeev-LeVerrier: M_1 = B, c_k = -tr(M_k)/k, M_{k+1} = B (M_k + c_k I)
+    mk = [list(row) for row in b]
     coeffs = []
     for k in range(1, size + 1):
-        trace = sum(mk[i][i] for i in range(size))
-        ck = -trace / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(size)), k)
+        if rem:
+            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
         coeffs.append(ck)
         if k == size:
             break
         for i in range(size):
             mk[i][i] += ck
-        mk = _matmul(a, mk)
-    # det(xI - A) = x^{2n} + coeffs[0] x^{2n-1} + ...
+        mk = _matmul(b, mk)
+    # det(xI - B) = x^{2n} + coeffs[0] x^{2n-1} + ...
     for k in range(0, size, 2):
         if coeffs[k] != 0:
             raise ArithmeticError("odd characteristic coefficient nonzero")
-    return tuple(coeffs[k] for k in range(1, size, 2))
+    return tuple([Fraction(coeffs[k], d ** (k + 1)) for k in range(1, size, 2)])
+
+
+def _scaled_to_integers(entries):
+    """(B, D): D the lcm of the denominators of the entries, B = D * entries
+    as Python ints."""
+    # a list, not a generator expression: see linalg._integer_rows
+    d = lcm(*[x.denominator for row in entries for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
 
 
 def _matmul(a, b):
-    size = len(a)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        ai = a[i]
-        for k in range(size):
-            x = ai[k]
-            if not x:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(size):
-                row[j] += x * bk[j]
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def pfaffian(m: SkewMap):
     """Pf(A), with Pf(A)^2 = det(A).
 
-    Exact mode uses fraction-free skew elimination with column pivoting;
-    the recursive cofactor expansion is kept for small float matrices.
+    Exact mode scales A by the lcm D of its denominators, runs fraction-free
+    skew elimination with pivoting on Python ints and returns
+    Pf(D*A) / D^n as one ``Fraction``; the recursive cofactor expansion is
+    kept for small float matrices.
     """
     if m.mode != "exact":
         return _pfaffian_recursive(
             [[to_complex(x) for x in row] for row in m.entries]
         )
-    return _pfaffian_eliminate([[Fraction(x) for x in row] for row in m.entries])
+    b, d = _scaled_to_integers(m.entries)
+    return Fraction(_pfaffian_eliminate(b), d ** m.n)
 
 
 def _pfaffian_eliminate(a):
-    """Pfaffian by repeated Schur complements.
+    """Pfaffian of an integer skew matrix by fraction-free skew elimination.
 
-    With p = a[0][1] != 0 (after a pivoting swap, which flips the sign) one has
-    Pf(A) = p * Pf(B) where B[i][j] = a[i][j] - (a[0][i]a[1][j] - a[0][j]a[1][i])/p
-    over the trailing indices.
+    With p = a[0][1] != 0 (after a pivoting swap, which flips the sign) the
+    trailing indices i, j >= 2 get
+    B[i][j] = (p*a[i][j] - a[0][i]*a[1][j] + a[0][j]*a[1][i]) / prev,
+    prev being the previous pivot (1 at the start).  This is the Pfaffian
+    analogue of Sylvester's identity: B[i][j] is the Pfaffian of the principal
+    submatrix of the (swapped) input on the pivot indices so far and i, j, so
+    the division is exact and the last pivot is Pf(A) up to the sign of the
+    swaps.
     """
     sign = 1
-    pf = Fraction(1)
+    prev = 1
     while a:
         size = len(a)
-        piv = None
-        for j in range(1, size):
-            if a[0][j]:
-                piv = j
+        for piv in range(1, size):
+            if a[0][piv]:
                 break
-        if piv is None:
-            return Fraction(0)
+        else:
+            return 0
         if piv != 1:
             _swap_rows_cols(a, piv, 1)
             sign = -sign
-        p = a[0][1]
-        pf *= p
+        r0, r1 = a[0], a[1]
+        p = r0[1]
+        if size == 2:
+            return sign * p
         a = [
             [
-                a[i][j] - (a[0][i] * a[1][j] - a[0][j] * a[1][i]) / p
+                (p * a[i][j] - r0[i] * r1[j] + r0[j] * r1[i]) // prev
                 for j in range(2, size)
             ]
             for i in range(2, size)
         ]
-    return sign * pf
+        prev = p
+    return 1  # the empty matrix
 
 
 def _swap_rows_cols(a, i, j):
@@ -265,15 +280,7 @@ def rank2_orthogonal_decomposition(m: SkewMap):
     a = m.entries
     ker = nullspace_exact(a)
     size = m.size
-    cols = [[a[i][j] for i in range(size)] for j in range(size)]
-    im = []
-    from .linalg import in_span
-
-    for c in cols:
-        if any(c) and not in_span(im, c):
-            im.append(c)
-        if len(im) == 2:
-            break
+    im = [[a[i][j] for i in range(size)] for j in _pivot_columns(a, limit=2)]
     if len(ker) != size - 2 or len(im) != 2:
         raise ArithmeticError("inconsistent kernel/image dimensions")
     # directness: ker ∩ im = 0 (guaranteed by non-nilpotency; verified)

@@ -157,6 +157,9 @@ def run_lagrangian_check(
 
 
 def run_splitting_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
+    """Splitting type (0, ..., 0, 1) and the trivial factor along the tangent
+    frame at each sample; a failing report names the first failing index."""
+
     def one(i: int) -> bool:
         x = sample_point(p, seed, index=i)
         kb = v_perp_kernel(p, x)
@@ -165,11 +168,24 @@ def run_splitting_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         expected = tuple([0] * (2 * p.g - 1) + [1])
         return st.degrees == expected and trivial_factor_matches_tangent(kb, frame)
 
-    try:
-        results = [one(i) for i in range(count)]
-    except SplittingError as exc:
-        return {"pass": False, "samples": count, "error": str(exc)}
-    return {"pass": all(results), "samples": count, "matches": sum(results)}
+    results = []
+    for i in range(count):
+        try:
+            results.append(one(i))
+        except SplittingError as exc:
+            return {
+                "pass": False,
+                "samples": count,
+                "error": str(exc),
+                "first_failure": {"case": "splitting_error", "index": i},
+            }
+    report = {"pass": all(results), "samples": count, "matches": sum(results)}
+    if not report["pass"]:
+        report["first_failure"] = {
+            "case": "splitting_type",
+            "index": results.index(False),
+        }
+    return report
 
 
 def _random_distinct_lambdas(rng, n: int):
@@ -238,7 +254,10 @@ def run_skew_battery(
     seed: int, pf_cases: int = 500, rank2_cases: int = 200
 ) -> dict:
     """Pf^2 = det on random skew maps; rank-2 maps have a_{>=2} = 0 and a
-    verified orthogonal kernel/image decomposition when non-nilpotent."""
+    verified orthogonal kernel/image decomposition when non-nilpotent.
+
+    A failing report names its first failing case and that case's index.
+    """
     sizes = [4, 6, 8, 10]
 
     def pf_one(i: int) -> bool:
@@ -268,15 +287,21 @@ def run_skew_battery(
             return True
         return False
 
-    pf_ok = all([pf_one(i) for i in range(pf_cases)])
-    rank2_ok = all([rank2_one(i) for i in range(rank2_cases)])
-    return {
+    pf_results = [pf_one(i) for i in range(pf_cases)]
+    rank2_results = [rank2_one(i) for i in range(rank2_cases)]
+    pf_ok, rank2_ok = all(pf_results), all(rank2_results)
+    report = {
         "pass": pf_ok and rank2_ok,
         "pfaffian_cases": pf_cases,
         "rank2_cases": rank2_cases,
         "pfaffian_pass": pf_ok,
         "rank2_pass": rank2_ok,
     }
+    for case, results in (("pfaffian", pf_results), ("rank2", rank2_results)):
+        if not all(results):
+            report["first_failure"] = {"case": case, "index": results.index(False)}
+            break
+    return report
 
 
 def run_invariance_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:

@@ -112,6 +112,112 @@ def test_skew_invariants_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[[0,1],[1,0]]")
     assert run_cli("skew-invariants", "--matrix", str(bad)).returncode == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    r = run_cli("skew-invariants", "--matrix", str(empty))
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "bad matrix file: empty matrix"
+
+
+# stdout of `qplab skew-invariants`, pinned byte for byte; the outputs are
+# exact rationals, so they do not depend on the platform or on BLAS
+SKEW_PINS = {
+    # non-integer rational entries, a_01 = 0 (a pivot swap)
+    "rational6": (
+        [
+            ["0", "0", "1/2", "-2/3", "3/4", "5/7"],
+            ["0", "0", "-1/5", "7/3", "0", "2"],
+            ["-1/2", "1/5", "0", "-3/4", "1/6", "4/9"],
+            ["2/3", "-7/3", "3/4", "0", "-5/2", "8/3"],
+            ["-3/4", "0", "-1/6", "5/2", "0", "1/11"],
+            ["-5/7", "-2", "-4/9", "-8/3", "-1/11", "0"],
+        ],
+        "{\n"
+        "  \"command\": \"skew-invariants\",\n"
+        "  \"metrics\": {\n"
+        "    \"a\": [\n"
+        "      \"2440507967/96049800\",\n"
+        "      \"1956339112577/27662342400\",\n"
+        "      \"16019711761/768398400\"\n"
+        "    ],\n"
+        "    \"nilpotent\": false,\n"
+        "    \"pf\": \"126569/27720\",\n"
+        "    \"rank\": 6\n"
+        "  },\n"
+        "  \"pass\": true,\n"
+        "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
+        "  \"samples_used\": 0,\n"
+        "  \"seed\": 0,\n"
+        "  \"version\": \"1\"\n"
+        "}\n"
+    ),
+    # a rank-2 map u v^T - v u^T
+    "rank2": (
+        [
+            ["0", "1", "1", "-2", "2", "1"],
+            ["-1", "0", "2", "-5", "5", "-1"],
+            ["-1", "-2", "0", "-1", "1", "-3"],
+            ["2", "5", "1", "0", "0", "7"],
+            ["-2", "-5", "-1", "0", "0", "-7"],
+            ["-1", "1", "3", "-7", "7", "0"],
+        ],
+        "{\n"
+        "  \"command\": \"skew-invariants\",\n"
+        "  \"metrics\": {\n"
+        "    \"a\": [\n"
+        "      \"175\",\n"
+        "      \"0\",\n"
+        "      \"0\"\n"
+        "    ],\n"
+        "    \"nilpotent\": false,\n"
+        "    \"pf\": \"0\",\n"
+        "    \"rank\": 2\n"
+        "  },\n"
+        "  \"pass\": true,\n"
+        "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
+        "  \"samples_used\": 0,\n"
+        "  \"seed\": 0,\n"
+        "  \"version\": \"1\"\n"
+        "}\n"
+    ),
+    # the zero map: a real skew map A has a_1 = sum of a_ij^2 over
+    # i < j, so the zero map is the only nilpotent rational one
+    "zero4": (
+        [
+            ["0", "0", "0", "0"],
+            ["0", "0", "0", "0"],
+            ["0", "0", "0", "0"],
+            ["0", "0", "0", "0"],
+        ],
+        "{\n"
+        "  \"command\": \"skew-invariants\",\n"
+        "  \"metrics\": {\n"
+        "    \"a\": [\n"
+        "      \"0\",\n"
+        "      \"0\"\n"
+        "    ],\n"
+        "    \"nilpotent\": true,\n"
+        "    \"pf\": \"0\",\n"
+        "    \"rank\": 0\n"
+        "  },\n"
+        "  \"pass\": true,\n"
+        "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
+        "  \"samples_used\": 0,\n"
+        "  \"seed\": 0,\n"
+        "  \"version\": \"1\"\n"
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_PINS))
+def test_skew_invariants_stdout_pinned(tmp_path, name):
+    matrix, expected = SKEW_PINS[name]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    r = run_cli("skew-invariants", "--matrix", str(path))
+    assert r.returncode == 0
+    assert r.stdout == expected
 
 
 def test_verify_diagram_exit_codes():

@@ -1,5 +1,6 @@
 """Exact linear algebra: fraction-free elimination against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from qplab.linalg import (
     _back_substitute,
     _det_cofactor,
     _det_eliminate,
+    _row_echelon_bareiss,
     _row_echelon_generic,
 )
 
@@ -46,6 +48,127 @@ def _nullspace_naive(m):
     a = [[Fraction(x) for x in row] for row in m]
     rows, pivots = _row_echelon_generic(a)
     return _back_substitute(rows, pivots, len(m[0]), Fraction(1), Fraction(0))
+
+
+def _row_echelon_bareiss_fraction(m):
+    """Oracle for the integer Bareiss elimination: the same row scaling and
+    elimination steps, every entry a reduced Fraction."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    for i, row in enumerate(a):
+        den = math.lcm(*(x.denominator for x in row))
+        a[i] = [x * den for x in row]
+    prev = Fraction(1)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) / prev
+            a[i][c] = Fraction(0)
+        prev = a[r][c]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _det_bareiss_fraction(m):
+    """Oracle for the rational det_exact: Bareiss elimination on Fractions,
+    stopping at the first column without a pivot."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    prev = Fraction(1)
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) / prev
+            a[i][c] = Fraction(0)
+        prev = a[c][c]
+    return sign * a[n - 1][n - 1]
+
+
+def random_rational_matrix(rng, rows, cols):
+    """Entries with denominators up to 6; about a third of them zero, so
+    leading entries vanish and elimination must swap rows."""
+    return [
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.65
+            else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def random_rational_cases(seed):
+    """Square matrices of size 0..12: general ones, ones with a zero first
+    column above a pivot far down, and singular ones (a row that combines two
+    others)."""
+    rng = random.Random(seed)
+    for n in range(13):
+        for kind in ("general", "swap", "singular"):
+            m = random_rational_matrix(rng, n, n)
+            if kind == "swap" and n > 1:
+                for row in m[:-1]:
+                    row[0] = Fraction(0)
+                m[-1][0] = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+            if kind == "singular" and n > 2:
+                m[n // 2] = [Fraction(3, 2) * x - y for x, y in zip(m[0], m[-1])]
+            yield kind, m
+
+
+def test_rational_det_and_echelon_match_fraction_oracles():
+    for kind, m in random_rational_cases(seed=5):
+        d = det_exact(m)
+        assert type(d) is Fraction
+        assert d == _det_bareiss_fraction(m)
+        if kind == "singular" and len(m) > 2:
+            assert d == 0
+        if m:
+            rows, pivots = _row_echelon_bareiss(m)
+            assert (rows, pivots) == _row_echelon_bareiss_fraction(m)
+            assert all(type(x) is int for row in rows for x in row)
+        # wide and tall shapes exercise skipped columns and surplus rows
+        wide = [row + row[:2] for row in m]
+        if wide:
+            assert _row_echelon_bareiss(wide) == _row_echelon_bareiss_fraction(wide)
+            assert _row_echelon_bareiss(m + m[:2]) == _row_echelon_bareiss_fraction(
+                m + m[:2]
+            )
+
+
+def test_rational_results_are_fractions():
+    # integer input and pivots that leave back-substitution sums empty
+    assert type(det_exact([[2, 1], [1, 1]])) is Fraction
+    sol = solve_exact([[2, 0], [0, 3]], [1, 1])
+    assert sol == [Fraction(1, 2), Fraction(1, 3)]
+    assert all(type(x) is Fraction for x in sol)
+    for kind, m in random_rational_cases(seed=6):
+        if not m:
+            continue
+        rhs = [row[0] + 2 * row[-1] for row in m]  # a consistent right-hand side
+        sol = solve_exact(m, rhs)
+        assert all(type(x) is Fraction for x in sol)
+        assert matvec(m, sol) == rhs
+        for v in nullspace_exact(m):
+            assert all(type(x) is Fraction for x in v)
+            assert not any(matvec(m, v))
 
 
 @given(rational_matrices(3, 5))
@@ -106,8 +229,16 @@ def test_nullspace_zero_divisor_pivot_raises():
 def test_det_exact_known_values():
     assert det_exact([[Fraction(2)]]) == 2
     assert det_exact([[1, 2], [3, 4]]) == -2
-    hilbert = [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
-    assert det_exact(hilbert) == Fraction(1, 2160)
+    # Hilbert matrices: det H_n = c_n^4 / c_{2n} with c_n = prod_{i<n} i!
+    def c(n):
+        return math.prod(math.factorial(i) for i in range(1, n))
+
+    for n in range(2, 8):
+        hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+        d = det_exact(hilbert)
+        assert type(d) is Fraction
+        assert d == Fraction(c(n) ** 4, c(2 * n))
+    assert Fraction(c(3) ** 4, c(6)) == Fraction(1, 2160)
 
 
 def test_span_predicates():

@@ -1,5 +1,8 @@
 """Skew-symmetric invariants: characteristic coefficients, Pfaffian, rank two."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from qplab import (
     pfaffian,
     rank2_orthogonal_decomposition,
 )
+from qplab.linalg import in_span
 from qplab.skew import _pfaffian_recursive
 
 
@@ -28,6 +32,125 @@ def skew_matrices(size):
         min_size=count,
         max_size=count,
     ).map(lambda upper: SkewMap.from_upper(size, upper))
+
+
+def _char_coeffs_fraction(a):
+    """Oracle for char_coeffs: the Faddeev-LeVerrier recursion on Fractions."""
+    size = len(a)
+    mk = [[Fraction(x) for x in row] for row in a]
+    coeffs = []
+    for k in range(1, size + 1):
+        ck = -sum(mk[i][i] for i in range(size)) / k
+        coeffs.append(ck)
+        if k == size:
+            break
+        for i in range(size):
+            mk[i][i] += ck
+        mk = [
+            [sum((a[i][t] * mk[t][j] for t in range(size)), Fraction(0))
+             for j in range(size)]
+            for i in range(size)
+        ]
+    assert not any(coeffs[0::2])
+    return tuple(coeffs[1::2])
+
+
+def _pfaffian_schur_fraction(a):
+    """Oracle for pfaffian: repeated Schur complements on Fractions,
+    Pf(A) = p * Pf(B) with p = a[0][1] after a pivoting swap and
+    B[i][j] = a[i][j] - (a[0][i]a[1][j] - a[0][j]a[1][i])/p."""
+    a = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    pf = Fraction(1)
+    while a:
+        size = len(a)
+        piv = next((j for j in range(1, size) if a[0][j]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != 1:
+            a[piv], a[1] = a[1], a[piv]
+            for row in a:
+                row[piv], row[1] = row[1], row[piv]
+            sign = -sign
+        p = a[0][1]
+        pf *= p
+        a = [
+            [
+                a[i][j] - (a[0][i] * a[1][j] - a[0][j] * a[1][i]) / p
+                for j in range(2, size)
+            ]
+            for i in range(2, size)
+        ]
+    return sign * pf
+
+
+def random_skew_cases(seed):
+    """Rational skew maps of size 0..12 with denominators up to 6: dense ones,
+    sparse ones (zero pivots that need swaps, many singular) and ones of rank
+    size - 2."""
+    rng = random.Random(seed)
+    for size in range(0, 13, 2):
+        for density in (0.9, 0.35, 0.15):
+            upper = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                if rng.random() < density else Fraction(0)
+                for _ in range(size * (size - 1) // 2)
+            ]
+            yield SkewMap.from_upper(size, upper)
+        if size:
+            # a zero last index: det = Pf = 0, with a nonzero a_1 from size 4
+            c = Fraction(rng.randint(1, 9), 7)
+            upper = [
+                Fraction(0) if j == size - 1 else c
+                for i in range(size)
+                for j in range(i + 1, size)
+            ]
+            yield SkewMap.from_upper(size, upper)
+
+
+def test_integer_kernels_match_fraction_oracles():
+    for m in random_skew_cases(seed=3):
+        coeffs = char_coeffs(m)
+        pf = pfaffian(m)
+        assert all(type(x) is Fraction for x in coeffs) and type(pf) is Fraction
+        assert coeffs == _char_coeffs_fraction(m.entries)
+        assert pf == _pfaffian_schur_fraction(m.entries)
+        if m.size:
+            assert coeffs[-1] == pf ** 2
+
+
+def test_block_diagonal_known_answers():
+    # blocks b_k: det(xI - A) = prod (x^2 + b_k^2), so a_j = e_j(b_k^2) and
+    # Pf = prod b_k; a permutation P of the basis keeps the coefficients and
+    # multiplies Pf by sign(P)
+    rng = random.Random(4)
+    for n in range(1, 6):
+        b = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+             for _ in range(n)]
+        size = 2 * n
+        a = [[Fraction(0)] * size for _ in range(size)]
+        for k, bk in enumerate(b):
+            a[2 * k][2 * k + 1], a[2 * k + 1][2 * k] = bk, -bk
+        squares = [x * x for x in b]
+        expected = tuple(
+            sum(
+                (math.prod(c, start=Fraction(1))
+                 for c in itertools.combinations(squares, j)),
+                Fraction(0),
+            )
+            for j in range(1, n + 1)
+        )
+        perm = list(range(size))
+        rng.shuffle(perm)
+        inversions = sum(
+            perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)
+        )
+        permuted = [[a[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
+        for entries, sign in ((a, 1), (permuted, (-1) ** inversions)):
+            m = SkewMap(entries)
+            assert char_coeffs(m) == expected
+            pf = pfaffian(m)
+            assert type(pf) is Fraction and pf == sign * math.prod(b)
 
 
 def test_skewness_enforced():
@@ -142,3 +265,35 @@ def test_rank2_decomposition_errors_distinct():
     zero = SkewMap([[z] * n for _ in range(n)])
     with pytest.raises(DecompositionError):
         rank2_orthogonal_decomposition(zero)
+
+
+def greedy_image_columns(a):
+    """The greedy loop rank2_orthogonal_decomposition used to pick its image
+    columns with: keep a nonzero column unless it lies in the span of those
+    kept, and stop at two."""
+    size = len(a)
+    im = []
+    for c in ([a[i][j] for i in range(size)] for j in range(size)):
+        if any(c) and not in_span(im, c):
+            im.append(c)
+        if len(im) == 2:
+            break
+    return im
+
+
+def test_rank2_image_columns_match_greedy_span_loop():
+    # column j of u v^T - v u^T is v_j u - u_j v: zero when u_j = v_j = 0 and
+    # repeated or a multiple when (u_j, v_j) repeats or is a multiple
+    families = [
+        ([0, 1, 1, 2, 0, 1], [0, 1, 1, 2, 1, 3]),
+        ([0, 0, 1, 2, 3, 1], [0, 0, 1, 2, 3, -1]),
+        ([0, 2, 1, 1, 0, 0, 5, 1], [0, 2, 1, 1, 0, 1, 2, 1]),
+        ([1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 2, 1]),
+    ]
+    for u, v in families:
+        u = [Fraction(x, 3) for x in u]
+        n = len(u)
+        a = [[u[i] * v[j] - v[i] * u[j] for j in range(n)] for i in range(n)]
+        ker, im = rank2_orthogonal_decomposition(SkewMap(a))
+        assert im == greedy_image_columns(a)
+        assert len(ker) == n - 2
