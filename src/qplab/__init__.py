@@ -17,14 +17,12 @@ from .binary_forms import (
 from .fibration import (
     DegenerateCovectorError,
     FibrationValue,
-    FitError,
     IdentificationMap,
     f_H,
     fit_identification,
     phi_components,
     phi_X,
     phi_Y,
-    projective_distance,
     verify_identification,
     verify_lagrangian,
 )

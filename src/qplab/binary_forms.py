@@ -66,9 +66,6 @@ class BinaryForm:
     def scaled(self, s) -> "BinaryForm":
         return BinaryForm(self.degree, [s * c for c in self.coeffs])
 
-    def coeff_vector(self) -> np.ndarray:
-        return np.array([to_complex(c) for c in self.coeffs], dtype=complex)
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)

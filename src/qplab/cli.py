@@ -27,7 +27,7 @@ from .verify import (
     verify_all,
 )
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 RNG_NAME = "philox4x64 with per-sample counter substreams key=[seed, index]"
 
 EXIT_PASS = 0
@@ -190,25 +190,23 @@ def _cmd_vandermonde(args) -> int:
     return _report(args, "vandermonde", True, metrics, 0)
 
 
-def _check_fit_counts(p: PencilOfQuadrics, args):
-    if args.train < 4 * p.g:
-        raise InputError(f"need --train >= {4 * p.g}")
+def _check_holdout(args):
     if args.holdout < 1:
         raise InputError("need --holdout >= 1")
 
 
 def _cmd_verify_diagram(args) -> int:
     p = _pencil_from_args(args)
-    _check_fit_counts(p, args)
-    rep = run_diagram_check(p, args.seed, args.train, args.holdout, args.tol)
-    return _report(args, "verify-diagram", rep["pass"], rep, args.train + args.holdout)
+    _check_holdout(args)
+    rep = run_diagram_check(p, args.seed, args.holdout)
+    return _report(args, "verify-diagram", rep["pass"], rep, args.holdout)
 
 
 def _cmd_verify_even(args) -> int:
     p = _pencil_from_args(args)
-    _check_fit_counts(p, args)
-    rep = run_even_check(p, args.seed, args.train, args.holdout, args.tol)
-    return _report(args, "verify-even", rep["pass"], rep, args.train + args.holdout)
+    _check_holdout(args)
+    rep = run_even_check(p, args.seed, args.holdout)
+    return _report(args, "verify-even", rep["pass"], rep, args.holdout)
 
 
 def _cmd_verify_lagrangian(args) -> int:
@@ -298,20 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=_cmd_vandermonde)
 
-    sp = sub.add_parser("verify-diagram", help="fit + holdout diagram check")
+    sp = sub.add_parser("verify-diagram", help="exact identification of phi with f_H")
     _add_pencil_flags(sp)
     _add_common(sp)
-    sp.add_argument("--train", type=int, default=None)
     sp.add_argument("--holdout", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=_cmd_verify_diagram)
 
     sp = sub.add_parser("verify-even", help="diagram check on T*Y + exact vanishing")
     _add_pencil_flags(sp)
     _add_common(sp)
-    sp.add_argument("--train", type=int, default=None)
     sp.add_argument("--holdout", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=_cmd_verify_even)
 
     sp = sub.add_parser("verify-lagrangian", help="finite-difference isotropy check")
@@ -335,9 +329,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)  # argparse exits 2 on usage errors
     try:
-        if getattr(args, "train", -1) is None:
-            p = _pencil_from_args(args)
-            args.train = 4 * p.g
         return args.fn(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc), "version": REPORT_VERSION}), file=sys.stderr)

@@ -268,23 +268,22 @@ def rank2_orthogonal_decomposition(m: SkewMap):
     """Bases (ker_basis, im_basis) with ker ⊕ im = C^{2n} and q(ker, im) = 0.
 
     Requires rank(A) = 2 and A non-nilpotent; the two violations are reported
-    distinctly.
+    distinctly.  For a skew map ker = im^perp, and the Gram determinant of two
+    image columns is a_1 (Lagrange's identity), so ker ∩ im != 0, which the
+    spanning test detects, exactly when the rank-2 map is nilpotent.
     """
     if m.mode != "exact":
         raise ValueError("decomposition is computed in exact mode only")
-    info = nilpotency_and_rank(m)
-    if info["rank"] != 2:
-        raise DecompositionError(f"rank is {info['rank']}, expected 2")
-    if info["nilpotent"]:
-        raise DecompositionError("map is nilpotent; no orthogonal decomposition")
     a = m.entries
-    ker = nullspace_exact(a)
     size = m.size
-    im = [[a[i][j] for i in range(size)] for j in _pivot_columns(a, limit=2)]
-    if len(ker) != size - 2 or len(im) != 2:
+    pivots = _pivot_columns(a)
+    if len(pivots) != 2:
+        raise DecompositionError(f"rank is {len(pivots)}, expected 2")
+    ker = nullspace_exact(a)
+    im = [[a[i][j] for i in range(size)] for j in pivots]
+    if len(ker) != size - 2:
         raise ArithmeticError("inconsistent kernel/image dimensions")
-    # directness: ker ∩ im = 0 (guaranteed by non-nilpotency; verified)
-    stacked = [list(v) for v in ker + im]
-    if rank_exact([[stacked[r][c] for r in range(size)] for c in range(size)]) != size:
-        raise ArithmeticError("kernel and image do not span the full space")
+    stacked = ker + im
+    if rank_exact([[v[c] for v in stacked] for c in range(size)]) != size:
+        raise DecompositionError("map is nilpotent; no orthogonal decomposition")
     return ker, im

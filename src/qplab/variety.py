@@ -323,9 +323,6 @@ class CotangentRep:
     def scaled(self, s) -> "CotangentRep":
         return CotangentRep(self.point, [s * c for c in self.eta], self.even_restricted)
 
-    def sample_key(self) -> str:
-        return self.point.sample_key() + "|" + repr([scalar_to_json(c) for c in self.eta])
-
     def __repr__(self):
         return f"CotangentRep(eta={self.eta}, even_restricted={self.even_restricted})"
 

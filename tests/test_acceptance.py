@@ -29,23 +29,23 @@ def test_criterion_1_diagram_commutativity():
     for g in (2, 3):
         p = canonical_pencil(g)
         t0 = time.perf_counter()
-        rep = run_diagram_check(p, SEED, train=4 * g, holdout=100, tol=1e-8)
+        rep = run_diagram_check(p, SEED, holdout=100)
         elapsed = time.perf_counter() - t0
         _announce(
             f"diagram commutativity g={g}",
-            rep["pass"] and elapsed < 10.0,
-            f"max_residual={rep['max_residual']:.2e}, {elapsed:.1f}s",
+            rep == {"pass": True, "samples": 100} and elapsed < 10.0,
+            f"exact on {rep['samples']} samples, {elapsed:.1f}s",
         )
 
 
 def test_criterion_2_even_case_commutativity():
     for g in (2, 3):
         p = canonical_pencil(g)
-        rep = run_even_check(p, SEED, train=4 * g, holdout=100, tol=1e-8)
+        rep = run_even_check(p, SEED, holdout=100)
         _announce(
             f"even-case commutativity g={g}",
-            rep["pass"] and rep["exact_vanishing"],
-            f"max_residual={rep['max_residual']:.2e}, exact_vanishing={rep['exact_vanishing']}",
+            rep == {"pass": True, "exact_vanishing": True, "samples": 100},
+            f"exact_vanishing={rep['exact_vanishing']}",
         )
 
 
@@ -116,7 +116,7 @@ def test_criterion_8_invariance_suite():
 
 def test_criterion_9_falsifiability_controls():
     p = canonical_pencil(2)
-    rep = run_falsifiability_check(p, SEED, 1e-8)
+    rep = run_falsifiability_check(p, SEED)
     _announce(
         "falsifiability controls",
         rep["pass"],

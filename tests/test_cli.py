@@ -23,7 +23,7 @@ def test_pencil_info():
     r = run_cli("pencil-info", "--g", "2")
     assert r.returncode == 0
     rep = json.loads(r.stdout)
-    assert rep["pass"] and rep["version"] == "1"
+    assert rep["pass"] and rep["version"] == "2"
     assert rep["metrics"]["g"] == 2
     assert rep["metrics"]["sign_group_order"] == 32
 
@@ -77,7 +77,6 @@ def test_genus_below_two_exit_2(g):
         ["verify-all", "--g", "2", "--budget", "0"],
         ["verify-all", "--g", "2", "--budget", "-1"],
         ["verify-all", "--g", "2", "--budget", "nan"],
-        ["verify-diagram", "--g", "2", "--train", "3"],
         ["verify-diagram", "--g", "2", "--holdout", "0"],
         ["verify-even", "--g", "2", "--holdout", "-3"],
         ["verify-lagrangian", "--g", "2", "--count", "0"],
@@ -89,6 +88,22 @@ def test_bad_counts_exit_2(args):
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"].startswith("need ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-diagram", "--g", "2", "--train", "3"],
+        ["verify-even", "--g", "2", "--tol", "1e-8"],
+    ],
+    ids=" ".join,
+)
+def test_removed_fit_flags_exit_2(args):
+    # the identification is exact, so there is no training set or tolerance
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments" in r.stderr
 
 
 def test_bundle_splitting_roundtrip(tmp_path):
@@ -148,7 +163,7 @@ SKEW_PINS = {
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
         "  \"seed\": 0,\n"
-        "  \"version\": \"1\"\n"
+        "  \"version\": \"2\"\n"
         "}\n"
     ),
     # a rank-2 map u v^T - v u^T
@@ -177,7 +192,7 @@ SKEW_PINS = {
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
         "  \"seed\": 0,\n"
-        "  \"version\": \"1\"\n"
+        "  \"version\": \"2\"\n"
         "}\n"
     ),
     # the zero map: a real skew map A has a_1 = sum of a_ij^2 over
@@ -204,7 +219,7 @@ SKEW_PINS = {
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
         "  \"seed\": 0,\n"
-        "  \"version\": \"1\"\n"
+        "  \"version\": \"2\"\n"
         "}\n"
     ),
 }
@@ -220,19 +235,20 @@ def test_skew_invariants_stdout_pinned(tmp_path, name):
     assert r.stdout == expected
 
 
-def test_verify_diagram_exit_codes():
-    r = run_cli(
-        "verify-diagram", "--g", "2", "--seed", "1", "--holdout", "5", "--tol", "1e-8"
-    )
+def test_verify_diagram_exit_codes(monkeypatch, capsys):
+    r = run_cli("verify-diagram", "--g", "2", "--seed", "1", "--holdout", "5")
     assert r.returncode == 0
     rep = json.loads(r.stdout)
-    assert rep["pass"] and rep["metrics"]["max_residual"] <= 1e-8
-    # impossible tolerance flips the verdict and the exit code
-    r = run_cli(
-        "verify-diagram", "--g", "2", "--seed", "1", "--holdout", "5", "--tol", "1e-30"
-    )
-    assert r.returncode == 1
-    assert json.loads(r.stdout)["pass"] is False
+    assert rep["pass"] and rep["samples_used"] == 5
+    assert rep["metrics"] == {"pass": True, "samples": 5}
+    # a wrong f_H flips the verdict and the exit code
+    from qplab import BinaryForm, cli, fibration
+
+    monkeypatch.setattr(fibration, "f_H", lambda x, xi: BinaryForm(2, [1, 2, 3]))
+    code = cli.main(["verify-diagram", "--g", "2", "--seed", "1", "--holdout", "5"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["pass"] is False
+    assert rep["metrics"]["first_failure"] == {"case": "proportional", "index": 0}
 
 
 def test_verify_even_and_lagrangian():

@@ -2,19 +2,17 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qplab import (
     DegenerateCovectorError,
-    FitError,
+    PencilOfQuadrics,
     canonical_pencil,
     f_H,
     fit_identification,
     phi_components,
     phi_X,
     phi_Y,
-    projective_distance,
     sample_pair,
     sample_point,
     verify_identification,
@@ -26,8 +24,14 @@ P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
 
 
-def _pairs(p, seed, count, start=0, on_Y=False):
-    return [sample_pair(p, seed, index=start + i, on_Y=on_Y) for i in range(count)]
+def _pairs(p, seed, count, on_Y=False):
+    return [sample_pair(p, seed, index=i, on_Y=on_Y) for i in range(count)]
+
+
+def _proportional(a, b):
+    """Nonzero and every 2x2 minor a_i b_k - a_k b_i exactly zero."""
+    minors = [a[i] * b[k] - a[k] * b[i] for i in range(len(a)) for k in range(i)]
+    return len(a) == len(b) and any(a) and any(b) and not any(minors)
 
 
 def test_phi_components_sum_to_zero():
@@ -83,7 +87,7 @@ def test_f_H_degree_and_gauge_invariance():
     r2 = P2.q2_row(x.coords)
     eta2 = [e + a - 4 * b for e, a, b in zip(xi.eta, r1, r2)]
     form2 = f_H(x, CotangentRep(x, eta2))
-    assert projective_distance(form.coeff_vector(), form2.coeff_vector()) < 1e-12
+    assert _proportional(form.coeffs, form2.coeffs)
 
 
 def test_f_H_scaling_covariance():
@@ -92,7 +96,7 @@ def test_f_H_scaling_covariance():
     form2 = f_H(x, xi.scaled(Fraction(3)))
     # determinant of a (2g-2)-dim restriction picks up an even power of the
     # basis change; proportionality is all the construction promises
-    assert projective_distance(form.coeff_vector(), form2.coeff_vector()) < 1e-12
+    assert _proportional(form.coeffs, form2.coeffs)
 
 
 def test_f_H_vanishes_at_last_branch_point_on_Y():
@@ -109,47 +113,72 @@ def test_f_H_degenerate_covector_rejected():
         f_H(x, CotangentRep(x, eta))
 
 
+def _expand(roots):
+    """Coefficients of prod (t - r), highest power first, by multiplying out."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        shifted = coeffs + [Fraction(0)]
+        for k in range(1, len(shifted)):
+            shifted[k] -= r * coeffs[k - 1]
+        coeffs = shifted
+    return coeffs
+
+
+NON_INTEGER = PencilOfQuadrics(
+    [Fraction(s) for s in ("1/3", "2", "7/2", "5", "-4/5", "11/7", "9", "13/2")]
+)
+
+
+@pytest.mark.parametrize("p", [P2, P3, NON_INTEGER], ids=["g2", "g3", "non_integer"])
+def test_identification_known_answer(p):
+    # column j of L: the coefficients of prod_{k != j}(t - lambda_k)
+    ident = fit_identification(p)
+    lam = p.lambdas
+    for j in range(len(lam)):
+        column = [row[j] for row in ident.L]
+        assert column == _expand(lam[:j] + lam[j + 1:])
+    assert ident.pencil_fingerprint == p.fingerprint()
+
+
 def test_fit_and_verify_identification():
-    train = _pairs(P2, 103, 8)
-    ident = fit_identification(P2, train)
-    assert ident.fit_residual <= 1e-10
-    holdout = _pairs(P2, 103, 20, start=8)
-    rep = verify_identification(ident, holdout, 1e-8)
-    assert rep["pass"] and rep["samples"] == 20
+    ident = fit_identification(P2)
+    pairs = _pairs(P2, 103, 20)
+    assert verify_identification(ident, pairs) == {"pass": True, "samples": 20}
+    for x, xi in pairs[:3]:
+        lf = ident.apply(phi_X(x, xi))
+        assert not any(lf[:3])
+        assert _proportional(lf[3:], f_H(x, xi).coeffs)
 
 
-def test_fit_requires_enough_samples():
-    with pytest.raises(FitError):
-        fit_identification(P2, _pairs(P2, 107, 7))
+@pytest.mark.parametrize(
+    "p, on_Y",
+    [(P2, True), (P3, True), (NON_INTEGER, False), (NON_INTEGER, True)],
+    ids=["g2-on_Y", "g3-on_Y", "non_integer", "non_integer-on_Y"],
+)
+def test_identification_exact_on_T_star_Y_and_non_integer_pencil(p, on_Y):
+    rep = verify_identification(fit_identification(p), _pairs(p, 113, 3, on_Y=on_Y))
+    assert rep == {"pass": True, "samples": 3}
 
 
-def test_fit_rejects_foreign_pencil():
-    train = _pairs(P2, 109, 7) + _pairs(P3, 109, 1)
-    with pytest.raises(FitError):
-        fit_identification(P2, train)
+def test_every_single_entry_perturbation_is_caught():
+    ident = fit_identification(P2)
+    pairs = _pairs(P2, 107, 3)
+    size = len(ident.L)
+    for r in range(size):
+        for c in range(size):
+            bad = [row[:] for row in ident.L]
+            bad[r][c] += Fraction(1, 7)
+            perturbed = type(ident)(L=bad, pencil_fingerprint=ident.pencil_fingerprint)
+            rep = verify_identification(perturbed, pairs)
+            assert not rep["pass"], (r, c)
+            case = "moments" if r < 3 else "proportional"
+            assert rep["first_failure"] == {"case": case, "index": 0}, (r, c)
 
 
-def test_verify_rejects_train_holdout_overlap():
-    train = _pairs(P2, 113, 8)
-    ident = fit_identification(P2, train)
-    with pytest.raises(FitError):
-        verify_identification(ident, train[:2], 1e-8)
-
-
-def test_fit_on_Y_only_is_rank_deficient():
-    # the image drops a dimension on T*Y, so Y-only training cannot pin L
-    train = _pairs(P2, 127, 8, on_Y=True)
-    with pytest.raises(FitError):
-        fit_identification(P2, train)
-
-
-def test_projective_distance_properties():
-    a = np.array([1.0, 2.0, 3.0])
-    assert projective_distance(a, -2j * a) < 1e-15
-    b = np.array([3.0, -1.5, 0.0])
-    d = projective_distance(a, b)
-    assert 0 < d <= 1.0
-    assert abs(projective_distance(a, b) - projective_distance(b, a)) < 1e-12
+def test_verify_rejects_foreign_pencil():
+    pairs = _pairs(P2, 109, 2) + _pairs(P3, 109, 1)
+    with pytest.raises(ValueError, match="different pencil"):
+        verify_identification(fit_identification(P2), pairs)
 
 
 def test_verify_lagrangian_generic_sample():

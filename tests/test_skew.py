@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (
+    BiquadContext,
     DecompositionError,
     SkewMap,
     SkewnessError,
@@ -265,6 +266,26 @@ def test_rank2_decomposition_errors_distinct():
     zero = SkewMap([[z] * n for _ in range(n)])
     with pytest.raises(DecompositionError):
         rank2_orthogonal_decomposition(zero)
+
+
+def test_rank2_decomposition_rejects_nilpotent_map():
+    # over Q(i, sqrt 2): u = (1, i, 0, 0) is isotropic, so u^v - v^u has rank 2
+    # and a_1 = (u.u)(v.v) - (u.v)^2 = 0 (Lagrange's identity): nilpotent,
+    # while the same map with a non-isotropic u decomposes
+    ctx = BiquadContext(-1, 2)
+    one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
+    v = [zero, zero, one, one]
+
+    def wedge(u):
+        return SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(4)] for a in range(4)])
+
+    with pytest.raises(DecompositionError, match="nilpotent"):
+        rank2_orthogonal_decomposition(wedge([one, i, zero, zero]))
+    ker, im = rank2_orthogonal_decomposition(wedge([one, i, one, zero]))
+    assert len(ker) == 2 and len(im) == 2
+    for a in ker:
+        for b in im:
+            assert not (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
 
 
 def greedy_image_columns(a):

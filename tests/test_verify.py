@@ -1,9 +1,18 @@
 """Failing verification sections name the first failing sample."""
 
-from qplab import canonical_pencil
-from qplab import verify
+from fractions import Fraction
+
+import pytest
+
+from qplab import BinaryForm, FibrationValue, canonical_pencil
+from qplab import fibration, verify
 from qplab.p1bundle import SplittingError
-from qplab.verify import run_skew_battery, run_splitting_check
+from qplab.verify import (
+    run_diagram_check,
+    run_even_check,
+    run_skew_battery,
+    run_splitting_check,
+)
 
 P2 = canonical_pencil(2)
 
@@ -25,6 +34,76 @@ def test_passing_reports_have_no_failure_fields():
     split = run_splitting_check(P2, seed=3, count=3)
     assert skew["pass"] and "first_failure" not in skew
     assert split["pass"] and "first_failure" not in split and "error" not in split
+    assert run_diagram_check(P2, seed=3, holdout=3) == {"pass": True, "samples": 3}
+    assert run_even_check(P2, seed=3, holdout=3) == {
+        "pass": True,
+        "exact_vanishing": True,
+        "samples": 3,
+    }
+
+
+def wrong_form():
+    # degree 2g - 2 = 2, nonzero at lambda_last = 5 and not proportional to f_H
+    return BinaryForm(2, [Fraction(1), Fraction(2), Fraction(3)])
+
+
+def test_diagram_check_names_wrong_f_H(monkeypatch):
+    # verify_identification calls f_H once per sample, in index order
+    monkeypatch.setattr(fibration, "f_H", failing_at(fibration.f_H, 2, wrong_form))
+    rep = run_diagram_check(P2, seed=3, holdout=4)
+    assert rep == {
+        "pass": False,
+        "samples": 4,
+        "first_failure": {"case": "proportional", "index": 2},
+    }
+
+
+@pytest.mark.parametrize(
+    "components, case",
+    [
+        ([Fraction(1)] + [Fraction(0)] * 5, "moments"),
+        # L*0 = 0 has vanishing minors with any f_H, but is no match for it
+        ([Fraction(0)] * 6, "proportional"),
+    ],
+    ids=["moments", "zero"],
+)
+def test_diagram_check_names_broken_phi(monkeypatch, components, case):
+    def broken_phi():
+        return FibrationValue(components=components)
+
+    monkeypatch.setattr(fibration, "phi_X", failing_at(fibration.phi_X, 1, broken_phi))
+    rep = run_diagram_check(P2, seed=3, holdout=3)
+    assert not rep["pass"]
+    assert rep["first_failure"] == {"case": case, "index": 1}
+
+
+@pytest.mark.parametrize(
+    "form, case, vanishing",
+    [
+        (wrong_form, "vanishing", False),
+        # vanishes at lambda_last = 5 but is not proportional to f_H
+        (lambda: BinaryForm(2, [Fraction(1), Fraction(-5), Fraction(0)]),
+         "proportional", True),
+    ],
+    ids=["vanishing", "proportional"],
+)
+def test_even_check_names_wrong_f_H(monkeypatch, form, case, vanishing):
+    # run_even_check calls f_H once per Y-sample, in index order; samples 2
+    # and 3 fail, and the report names the first of them
+    real, calls = verify.f_H, []
+
+    def wrong_from_2(*args):
+        calls.append(args)
+        return form() if len(calls) > 2 else real(*args)
+
+    monkeypatch.setattr(verify, "f_H", wrong_from_2)
+    rep = run_even_check(P2, seed=3, holdout=4)
+    assert rep == {
+        "pass": False,
+        "exact_vanishing": vanishing,
+        "samples": 4,
+        "first_failure": {"case": case, "index": 2},
+    }
 
 
 def test_skew_battery_names_first_failure(monkeypatch):
