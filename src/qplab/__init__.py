@@ -1,17 +1,15 @@
 """Desk-scale computational toolkit for pencils of diagonal quadrics.
 
-Exposes exact (rational / biquadratic) and float arithmetic, points and
-cotangent data of the quadric intersection X, the fibration map and its
-geometric twin via degenerate restricted pencils, kernel bases of the pencil
-row map on P^1, skew-symmetric invariants, and seed-driven verification
-batteries with a CLI front end.
+Exposes exact (rational / biquadratic) arithmetic, points and cotangent data
+of the quadric intersection X, the fibration map and its geometric twin via
+degenerate restricted pencils, kernel bases of the pencil row map on P^1,
+skew-symmetric invariants, and seed-driven verification batteries with a CLI
+front end.
 """
 
 from .binary_forms import (
     BinaryForm,
     InterpolationError,
-    ZeroFormError,
-    binary_form_roots,
     interpolate_binary_form,
 )
 from .fibration import (

@@ -105,7 +105,7 @@ def _cmd_pencil_info(args) -> int:
 
 def _cmd_sample(args) -> int:
     p = _pencil_from_args(args)
-    x = sample_point(p, args.seed, index=args.index, exact=args.exact, on_Y=args.on_y)
+    x = sample_point(p, args.seed, index=args.index, on_Y=args.on_y)
     return _report(args, "sample", True, {"point": x.to_json()}, 1)
 
 
@@ -143,7 +143,7 @@ def _cmd_bundle_splitting(args) -> int:
             with open(args.point) as fh:
                 payload = json.load(fh)
             x = PointOnX.from_json(p, payload)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad point file: {exc}") from exc
     else:
         x = sample_point(p, args.seed, index=args.index)
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pencil_flags(sp)
     _add_common(sp)
     sp.add_argument("--on-y", action="store_true")
-    sp.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(fn=_cmd_sample)
 
     sp = sub.add_parser("phi", help="fibration components at a sampled pair")

@@ -22,7 +22,6 @@ import numpy as np
 from .binary_forms import BinaryForm, interpolate_binary_form
 from .linalg import det_exact, nullspace_exact
 from .pencil import PencilOfQuadrics
-from .scalars import ModeMismatchError
 from .variety import CotangentRep, PointOnX, tangent_frame
 
 __all__ = [
@@ -68,11 +67,9 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
 
 
 def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:
-    """Evaluate every generator field on (eta, eta) at x; exact in exact mode."""
+    """Evaluate every generator field on (eta, eta) at x, exactly."""
     if xi.point is not x and xi.point.coords != x.coords:
         raise ValueError("covector attached to a different point")
-    if xi.point.mode != x.mode:
-        raise ModeMismatchError("point/covector mode mismatch")
     return FibrationValue(components=phi_components(x.pencil, x.coords, xi.eta))
 
 
@@ -87,7 +84,7 @@ def phi_Y(y: PointOnX, xi: CotangentRep) -> FibrationValue:
     if not xi.even_restricted:
         raise ValueError("covector is not even-restricted")
     val = phi_X(y, xi)
-    if y.mode == "exact" and val.components[-1]:
+    if val.components[-1]:
         raise ArithmeticError("last component failed to vanish on T*Y")
     return val
 
@@ -99,8 +96,6 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     is sampled at 2g-1 parameters beyond max(lambda) and interpolated to a
     binary form of degree 2g-2 (well defined up to nonzero scale).
     """
-    if x.mode != "exact":
-        raise ValueError("f_H is computed in exact mode")
     p = x.pencil
     frame = tangent_frame(x)
     values = []

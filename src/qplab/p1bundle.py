@@ -69,8 +69,6 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     one extra degree-1 column completes the rank-(2g+1) kernel.  Anything
     outside the predicted degree profile raises SplittingError.
     """
-    if x.mode != "exact":
-        raise ValueError("kernel bases are computed for exact points only")
     if x.pencil != p:
         raise ValueError("point does not belong to the pencil")
     v = x.coords

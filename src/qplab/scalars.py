@@ -1,8 +1,9 @@
-"""Scalar towers: exact rationals, biquadratic extensions and complex floats.
+"""Scalar towers: exact rationals and biquadratic extensions.
 
-Exact values are plain ``fractions.Fraction`` or :class:`Biquad` elements of a
-rank-4 algebra Q(sqrt(u), sqrt(w)).  Floating values are Python ``complex``.
-All arithmetic-heavy code in the package is generic over these three kinds.
+Every scalar is a plain ``fractions.Fraction`` (or int) or a :class:`Biquad`
+element of a rank-4 algebra Q(sqrt(u), sqrt(w)); the arithmetic-heavy code is
+generic over these two kinds.  ``to_complex`` gives the complex value used by
+the numerical checks only.
 
 A :class:`Biquad` keeps its four coordinates as integer numerators over one
 shared positive denominator, reduced by a single gcd, so ring operations run
@@ -29,7 +30,6 @@ __all__ = [
     "is_exact",
     "scalar_mode",
     "to_complex",
-    "rational_from_string",
     "rational_to_string",
     "scalar_to_json",
 ]
@@ -327,7 +327,8 @@ class Biquad:
         return f"Biquad({c0}, {c1}, {c2}, {c3})"
 
 
-Scalar = Union[Fraction, int, Biquad, complex, float]
+Scalar = Union[Fraction, int, Biquad]
+_EXACT_TYPES = RATIONAL_TYPES + (Biquad,)
 
 
 def scalar_mode(x) -> str:
@@ -345,6 +346,13 @@ def is_exact(x) -> bool:
     return scalar_mode(x) != "complex-float"
 
 
+def _require_exact(values, what: str):
+    """Validate outside input: every value is an int, Fraction or Biquad."""
+    for x in values:
+        if not isinstance(x, _EXACT_TYPES):
+            raise ModeMismatchError(f"{what}: {type(x).__name__} is not an exact scalar")
+
+
 def to_complex(x) -> complex:
     if isinstance(x, Biquad):
         return x.to_complex()
@@ -357,22 +365,16 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def rational_from_string(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def rational_to_string(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 def scalar_to_json(x):
-    """JSON payload: rationals as 'p/q' strings, complex as [re, im],
-    biquadratic elements as 4-lists of rational strings."""
-    mode = scalar_mode(x)
-    if mode == "exact-rational":
-        return rational_to_string(x)
-    if mode == "biquadratic-extension":
+    """JSON payload: rationals as 'p/q' strings, biquadratic elements as
+    4-lists of rational strings."""
+    if isinstance(x, Biquad):
         return [rational_to_string(c) for c in x.c]
-    z = complex(x)
-    return [z.real, z.imag]
+    if isinstance(x, RATIONAL_TYPES):
+        return rational_to_string(x)
+    raise ModeMismatchError(f"{type(x).__name__} is not an exact scalar")

@@ -2,8 +2,10 @@
 the invariant vector (a_1, ..., a_{g-1}, Pf), rank/nilpotency and the rank-two
 orthogonal decomposition.
 
-Exact invariants run on Python ints: the matrix is scaled once by the lcm of
-its denominators, and each result becomes a ``Fraction`` once, at the end.
+The characteristic coefficients and the Pfaffian run on Python ints, so they
+need rational entries: the matrix is scaled once by the lcm of its
+denominators, and each result becomes a ``Fraction`` once, at the end.  The
+rank and the rank-two decomposition also work over the biquadratic algebra.
 
 The Pfaffian sign convention: the direct sum of standard 2x2 blocks with +1
 above the diagonal has Pfaffian +1.
@@ -16,10 +18,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-import numpy as np
-
 from .linalg import _pivot_columns, nullspace_exact, rank_exact
-from .scalars import is_exact, to_complex
+from .scalars import RATIONAL_TYPES, ModeMismatchError, _require_exact
 
 __all__ = [
     "SkewMap",
@@ -33,12 +33,9 @@ __all__ = [
     "rank2_orthogonal_decomposition",
 ]
 
-FLOAT_SKEW_TOL = 1e-12
-FLOAT_RANK_TOL = 1e-9
-
 
 class SkewnessError(ValueError):
-    """Matrix is not skew-symmetric (exactly / within float tolerance)."""
+    """Matrix is not exactly skew-symmetric."""
 
 
 class DecompositionError(ValueError):
@@ -46,43 +43,33 @@ class DecompositionError(ValueError):
 
 
 class SkewMap:
-    """Even-size skew-symmetric matrix, exact or float."""
+    """Even-size skew-symmetric matrix with exact (``Fraction`` or ``Biquad``)
+    entries."""
 
-    __slots__ = ("n", "entries", "mode")
+    __slots__ = ("n", "entries")
 
     def __init__(self, entries):
         entries = [list(row) for row in entries]
         size = len(entries)
         if size % 2 != 0 or any(len(row) != size for row in entries):
             raise ValueError("need a square matrix of even size")
+        for row in entries:
+            _require_exact(row, "skew map entries")
         self.n = size // 2
         self.entries = entries
-        exact = all(is_exact(x) for row in entries for x in row)
-        self.mode = "exact" if exact else "float"
         self._check_skew()
 
     def _check_skew(self):
         m = self.entries
         size = 2 * self.n
-        if self.mode == "exact":
-            for i in range(size):
-                for j in range(i, size):
-                    if m[i][j] != -m[j][i]:
-                        raise SkewnessError(f"entry ({i},{j}) breaks skew symmetry")
-        else:
-            a = self.to_array()
-            scale = np.abs(a).max() or 1.0
-            if np.abs(a + a.T).max() > FLOAT_SKEW_TOL * scale:
-                raise SkewnessError("float skew-symmetry residual above tolerance")
+        for i in range(size):
+            for j in range(i, size):
+                if m[i][j] != -m[j][i]:
+                    raise SkewnessError(f"entry ({i},{j}) breaks skew symmetry")
 
     @property
     def size(self) -> int:
         return 2 * self.n
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [[to_complex(x) for x in row] for row in self.entries], dtype=complex
-        )
 
     @classmethod
     def from_upper(cls, size, upper):
@@ -97,7 +84,7 @@ class SkewMap:
         return cls(m)
 
     def __repr__(self):
-        return f"SkewMap(size={self.size}, mode={self.mode})"
+        return f"SkewMap(size={self.size})"
 
 
 @dataclass(frozen=True)
@@ -117,20 +104,13 @@ class HitchinVector:
 def char_coeffs(m: SkewMap):
     """(a_1, ..., a_n) with det(xI - A) = x^{2n} + a_1 x^{2n-2} + ... + a_n.
 
-    Exact mode runs the Faddeev-LeVerrier recursion on Python ints: with D the
-    lcm of the denominators of A, B = D*A is an integer matrix, so every M_k
-    and c_k of the recursion for B is an integer and a_j = c_{2j} / D^{2j}.
+    Runs the Faddeev-LeVerrier recursion on Python ints: with D the lcm of
+    the denominators of A, B = D*A is an integer matrix, so every M_k and c_k
+    of the recursion for B is an integer and a_j = c_{2j} / D^{2j}.
     The division c_k = -tr(M_k)/k is checked to be exact, and the odd-power
     coefficients are verified to vanish exactly.
     """
     size = m.size
-    if m.mode != "exact":
-        cs = np.poly(m.to_array())  # leading 1, then c_1..c_{2n}
-        odd = [cs[k] for k in range(1, size + 1, 2)]
-        scale = max(np.abs(cs).max(), 1.0)
-        if max(abs(x) for x in odd) > 1e-9 * scale:
-            raise ArithmeticError("odd characteristic coefficients not negligible")
-        return tuple(complex(cs[k]) for k in range(2, size + 1, 2))
     b, d = _scaled_to_integers(m.entries)
     # Faddeev-LeVerrier: M_1 = B, c_k = -tr(M_k)/k, M_{k+1} = B (M_k + c_k I)
     mk = [list(row) for row in b]
@@ -154,7 +134,11 @@ def char_coeffs(m: SkewMap):
 
 def _scaled_to_integers(entries):
     """(B, D): D the lcm of the denominators of the entries, B = D * entries
-    as Python ints."""
+    as Python ints.  The integer kernels need rational entries."""
+    for row in entries:
+        for x in row:
+            if not isinstance(x, RATIONAL_TYPES):
+                raise ModeMismatchError("needs rational entries, got a Biquad")
     # a list, not a generator expression: see linalg._integer_rows
     d = lcm(*[x.denominator for row in entries for x in row])
     return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
@@ -168,15 +152,10 @@ def _matmul(a, b):
 def pfaffian(m: SkewMap):
     """Pf(A), with Pf(A)^2 = det(A).
 
-    Exact mode scales A by the lcm D of its denominators, runs fraction-free
-    skew elimination with pivoting on Python ints and returns
-    Pf(D*A) / D^n as one ``Fraction``; the recursive cofactor expansion is
-    kept for small float matrices.
+    Scales A by the lcm D of its denominators, runs fraction-free skew
+    elimination with pivoting on Python ints and returns Pf(D*A) / D^n as one
+    ``Fraction``.
     """
-    if m.mode != "exact":
-        return _pfaffian_recursive(
-            [[to_complex(x) for x in row] for row in m.entries]
-        )
     b, d = _scaled_to_integers(m.entries)
     return Fraction(_pfaffian_eliminate(b), d ** m.n)
 
@@ -226,23 +205,6 @@ def _swap_rows_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _pfaffian_recursive(a):
-    size = len(a)
-    if size == 0:
-        return 1
-    if size == 2:
-        return a[0][1]
-    total = 0
-    for j in range(1, size):
-        x = a[0][j]
-        if not x:
-            continue
-        keep = [k for k in range(1, size) if k != j]
-        minor = [[a[r][c] for c in keep] for r in keep]
-        total += (-1) ** (j - 1) * x * _pfaffian_recursive(minor)
-    return total
-
-
 def hitchin_vector(m: SkewMap, g: int) -> HitchinVector:
     """(a_1, ..., a_{g-1}, Pf) for a 2g x 2g skew map."""
     if m.size != 2 * g:
@@ -253,11 +215,7 @@ def hitchin_vector(m: SkewMap, g: int) -> HitchinVector:
 
 def nilpotency_and_rank(m: SkewMap):
     """Exact rank and the nilpotency dichotomy (all invariants vanish)."""
-    if m.mode == "exact":
-        rank = rank_exact(m.entries)
-    else:
-        sv = np.linalg.svd(m.to_array(), compute_uv=False)
-        rank = int(np.sum(sv > FLOAT_RANK_TOL * (sv[0] if sv[0] else 1.0)))
+    rank = rank_exact(m.entries)
     coeffs = char_coeffs(m)
     pf = pfaffian(m)
     nilpotent = not any(coeffs) and not pf
@@ -272,8 +230,6 @@ def rank2_orthogonal_decomposition(m: SkewMap):
     image columns is a_1 (Lagrange's identity), so ker ∩ im != 0, which the
     spanning test detects, exactly when the rank-2 map is nilpotent.
     """
-    if m.mode != "exact":
-        raise ValueError("decomposition is computed in exact mode only")
     a = m.entries
     size = m.size
     pivots = _pivot_columns(a)

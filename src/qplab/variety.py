@@ -18,8 +18,7 @@ from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
     BiquadContext,
-    ModeMismatchError,
-    is_exact,
+    _require_exact,
     rational_to_string,
     scalar_to_json,
     to_complex,
@@ -42,7 +41,6 @@ __all__ = [
     "derived_rng",
 ]
 
-MEMBERSHIP_TOL = 1e-12
 RESAMPLE_BUDGET = 64
 
 
@@ -66,45 +64,32 @@ def derived_rng(seed: int, index: int) -> np.random.Generator:
 
 
 class PointOnX:
-    """A homogeneous representative of a point of X, exact or complex-float."""
+    """A homogeneous representative of a point of X, with exact coordinates
+    (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "mode", "on_Y")
+    __slots__ = ("pencil", "coords", "on_Y")
 
     def __init__(self, pencil: PencilOfQuadrics, coords, check: bool = True):
         coords = list(coords)
         if len(coords) != pencil.dim_ambient:
             raise ValueError("wrong number of coordinates")
+        _require_exact(coords, "point coordinates")
         self.pencil = pencil
         self.coords = coords
-        exact = all(is_exact(c) for c in coords)
-        self.mode = "exact" if exact else "float"
         if check:
             self._check_membership()
-        last = coords[-1]
-        scale = self._norm2() ** 0.5
-        self.on_Y = (not last) if exact else abs(to_complex(last)) <= MEMBERSHIP_TOL * scale
-
-    def _norm2(self) -> float:
-        return sum(abs(to_complex(c)) ** 2 for c in self.coords) or 1.0
+        self.on_Y = not coords[-1]
 
     def _check_membership(self):
         q1 = self.pencil.q1(self.coords)
         q2 = self.pencil.q2(self.coords)
-        if self.mode == "exact":
-            if q1 or q2:
-                raise MembershipError(f"q1={q1}, q2={q2} not both zero")
-            if not any(self.coords):
-                raise MembershipError("zero vector is not a point")
-        else:
-            n = self._norm2()
-            if abs(to_complex(q1)) > MEMBERSHIP_TOL * n or abs(to_complex(q2)) > MEMBERSHIP_TOL * n:
-                raise MembershipError("float membership residual above tolerance")
+        if q1 or q2:
+            raise MembershipError(f"q1={q1}, q2={q2} not both zero")
+        if not any(self.coords):
+            raise MembershipError("zero vector is not a point")
 
     def complex_coords(self) -> np.ndarray:
         return np.array([to_complex(c) for c in self.coords], dtype=complex)
-
-    def to_float(self) -> "PointOnX":
-        return PointOnX(self.pencil, [to_complex(c) for c in self.coords])
 
     def context(self):
         for c in self.coords:
@@ -112,13 +97,10 @@ class PointOnX:
                 return c.ctx
         return None
 
-    def sample_key(self) -> str:
-        return repr([scalar_to_json(c) for c in self.coords])
-
     def to_json(self):
         payload = {
             "coords": [scalar_to_json(c) for c in self.coords],
-            "mode": self.mode,
+            "mode": "exact",
         }
         ctx = self.context()
         if ctx is not None:
@@ -127,9 +109,8 @@ class PointOnX:
 
     @classmethod
     def from_json(cls, pencil: PencilOfQuadrics, payload) -> "PointOnX":
-        if payload["mode"] == "float":
-            coords = [complex(re, im) for re, im in payload["coords"]]
-            return cls(pencil, coords)
+        if payload["mode"] != "exact":
+            raise ValueError(f"point mode {payload['mode']!r} is not 'exact'")
         radicands = payload.get("radicands")
         ctx = BiquadContext(*radicands) if radicands else None
         coords = []
@@ -145,14 +126,13 @@ class PointOnX:
         return cls(pencil, coords)
 
     def __repr__(self):
-        return f"PointOnX(mode={self.mode}, on_Y={self.on_Y}, coords={self.coords})"
+        return f"PointOnX(on_Y={self.on_Y}, coords={self.coords})"
 
 
 def sample_point(
     pencil: PencilOfQuadrics,
     seed: int,
     index: int = 0,
-    exact: bool = True,
     on_Y: bool = False,
     avoid_coordinate_hyperplanes: bool = True,
 ) -> PointOnX:
@@ -183,10 +163,7 @@ def sample_point(
             continue
         ctx = BiquadContext(u0, u1)
         coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(t) for t in tail]
-        point = PointOnX(pencil, coords)
-        if not exact:
-            point = point.to_float()
-        return point
+        return PointOnX(pencil, coords)
     raise SampleBudgetError(f"no valid point after {RESAMPLE_BUDGET} draws")
 
 
@@ -207,8 +184,6 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
     Quotient lifts are normalized to vanish at a pivot coordinate of v, so
     S_basis = [v] + quotient_basis is a basis of S containing v.
     """
-    if x.mode != "exact":
-        return _tangent_frame_float(x)
     p = x.pencil
     v = x.coords
     rows = [p.q1_row(v), p.q2_row(v)]
@@ -227,21 +202,6 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
     # the reduced vectors span a (2g-1)-dim complement of v inside S
     quotient = _independent_subset(reduced, 2 * p.g - 1)
     return TangentFrame(x, [list(v)] + quotient, quotient)
-
-
-def _tangent_frame_float(x: PointOnX, rank_tol: float = 1e-9) -> TangentFrame:
-    p = x.pencil
-    v = x.complex_coords()
-    rows = np.vstack([v, np.array(p.lambdas, dtype=float) * v])
-    _, sv, vt = np.linalg.svd(rows)
-    if sv[1] <= rank_tol * sv[0]:
-        raise ArithmeticError("numerical rank ambiguity in the constraint rows")
-    s_all = [vt[k].conj() for k in range(2, len(v))]
-    pivot = int(np.argmax(np.abs(v)))
-    reduced = np.array([w - (w[pivot] / v[pivot]) * v for w in s_all]).T
-    u, sv2, _ = np.linalg.svd(reduced)
-    quotient = [u[:, k] for k in range(2 * p.g - 1)]
-    return TangentFrame(x, [v] + quotient, quotient)
 
 
 def _invertible_pivot(v):
@@ -298,18 +258,12 @@ class CotangentRep:
         eta = list(eta)
         if len(eta) != point.pencil.dim_ambient:
             raise ValueError("wrong covector length")
+        _require_exact(eta, "covector entries")
         self.point = point
         self.eta = eta
         pairing = _dot(eta, point.coords)
-        if point.mode == "exact":
-            if not all(is_exact(c) for c in eta):
-                raise ModeMismatchError("exact point with non-exact covector")
-            if pairing:
-                raise GaugeError(f"eta(v) = {pairing} != 0")
-        else:
-            norm = max(abs(to_complex(c)) for c in eta) or 1.0
-            if abs(to_complex(pairing)) > 1e-9 * norm * np.sqrt(point._norm2()):
-                raise GaugeError("eta(v) numerically nonzero")
+        if pairing:
+            raise GaugeError(f"eta(v) = {pairing} != 0")
         if even_restricted:
             if not point.on_Y:
                 raise GaugeError("even_restricted covector at a point off Y")
@@ -345,14 +299,10 @@ def canonical_gauge(xi: CotangentRep) -> CotangentRep:
     r2 = p.q2_row(v)
     gram = [[_dot(r1, r1), _dot(r2, r1)], [_dot(r1, r2), _dot(r2, r2)]]
     rhs = [_dot(xi.eta, r1), _dot(xi.eta, r2)]
-    if xi.point.mode == "exact":
-        sol = solve_exact(gram, rhs)
-        if sol is None:
-            raise ArithmeticError("gauge Gram system is singular")
-        alpha, beta = sol
-    else:
-        g = np.array([[to_complex(e) for e in row] for row in gram], dtype=complex)
-        alpha, beta = np.linalg.solve(g, np.array([to_complex(e) for e in rhs]))
+    sol = solve_exact(gram, rhs)
+    if sol is None:
+        raise ArithmeticError("gauge Gram system is singular")
+    alpha, beta = sol
     eta = [e - alpha * a - beta * b for e, a, b in zip(xi.eta, r1, r2)]
     return CotangentRep(xi.point, eta, xi.even_restricted)
 
@@ -374,10 +324,7 @@ def sample_covector(
         s = _dot(eta, v)
         eta[pivot] = -(s * inv_vp)
         if any(eta):
-            rep = CotangentRep(x, eta, even_restricted)
-            if x.mode == "float":
-                rep = CotangentRep(x, [to_complex(c) for c in eta], even_restricted)
-            return rep
+            return CotangentRep(x, eta, even_restricted)
     raise SampleBudgetError("no nonzero covector drawn within budget")
 
 
@@ -385,10 +332,9 @@ def sample_pair(
     pencil: PencilOfQuadrics,
     seed: int,
     index: int = 0,
-    exact: bool = True,
     on_Y: bool = False,
 ):
     """A (point, covector) pair; even-restricted covector when on_Y."""
-    x = sample_point(pencil, seed, index=index, exact=exact, on_Y=on_Y)
+    x = sample_point(pencil, seed, index=index, on_Y=on_Y)
     xi = sample_covector(x, seed, index=index, even_restricted=on_Y)
     return x, xi

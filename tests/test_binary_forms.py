@@ -1,17 +1,14 @@
-"""Binary forms: interpolation exactness and root extraction on P^1."""
+"""Binary forms: evaluation and exact interpolation."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (
     BinaryForm,
     InterpolationError,
-    ZeroFormError,
-    binary_form_roots,
     interpolate_binary_form,
 )
 
@@ -50,66 +47,6 @@ def test_interpolation_errors():
     samples[2] = (samples[2][0], samples[2][1] + 1)
     with pytest.raises(InterpolationError):
         interpolate_binary_form(samples, 1)
-
-
-def test_roots_simple_quadratic():
-    f = BinaryForm(2, [1.0, -3.0, 2.0])  # roots t = 1, 2
-    roots = binary_form_roots(f)
-    ts = sorted((a / b).real for a, b in roots)
-    assert np.allclose(ts, [1.0, 2.0])
-
-
-def test_root_at_infinity():
-    # b * (a - b): roots [1:0] (infinity) and [1:1]
-    f = BinaryForm(2, [0.0, 1.0, -1.0])
-    roots = binary_form_roots(f)
-    has_inf = any(abs(b) < 1e-12 for _, b in roots)
-    has_one = any(abs(a - b) < 1e-9 for a, b in roots)
-    assert has_inf and has_one and len(roots) == 2
-
-
-def test_roots_of_zero_form_raise():
-    with pytest.raises(ZeroFormError):
-        binary_form_roots(BinaryForm(2, [0.0, 0.0, 0.0]))
-
-
-def _clusters(values, gap):
-    """Sorted values grouped so that neighbours within gap share a group."""
-    groups = []
-    for v in sorted(values):
-        if groups and v - groups[-1][-1] <= gap:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-5, max_value=5).filter(lambda x: abs(x) > 0.1),
-        min_size=3,
-        max_size=3,
-    )
-)
-@example([5.0, 5.0, 5.0])
-@settings(max_examples=40, deadline=None)
-def test_roots_reconstruct_form(roots_in):
-    # build the monic form with prescribed affine roots, recover them
-    coeffs = np.poly(roots_in)
-    f = BinaryForm(len(coeffs) - 1, list(coeffs))
-    got = [a / b for a, b in binary_form_roots(f, tol=1e-6)]
-    # binary_form_roots bounds the residual, not the forward error: an m-fold
-    # root moves by about eps**(1/m) (6e-5 for a triple root at 5), while the
-    # mean of a root cluster stays accurate.  So coincident input roots are
-    # compared by their cluster mean and simple roots one by one.
-    clusters = _clusters(roots_in, 1e-3)
-    centres = [np.mean(c) for c in clusters]
-    assigned = [[] for _ in clusters]
-    for z in got:
-        assigned[int(np.argmin([abs(z - c) for c in centres]))].append(z)
-    for cluster, zs in zip(clusters, assigned):
-        assert len(zs) == len(cluster)
-        assert np.isclose(np.mean(zs), np.mean(cluster), atol=1e-5)
 
 
 def test_scaled_and_json():

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from qplab import (
+    ModeMismatchError,
     PencilOfQuadrics,
+    PointOnX,
     canonical_pencil,
     n_tilde_splitting,
     sample_point,
     tangent_frame,
+    to_complex,
     trivial_factor_matches_tangent,
     v_perp_kernel,
     vandermonde_normalizer,
@@ -122,9 +125,10 @@ def test_splitting_matches_greedy_span_loop():
 
 
 def test_kernel_requires_exact_point():
-    x = sample_point(P2, 53).to_float()
-    with pytest.raises(ValueError):
-        v_perp_kernel(P2, x)
+    # a point, and so a kernel basis, only exists with exact coordinates
+    x = sample_point(P2, 53)
+    with pytest.raises(ModeMismatchError):
+        PointOnX(P2, [to_complex(c) for c in x.coords])
 
 
 def test_vandermonde_closed_form_canonical():

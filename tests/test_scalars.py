@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 from qplab import (
     Biquad,
     BiquadContext,
+    CotangentRep,
     ModeMismatchError,
     NonInvertibleError,
+    PointOnX,
+    SkewMap,
     as_fraction,
+    canonical_pencil,
+    cli,
+    interpolate_binary_form,
     is_exact,
+    sample_pair,
     scalar_mode,
     to_complex,
 )
@@ -185,5 +192,27 @@ def test_as_fraction_and_json():
         "0",
         "0",
     ]
-    assert scalar_to_json(1 + 2j) == [1.0, 2.0]
+    with pytest.raises(ModeMismatchError):
+        scalar_to_json(1 + 2j)
     assert rational_to_string(Fraction(5)) == "5"
+
+
+def test_constructors_reject_float_entries(capsys):
+    # every scalar is a Fraction or a Biquad: outside input with a float or
+    # complex entry is refused where it enters, and the CLI has no float mode
+    p = canonical_pencil(2)
+    x, xi = sample_pair(p, 3)
+    with pytest.raises(ModeMismatchError):
+        PointOnX(p, [to_complex(c) for c in x.coords])
+    with pytest.raises(ModeMismatchError):
+        CotangentRep(x, [to_complex(c) for c in xi.eta])
+    with pytest.raises(ModeMismatchError):
+        SkewMap([[Fraction(0), 2.0], [Fraction(-2), Fraction(0)]])
+    with pytest.raises(ModeMismatchError):
+        interpolate_binary_form([(Fraction(0), 1.0), (Fraction(1), Fraction(2))], 1)
+    with pytest.raises(ModeMismatchError):
+        interpolate_binary_form([(0.5, Fraction(1)), (Fraction(1), Fraction(2))], 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--g", "2", "--no-exact"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-exact" in capsys.readouterr().err

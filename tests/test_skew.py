@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qplab import (
     BiquadContext,
     DecompositionError,
+    ModeMismatchError,
     SkewMap,
     SkewnessError,
     char_coeffs,
@@ -23,7 +24,6 @@ from qplab import (
     rank2_orthogonal_decomposition,
 )
 from qplab.linalg import in_span
-from qplab.skew import _pfaffian_recursive
 
 
 def skew_matrices(size):
@@ -83,6 +83,24 @@ def _pfaffian_schur_fraction(a):
             for i in range(2, size)
         ]
     return sign * pf
+
+
+def _pfaffian_recursive(a):
+    """Oracle for pfaffian: cofactor expansion along the first row."""
+    size = len(a)
+    if size == 0:
+        return 1
+    if size == 2:
+        return a[0][1]
+    total = 0
+    for j in range(1, size):
+        x = a[0][j]
+        if not x:
+            continue
+        keep = [k for k in range(1, size) if k != j]
+        minor = [[a[r][c] for c in keep] for r in keep]
+        total += (-1) ** (j - 1) * x * _pfaffian_recursive(minor)
+    return total
 
 
 def random_skew_cases(seed):
@@ -195,7 +213,7 @@ def test_pfaffian_elimination_matches_cofactor_oracle(m):
 @settings(max_examples=40, deadline=None)
 def test_char_coeffs_match_numpy(m):
     coeffs = char_coeffs(m)
-    cs = np.poly(m.to_array())
+    cs = np.poly(np.array([[complex(x) for x in row] for row in m.entries]))
     scale = max(1.0, np.abs(cs).max())
     for k, a in enumerate(coeffs):
         assert abs(float(a) - cs[2 * (k + 1)].real) < 1e-6 * scale
@@ -203,10 +221,17 @@ def test_char_coeffs_match_numpy(m):
     assert coeffs[-1] == pfaffian(m) ** 2
 
 
-def test_char_coeffs_float_mode():
-    m = SkewMap([[0.0, 2.0], [-2.0, 0.0]])
-    (a1,) = char_coeffs(m)
-    assert abs(a1 - 4.0) < 1e-9
+def test_integer_kernels_reject_biquad_entries():
+    # u^v over Q(i, sqrt 2) is a valid skew map; its rank and decomposition
+    # are computed over the algebra, its invariants need rational entries
+    ctx = BiquadContext(-1, 2)
+    one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
+    u, v = [one, i, zero, zero], [zero, zero, one, one]
+    m = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(4)] for a in range(4)])
+    for invariant in (char_coeffs, pfaffian, nilpotency_and_rank,
+                      lambda m: hitchin_vector(m, 2)):
+        with pytest.raises(ModeMismatchError, match="rational entries"):
+            invariant(m)
 
 
 def test_hitchin_vector_layout():

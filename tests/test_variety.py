@@ -41,7 +41,6 @@ def test_head_solve_reference_values():
 def test_sampled_points_are_members():
     for i in range(5):
         x = sample_point(P2, 11, index=i)
-        assert x.mode == "exact"
         assert P2.q1(x.coords) == 0
         assert P2.q2(x.coords) == 0
         assert not x.on_Y
@@ -58,18 +57,12 @@ def test_membership_rejected():
         PointOnX(P2, [Fraction(1)] * 6)
 
 
-def test_float_mode_membership():
-    x = sample_point(P2, 11).to_float()
-    assert x.mode == "float"
-    assert abs(complex(P2.q1(x.coords))) < 1e-9
-
-
 def test_determinism_and_substreams():
     a = sample_point(P2, 5, index=3)
     b = sample_point(P2, 5, index=3)
     c = sample_point(P2, 5, index=4)
-    assert a.sample_key() == b.sample_key()
-    assert a.sample_key() != c.sample_key()
+    assert a.to_json() == b.to_json()
+    assert a.to_json() != c.to_json()
     r1 = derived_rng(7, 0).integers(0, 1 << 30, size=4)
     r2 = derived_rng(7, 0).integers(0, 1 << 30, size=4)
     assert list(r1) == list(r2)
@@ -96,11 +89,12 @@ def test_derived_rng_distinct_seeds_distinct_streams(a, b):
 
 def test_point_json_roundtrip():
     x = sample_point(P2, 13)
-    y = PointOnX.from_json(P2, x.to_json())
-    assert y.sample_key() == x.sample_key()
-    z = x.to_float()
-    w = PointOnX.from_json(P2, z.to_json())
-    assert w.mode == "float"
+    payload = x.to_json()
+    assert payload["mode"] == "exact"
+    y = PointOnX.from_json(P2, payload)
+    assert y.to_json() == payload
+    with pytest.raises(ValueError, match="not 'exact'"):
+        PointOnX.from_json(P2, dict(payload, mode="float"))
 
 
 def test_tangent_frame_dimensions():
