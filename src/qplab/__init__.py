@@ -55,8 +55,6 @@ from .scalars import (
     ModeMismatchError,
     NonInvertibleError,
     as_fraction,
-    is_exact,
-    scalar_mode,
     to_complex,
 )
 from .skew import (

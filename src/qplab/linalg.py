@@ -1,17 +1,27 @@
 """Dense exact linear algebra over rationals and biquadratic extensions.
 
-Matrices are lists of row lists.  A rational matrix is taken onto Python ints
-once: each row is scaled by the lcm of its denominators.  One fraction-free
-(Bareiss) elimination on those ints, with exact integer division by the
-previous pivot, serves the echelon form (nullspace, solve, rank, pivot
-columns) and the determinant; the result becomes a ``Fraction`` once, at the
-end.  Matrices with biquadratic entries use ordinary division-based
-elimination, raising :class:`NonInvertibleError` if no invertible pivot can be
-found in a nonzero column.  Determinants over the biquadratic algebra
-eliminate with invertible pivots too; cofactor expansion is kept for sizes up
-to 3 and as the fallback when a nonzero column holds nothing but zero
-divisors.  Span tests (:func:`rank_exact`, :func:`same_span`) take one echelon
-form each.
+Matrices are lists of row lists.  Each job has one elimination routine per
+kind of entry, and both are forward-only: they leave an unnormalised echelon
+form and report its pivot columns and the parity of its row swaps.
+
+* A rational matrix is taken onto Python ints once: each row is scaled by the
+  lcm of its denominators.  One fraction-free (Bareiss) elimination on those
+  ints, with exact integer division by the previous pivot, serves the echelon
+  form (nullspace, solve, rank, pivot columns) and the determinant; the result
+  becomes a ``Fraction`` once, at the end.
+* A matrix with biquadratic entries goes through one forward elimination with
+  invertible pivots, :func:`_eliminate`, for the same four jobs.  The pivot
+  search inverts each candidate and keeps the first inverse that exists, so
+  no norm is taken; only the nonzero entries right of each pivot are updated.
+  It raises :class:`NonInvertibleError` when a nonzero column holds nothing
+  but zero divisors.  The determinant is the signed product of the diagonal;
+  cofactor expansion is kept for sizes up to 3 and as the fallback when no
+  invertible pivot exists.
+
+Back substitution divides by each pivot, so results do not depend on the
+pivot rows' scaling: a nullspace basis is fixed by its pivot columns and
+every ``Biquad`` is kept reduced.  Span tests (:func:`rank_exact`,
+:func:`same_span`) take one echelon form each.
 """
 
 from __future__ import annotations
@@ -19,13 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .scalars import (
-    RATIONAL_TYPES,
-    Biquad,
-    ModeMismatchError,
-    NonInvertibleError,
-    scalar_mode,
-)
+from .scalars import _EXACT_TYPES, Biquad, ModeMismatchError, NonInvertibleError
 
 __all__ = [
     "nullspace_exact",
@@ -40,75 +44,95 @@ __all__ = [
 
 
 def check_exact_matrix(m):
-    """Validate that all entries are exact and share one arithmetic context."""
+    """Validate that all entries are exact and share one arithmetic context.
+
+    Returns that context, or None when every entry is rational.
+    """
     ctx = None
     for row in m:
         for x in row:
-            mode = scalar_mode(x)
-            if mode == "complex-float":
-                raise ModeMismatchError("matrix entry is not exact")
-            if isinstance(x, Biquad):
+            if not isinstance(x, _EXACT_TYPES):
+                raise ModeMismatchError(
+                    f"matrix entry: {type(x).__name__} is not an exact scalar"
+                )
+            if type(x) is Biquad and x.ctx is not ctx:
                 if ctx is None:
                     ctx = x.ctx
-                elif x.ctx is not ctx and x.ctx != ctx:
+                elif x.ctx != ctx:
                     raise ModeMismatchError("mixed biquadratic contexts in matrix")
     return ctx
 
 
-def _is_rational_matrix(m):
-    return all(isinstance(x, RATIONAL_TYPES) for row in m for x in row)
+def _invert(x):
+    """Inverse of an exact scalar; raises ZeroDivisionError for 0 and
+    :class:`NonInvertibleError` for a zero divisor."""
+    if type(x) is Biquad:
+        return x.inverse()
+    return 1 / Fraction(x)
 
 
 def _pivot_row(a, r, c):
     """First row at or below r whose entry in column c is invertible.
 
-    Returns None when the column is zero there, and raises
-    :class:`NonInvertibleError` when it is nonzero but every nonzero entry is a
-    zero divisor (a biquadratic element of norm 0).
+    Returns (row, inverse of that entry), or None when the column is zero
+    there.  Raises :class:`NonInvertibleError` when the column is nonzero but
+    every nonzero entry is a zero divisor (a biquadratic element of norm 0).
     """
-    nrows = len(a)
-    for i in range(r, nrows):
+    zero_divisors = False
+    for i in range(r, len(a)):
         x = a[i][c]
         if not x:
             continue
-        if isinstance(x, Biquad):
-            if x.norm() != 0:
-                return i
-        else:
-            return i
-    if any(a[i][c] for i in range(r, nrows)):
+        try:
+            return i, _invert(x)
+        except NonInvertibleError:
+            zero_divisors = True
+    if zero_divisors:
         raise NonInvertibleError(
             f"no invertible pivot in column {c} of a nonzero column"
         )
     return None
 
 
-def _row_echelon_generic(m, limit=None):
-    """Division-based reduced echelon form. Returns (rows, pivot_cols).
+def _eliminate(a, limit=None):
+    """Forward elimination with invertible pivots, in place.
 
-    Stops after ``limit`` pivots when a limit is given.
+    For matrices with biquadratic entries.  Below the pivot p of column c,
+    each row with a nonzero entry f in column c loses (f / p) times the pivot
+    row, on the pivot row's nonzero entries right of c only; f becomes 0.
+    Pivot rows stay unnormalised.  Stops after ``limit`` pivots when a limit
+    is given.  Returns (pivot_cols, negate) like :func:`_bareiss`; raises
+    :class:`NonInvertibleError` as :func:`_pivot_row` does.
     """
-    a = [list(row) for row in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots = []
+    negate = False
     r = 0
     for c in range(ncols):
         if r >= nrows or r == limit:
             break
-        piv = _pivot_row(a, r, c)
-        if piv is None:
+        found = _pivot_row(a, r, c)
+        if found is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv, inv = found
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            negate = not negate
+        top = a[r]
+        right = [(j, top[j]) for j in range(c + 1, ncols) if top[j]]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            if not f:
+                continue
+            f = f * inv
+            for j, y in right:
+                row[j] = row[j] - f * y
+            row[c] = 0
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots, negate
 
 
 def _integer_rows(m):
@@ -177,8 +201,14 @@ def _row_echelon_bareiss(m, limit=None):
 
 
 def _back_substitute(a, pivots, ncols, one, zero):
-    """Nullspace basis from an echelon form with unit or non-unit pivots."""
+    """Nullspace basis from an echelon form with non-unit pivots.
+
+    Each pivot is inverted once and shared by every basis vector.
+    """
     free_cols = [c for c in range(ncols) if c not in pivots]
+    if not free_cols:
+        return []
+    neg_inv = [-_invert(a[r][pc]) for r, pc in enumerate(pivots)]
     basis = []
     for fc in free_cols:
         v = [zero] * ncols
@@ -186,11 +216,12 @@ def _back_substitute(a, pivots, ncols, one, zero):
         # rows are in echelon order matching pivots
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
+            row = a[r]
             s = zero
             for c in range(pc + 1, ncols):
                 if v[c]:
-                    s = s + a[r][c] * v[c]
-            v[pc] = -s / a[r][pc]
+                    s = s + row[c] * v[c]
+            v[pc] = s * neg_inv[r]
         basis.append(v)
     return basis
 
@@ -198,21 +229,22 @@ def _back_substitute(a, pivots, ncols, one, zero):
 def nullspace_exact(m):
     """Basis of the right nullspace of an exact matrix.
 
-    Rational matrices use the integer fraction-free elimination; matrices over
-    a biquadratic extension use exact division-based elimination.  Returns []
-    for a trivial kernel.
+    Rational matrices use the integer fraction-free elimination, matrices over
+    a biquadratic extension the forward elimination with invertible pivots.
+    The basis vector of each free column has a 1 there and 0 in the other free
+    columns, so the basis depends on the pivot columns only.  Returns [] for a
+    trivial kernel.
     """
     if not m or not m[0]:
         return []
     ctx = check_exact_matrix(m)
     ncols = len(m[0])
-    if ctx is None and _is_rational_matrix(m):
+    if ctx is None:
         a, pivots = _row_echelon_bareiss(m)
         return _back_substitute(a, pivots, ncols, Fraction(1), Fraction(0))
-    a, pivots = _row_echelon_generic(m)
-    one = ctx.embed(1)
-    zero = ctx.embed(0)
-    return _back_substitute(a, pivots, ncols, one, zero)
+    a = [list(row) for row in m]
+    pivots, _ = _eliminate(a)
+    return _back_substitute(a, pivots, ncols, ctx.embed(1), ctx.embed(0))
 
 
 def _pivot_columns(m, limit=None) -> list:
@@ -224,10 +256,9 @@ def _pivot_columns(m, limit=None) -> list:
     """
     if not m or not m[0]:
         return []
-    if _is_rational_matrix(m):
+    if check_exact_matrix(m) is None:
         return _row_echelon_bareiss(m, limit)[1]
-    check_exact_matrix(m)
-    return _row_echelon_generic(m, limit)[1]
+    return _eliminate([list(row) for row in m], limit)[0]
 
 
 def rank_exact(m) -> int:
@@ -240,19 +271,21 @@ def det_exact(m):
     A rational matrix has its rows scaled to integers (row i by s_i) and goes
     through the integer Bareiss elimination; the determinant is the sign of
     the row swaps times the last pivot over the product of the s_i, one
-    ``Fraction`` built at the end.  Over the biquadratic algebra,
-    matrices of size 3 or less use cofactor expansion (the cheapest there);
-    larger ones use elimination with invertible pivots: O(n^3) products and
-    one inverse per pivot.  When a nonzero column holds only zero divisors no
-    invertible pivot exists, and the division-free cofactor expansion gives
-    the result.
+    ``Fraction`` built at the end.  Over the biquadratic algebra, matrices of
+    size 3 or less use cofactor expansion (the cheapest there); larger ones go
+    through the same forward elimination with invertible pivots as the
+    echelon form, and the determinant is the signed product of the diagonal:
+    O(n^3) products and one inverse per pivot.  When a nonzero column holds
+    only zero divisors no invertible pivot exists, and the division-free
+    cofactor expansion gives the result.
     """
     n = len(m)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    if _is_rational_matrix(m):
+    ctx = check_exact_matrix(m)
+    if ctx is None:
         a, scales = _integer_rows(m)
         pivots, negate = _bareiss(a)
         if len(pivots) < n:
@@ -260,39 +293,16 @@ def det_exact(m):
         return Fraction(-a[-1][-1] if negate else a[-1][-1], prod(scales))
     if n <= 3:
         return _det_cofactor(m)
+    a = [list(row) for row in m]
     try:
-        return _det_eliminate(m)
+        pivots, negate = _eliminate(a)
     except NonInvertibleError:
         return _det_cofactor(m)
-
-
-def _det_eliminate(m):
-    """Product of the pivots of a forward elimination with invertible pivots."""
-    a = [list(row) for row in m]
-    n = len(a)
-    det = None
-    negate = False
-    for c in range(n):
-        piv = _pivot_row(a, c, c)
-        if piv is None:
-            # a zero column: the matrix is singular; return a Biquad zero
-            x = next((x for row in m for x in row if isinstance(x, Biquad)), m[0][0])
-            return x - x
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            negate = not negate
-        p = a[c][c]
-        det = p if det is None else det * p
-        if c + 1 < n:
-            inv = Fraction(1) / p
-            top = a[c]
-            for i in range(c + 1, n):
-                f = a[i][c]
-                if f:
-                    f = f * inv
-                    row = a[i]
-                    for j in range(c + 1, n):
-                        row[j] = row[j] - f * top[j]
+    if len(pivots) < n:
+        return ctx.embed(0)
+    det = a[0][0]
+    for i in range(1, n):
+        det = det * a[i][i]
     return -det if negate else det
 
 
@@ -321,13 +331,14 @@ def solve_exact(m, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(m, rhs)]
     ncols = len(m[0])
-    if _is_rational_matrix(aug):
+    ctx = check_exact_matrix(aug)
+    if ctx is None:
         a, pivots = _row_echelon_bareiss(aug)
-        one, zero = Fraction(1), Fraction(0)
+        zero = Fraction(0)
     else:
-        ctx = check_exact_matrix(aug)
-        a, pivots = _row_echelon_generic(aug)
-        one, zero = ctx.embed(1), ctx.embed(0)
+        a = aug
+        pivots, _ = _eliminate(a)
+        zero = ctx.embed(0)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
     x = [zero] * ncols

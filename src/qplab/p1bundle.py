@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
+    _invert,
     _pivot_columns,
     in_span,
     matvec,
@@ -23,7 +24,7 @@ from .linalg import (
     same_span,
 )
 from .pencil import PencilOfQuadrics
-from .variety import PointOnX, TangentFrame, _invert, _invertible_pivot
+from .variety import PointOnX, TangentFrame, _invertible_pivot
 
 __all__ = [
     "KernelBasis",

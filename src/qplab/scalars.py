@@ -27,8 +27,6 @@ __all__ = [
     "NonInvertibleError",
     "Scalar",
     "as_fraction",
-    "is_exact",
-    "scalar_mode",
     "to_complex",
     "rational_to_string",
     "scalar_to_json",
@@ -329,21 +327,6 @@ class Biquad:
 
 Scalar = Union[Fraction, int, Biquad]
 _EXACT_TYPES = RATIONAL_TYPES + (Biquad,)
-
-
-def scalar_mode(x) -> str:
-    """One of 'exact-rational', 'biquadratic-extension', 'complex-float'."""
-    if isinstance(x, RATIONAL_TYPES):
-        return "exact-rational"
-    if isinstance(x, Biquad):
-        return "biquadratic-extension"
-    if isinstance(x, (float, complex)):
-        return "complex-float"
-    raise ModeMismatchError(f"unsupported scalar type {type(x).__name__}")
-
-
-def is_exact(x) -> bool:
-    return scalar_mode(x) != "complex-float"
 
 
 def _require_exact(values, what: str):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _pivot_columns, nullspace_exact, solve_exact
+from .linalg import _invert, _pivot_columns, nullspace_exact, solve_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
@@ -212,12 +212,6 @@ def _invertible_pivot(v):
         elif c:
             return k
     raise ArithmeticError("no invertible coordinate in the point")
-
-
-def _invert(c):
-    if isinstance(c, Biquad):
-        return c.inverse()
-    return 1 / Fraction(c)
 
 
 def _independent_subset(vectors, count):

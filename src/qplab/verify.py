@@ -168,7 +168,8 @@ def _random_distinct_lambdas(rng, n: int):
 
 def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
     """Random distinct-rational pencils: kernel line is 1-dim, entrywise equal
-    to a_j = 1 / prod_{k != j}(lambda_j - lambda_k)."""
+    to a_j = 1 / prod_{k != j}(lambda_j - lambda_k).  A failing report names
+    the first failing pencil."""
     n = 2 * g + 2
 
     def one(i: int) -> bool:
@@ -185,12 +186,16 @@ def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
         return True
 
     results = [one(i) for i in range(count)]
-    return {"pass": all(results), "pencils": count, "g": g}
+    report = {"pass": all(results), "pencils": count, "g": g}
+    if not report["pass"]:
+        report["first_failure"] = {"case": "vandermonde", "index": results.index(False)}
+    return report
 
 
 def run_quotient_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
     """Squared coordinates land on Z: two linear equations and the weighted
-    quadric y_{2g+2}^2 = prod y_j, all exactly."""
+    quadric y_{2g+2}^2 = prod y_j, all exactly.  A failing report names the
+    first failing sample."""
 
     def one(i: int) -> bool:
         x = sample_point(p, seed, index=i)
@@ -205,7 +210,10 @@ def run_quotient_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         return (not lin1) and (not lin2) and (ys[-1] * ys[-1] - prod == 0)
 
     results = [one(i) for i in range(count)]
-    return {"pass": all(results), "samples": count}
+    report = {"pass": all(results), "samples": count}
+    if not report["pass"]:
+        report["first_failure"] = {"case": "quotient", "index": results.index(False)}
+    return report
 
 
 def _random_skew(rng, n: int):

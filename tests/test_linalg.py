@@ -13,20 +13,28 @@ from qplab import (
     Biquad,
     BiquadContext,
     NonInvertibleError,
+    canonical_pencil,
     det_exact,
+    f_H,
     in_span,
     matvec,
+    n_tilde_splitting,
     nullspace_exact,
+    phi_X,
     rank_exact,
     same_span,
+    sample_pair,
     solve_exact,
+    tangent_frame,
+    trivial_factor_matches_tangent,
+    v_perp_kernel,
 )
 from qplab.linalg import (
-    _back_substitute,
     _det_cofactor,
-    _det_eliminate,
+    _eliminate,
+    _pivot_columns,
+    _pivot_row,
     _row_echelon_bareiss,
-    _row_echelon_generic,
 )
 
 
@@ -42,12 +50,70 @@ def rational_matrices(rows, cols):
     )
 
 
-def _nullspace_naive(m):
-    """Oracle for nullspace_exact on rational input: plain division-based
-    elimination instead of fraction-free Bareiss."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, pivots = _row_echelon_generic(a)
-    return _back_substitute(rows, pivots, len(m[0]), Fraction(1), Fraction(0))
+def _row_echelon_gauss_jordan(m, limit=None):
+    """Oracle for the elimination with invertible pivots: division-based
+    reduced echelon form.  Each pivot row is scaled to a unit pivot and the
+    pivot column is cleared above and below it; the pivot is the first entry
+    of nonzero norm.  Returns (rows, pivot_cols), stopping after ``limit``
+    pivots when a limit is given."""
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+
+    def invertible(x):
+        return x.norm() != 0 if isinstance(x, Biquad) else x != 0
+
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows or r == limit:
+            break
+        piv = next((i for i in range(r, nrows) if invertible(a[i][c])), None)
+        if piv is None:
+            if any(a[i][c] for i in range(r, nrows)):
+                raise NonInvertibleError(f"only zero divisors in column {c}")
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _nullspace_naive(m, one=Fraction(1), zero=Fraction(0)):
+    """Oracle for nullspace_exact: read off the reduced echelon form, where
+    the basis vector of free column f is e_f minus the entries of column f on
+    the pivot coordinates."""
+    rows, pivots = _row_echelon_gauss_jordan(m)
+    ncols = len(m[0])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            v[pc] = zero - row[fc]
+        basis.append(v)
+    return basis
+
+
+def _solve_naive(m, rhs, zero):
+    """Oracle for solve_exact: the pivot coordinates of the reduced echelon
+    form of [m | rhs] read off its last column, the free ones zero."""
+    ncols = len(m[0])
+    rows, pivots = _row_echelon_gauss_jordan([list(r) + [b] for r, b in zip(m, rhs)])
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = zero + row[ncols]
+    return x
 
 
 def _row_echelon_bareiss_fraction(m):
@@ -175,11 +241,10 @@ def test_rational_results_are_fractions():
 @settings(max_examples=60, deadline=None)
 def test_nullspace_matches_naive_oracle(m):
     fast = nullspace_exact(m)
-    naive = _nullspace_naive(m)
-    assert len(fast) == len(naive)
+    # the basis is fixed by the pivot columns, so the two agree entry by entry
+    assert fast == _nullspace_naive(m)
     for v in fast:
         assert all(not r for r in matvec(m, v))
-    assert same_span(fast, naive) or (not fast and not naive)
 
 
 @given(rational_matrices(4, 4))
@@ -287,28 +352,188 @@ def test_det_exact_zero_divisor_column_falls_back_to_cofactor():
     for i, row in enumerate(m):
         row[2] = zd * (i + 1)
     with pytest.raises(NonInvertibleError):
-        _det_eliminate(m)
+        _eliminate([list(row) for row in m])
     d = det_exact(m)
     assert d == _det_cofactor(m)
     assert d
 
 
+def random_biquad_entries(ctx, rows, cols, rng):
+    """About a quarter of the entries zero and a quarter rational (int or
+    Fraction), the rest Biquad elements with small coordinates."""
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.25:
+            return ctx.embed(0)
+        if kind < 0.4:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if kind < 0.5:
+            return rng.randint(-5, 5)
+        return ctx.element(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                             for _ in range(4)))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def biquad_cases(ctx, seed):
+    """Wide, tall and square matrices of size 1..8, each general, with a zero
+    leading column, and of lower rank (a product through a thinner middle)."""
+    rng = random.Random(seed)
+    for rows in range(1, 9):
+        for cols in {rows, 9 - rows, min(8, rows + 2)}:
+            yield random_biquad_entries(ctx, rows, cols, rng)
+            m = random_biquad_entries(ctx, rows, cols, rng)
+            for row in m:
+                row[0] = ctx.embed(0)
+            yield m
+            k = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = random_biquad_entries(ctx, rows, k, rng)
+            right = random_biquad_entries(ctx, k, cols, rng)
+            yield [[sum((left[i][t] * right[t][j] for t in range(k)), ctx.embed(0))
+                    for j in range(cols)] for i in range(rows)]
+
+
+def assert_matches_oracles(ctx, m, rng) -> bool:
+    """nullspace_exact, solve_exact, rank_exact, _pivot_columns and det_exact
+    on m against the Gauss-Jordan oracles (the cofactor expansion for det).
+    Where the oracle finds a column of zero divisors alone, the routines must
+    raise NonInvertibleError too, and det_exact falls back to the cofactor
+    expansion.  Returns whether the elimination of m went through."""
+    one, zero = ctx.embed(1), ctx.embed(0)
+    cols = len(m[0])
+    if len(m) == cols:
+        d = det_exact(m)
+        assert d == _det_cofactor(m)
+    try:
+        rows, pivots = _row_echelon_gauss_jordan(m)
+    except NonInvertibleError:
+        for routine in (nullspace_exact, rank_exact, _pivot_columns):
+            with pytest.raises(NonInvertibleError):
+                routine(m)
+        return False
+    if len(m) == cols:
+        assert (not d) == (len(pivots) < cols)
+    basis = nullspace_exact(m)
+    assert basis == _nullspace_naive(m, one, zero)
+    assert all(type(x) is Biquad for v in basis for x in v)
+    assert all(not x for v in basis for x in matvec(m, v))
+    assert rank_exact(m) == len(pivots)
+    assert _pivot_columns(m) == pivots
+    for limit in range(len(pivots) + 2):
+        assert _pivot_columns(m, limit) == _row_echelon_gauss_jordan(m, limit)[1]
+    x0 = random_biquad_entries(ctx, 1, cols, rng)[0]
+    for rhs in (matvec(m, x0), random_biquad_entries(ctx, 1, len(m), rng)[0]):
+        try:
+            want = _solve_naive(m, rhs, zero)
+        except NonInvertibleError:
+            with pytest.raises(NonInvertibleError):
+                solve_exact(m, rhs)
+            continue
+        sol = solve_exact(m, rhs)
+        assert sol == want
+        if sol is not None:
+            assert matvec(m, sol) == rhs
+    return True
+
+
+@pytest.mark.parametrize(
+    "ctx", [BiquadContext(10, -14), BiquadContext(Fraction(5, 3), Fraction(-7, 2))]
+)
+def test_biquad_elimination_matches_gauss_jordan_oracle(ctx):
+    rng = random.Random(17)
+    for m in biquad_cases(ctx, seed=3):
+        assert_matches_oracles(ctx, m, rng)
+
+
+def test_pivot_row_skips_zero_divisors():
+    # split context: sqrt(u) - 2 has norm 0, so the pivot search passes it by
+    # for the invertible entry below it and hands back that entry's inverse
+    ctx = BiquadContext(4, 3)
+    zd = ctx.sqrt_u() - 2
+    rng = random.Random(4)
+    completed = 0
+    for rows, cols in [(5, 5), (3, 6), (7, 4), (4, 4), (6, 6), (4, 8)] * 2:
+        m = random_biquad_entries(ctx, rows, cols, rng)
+        m[0][0] = zd
+        m[1][0] = zd * (ctx.sqrt_w() + 1)
+        m[2][0] = ctx.sqrt_w() + Fraction(1, 2)
+        piv, inv = _pivot_row(m, 0, 0)
+        assert piv == 2 and inv * m[2][0] == 1
+        completed += assert_matches_oracles(ctx, m, rng)
+    # later columns may hold zero divisors alone; most cases get through
+    assert completed >= 6
+    # a column of zero divisors alone has no pivot; a zero column has none to
+    # look for
+    a = [[zd, ctx.embed(1)], [zd * 3, ctx.embed(2)]]
+    with pytest.raises(NonInvertibleError):
+        _pivot_row(a, 0, 0)
+    assert _pivot_row([[ctx.embed(0)], [0]], 0, 0) is None
+
+
+def count_biquad_ops(monkeypatch):
+    """Counts of Biquad products, inverses and norms from here on."""
+    counts = {"mul": 0, "inverse": 0, "norm": 0}
+
+    def counting(name, method):
+        def wrapped(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapped
+
+    mul = counting("mul", Biquad.__mul__)
+    monkeypatch.setattr(Biquad, "__mul__", mul)
+    monkeypatch.setattr(Biquad, "__rmul__", mul)
+    monkeypatch.setattr(Biquad, "inverse", counting("inverse", Biquad.inverse))
+    monkeypatch.setattr(Biquad, "norm", counting("norm", Biquad.norm))
+    return counts
+
+
 def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
     ctx = BiquadContext(10, -14)
     m = random_biquad_matrix(ctx, 8, seed=8)
-    count = [0]
-    mul = Biquad.__mul__
-
-    def counting(self, other):
-        count[0] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(Biquad, "__mul__", counting)
-    monkeypatch.setattr(Biquad, "__rmul__", counting)
+    counts = count_biquad_ops(monkeypatch)
     d = det_exact(m)
     assert d
     # cofactor expansion would take 69280 products here
-    assert 0 < count[0] < 8 ** 3
+    assert 0 < counts["mul"] < 8 ** 3
+
+
+def test_g4_chain_operation_counts(monkeypatch):
+    # the fibration chain on three g=4 samples, counted instead of timed.
+    # Per sample the forward elimination takes about 4.2k products, 129
+    # inverses and 4 norms (those of variety._invertible_pivot); Gauss-Jordan
+    # elimination with a norm test before each inverse took 7.8k products and
+    # 119 norms beside 112 inverses
+    p = canonical_pencil(4)
+    counts = count_biquad_ops(monkeypatch)
+    for i in range(3):
+        x, xi = sample_pair(p, 0, index=i)
+        phi_X(x, xi)
+        frame = tangent_frame(x)
+        f_H(x, xi)
+        kb = v_perp_kernel(p, x)
+        assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
+        assert trivial_factor_matches_tangent(kb, frame)
+    assert counts["mul"] <= 3 * 4500
+    assert counts["inverse"] <= 3 * 135
+    assert counts["norm"] <= 3 * 4
+
+
+def test_pivot_columns_take_no_norms(monkeypatch):
+    # a 16x10 matrix of rank 8: the pivot search tests each candidate by
+    # inverting it, and the echelon form needs no norm
+    ctx = BiquadContext(10, -14)
+    rng = random.Random(8)
+    left = random_biquad_entries(ctx, 16, 8, rng)
+    right = random_biquad_entries(ctx, 8, 10, rng)
+    m = [[sum((left[i][t] * right[t][j] for t in range(8)), ctx.embed(0))
+          for j in range(10)] for i in range(16)]
+    counts = count_biquad_ops(monkeypatch)
+    assert len(_pivot_columns(m)) == 8
+    assert counts["norm"] == 0
+    assert counts["inverse"] == 8
 
 
 def test_same_span_biquad_families():

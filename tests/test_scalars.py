@@ -18,12 +18,14 @@ from qplab import (
     as_fraction,
     canonical_pencil,
     cli,
+    det_exact,
     interpolate_binary_form,
-    is_exact,
+    nullspace_exact,
     sample_pair,
-    scalar_mode,
+    solve_exact,
     to_complex,
 )
+from qplab.linalg import check_exact_matrix
 from qplab.scalars import rational_to_string, scalar_to_json
 
 CTX = BiquadContext(10, -14)
@@ -172,13 +174,25 @@ def test_to_complex_consistent():
 
 
 def test_scalar_modes():
-    assert scalar_mode(Fraction(1, 2)) == "exact-rational"
-    assert scalar_mode(3) == "exact-rational"
-    assert scalar_mode(CTX.sqrt_u()) == "biquadratic-extension"
-    assert scalar_mode(1.5) == "complex-float"
-    assert is_exact(Fraction(1)) and not is_exact(1.0 + 0j)
+    # a matrix of rationals has no context, one with a Biquad entry has that
+    # entry's; float, complex and unsupported entries are refused, by the
+    # check and by the routines that run it
+    assert check_exact_matrix([[Fraction(1, 2), 3]]) is None
+    assert check_exact_matrix([[3, CTX.sqrt_u()]]) is CTX
+    for bad in (1.5, 1.0 + 0j, "nope"):
+        m = [[Fraction(1), CTX.sqrt_u()], [bad, 2]]
+        with pytest.raises(ModeMismatchError):
+            check_exact_matrix(m)
+        with pytest.raises(ModeMismatchError):
+            nullspace_exact(m)
+        with pytest.raises(ModeMismatchError):
+            solve_exact(m, [1, 2])
+        with pytest.raises(ModeMismatchError):
+            det_exact(m)
+        with pytest.raises(ModeMismatchError):
+            det_exact([[Fraction(1), bad], [2, 3]])
     with pytest.raises(ModeMismatchError):
-        scalar_mode("nope")
+        check_exact_matrix([[CTX.sqrt_u()], [BiquadContext(10, -15).sqrt_u()]])
 
 
 def test_as_fraction_and_json():

@@ -10,8 +10,10 @@ from qplab.p1bundle import SplittingError
 from qplab.verify import (
     run_diagram_check,
     run_even_check,
+    run_quotient_check,
     run_skew_battery,
     run_splitting_check,
+    run_vandermonde_check,
 )
 
 P2 = canonical_pencil(2)
@@ -40,6 +42,12 @@ def test_passing_reports_have_no_failure_fields():
         "exact_vanishing": True,
         "samples": 3,
     }
+    assert run_vandermonde_check(2, seed=3, count=3) == {
+        "pass": True,
+        "pencils": 3,
+        "g": 2,
+    }
+    assert run_quotient_check(P2, seed=3, count=3) == {"pass": True, "samples": 3}
 
 
 def wrong_form():
@@ -146,3 +154,36 @@ def test_splitting_mismatch_report_names_index(monkeypatch):
     rep = run_splitting_check(P2, seed=3, count=3)
     assert not rep["pass"] and rep["matches"] == 2
     assert rep["first_failure"] == {"case": "splitting_type", "index": 1}
+
+
+def test_vandermonde_check_names_first_failure(monkeypatch):
+    # vandermonde_normalizer is called once per pencil: all-ones is off the
+    # closed form
+    monkeypatch.setattr(
+        verify,
+        "vandermonde_normalizer",
+        failing_at(verify.vandermonde_normalizer, 2, lambda: [Fraction(1)] * 6),
+    )
+    rep = run_vandermonde_check(2, seed=3, count=4)
+    assert rep == {
+        "pass": False,
+        "pencils": 4,
+        "g": 2,
+        "first_failure": {"case": "vandermonde", "index": 2},
+    }
+
+
+def test_quotient_check_names_first_failure(monkeypatch):
+    # quotient_even is called once per sample: all-ones breaks the linear
+    # equations
+    monkeypatch.setattr(
+        verify,
+        "quotient_even",
+        failing_at(verify.quotient_even, 2, lambda: [Fraction(1)] * 7),
+    )
+    rep = run_quotient_check(P2, seed=3, count=4)
+    assert rep == {
+        "pass": False,
+        "samples": 4,
+        "first_failure": {"case": "quotient", "index": 2},
+    }
