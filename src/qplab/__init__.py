@@ -54,7 +54,6 @@ from .scalars import (
     BiquadContext,
     ModeMismatchError,
     NonInvertibleError,
-    as_fraction,
     to_complex,
 )
 from .skew import (

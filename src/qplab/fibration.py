@@ -4,7 +4,8 @@ phi_X evaluates the quadratic generator fields on a cotangent representative:
 component j is sum_{k != j} (x_j eta_k - x_k eta_j)^2 / (lambda_k - lambda_j).
 f_H computes the same data geometrically: the binary form (degree 2g-2) cutting
 out the degenerate members of the pencil restricted to the hyperplane
-H = ker(eta) of the tangent space.  The two are matched by a closed-form
+H = ker(eta) of the tangent space S/V, with H lifted into S as the vectors of
+S in ker(eta) that vanish at one invertible coordinate of v.  The two are matched by a closed-form
 rational matrix of the pencil: the coefficients of
 sum_j F_j prod_{k != j}(t - lambda_k) lose their top three (the moments of F,
 which vanish) and are proportional to those of f_H, which verify_identification
@@ -20,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .binary_forms import BinaryForm, interpolate_binary_form
-from .linalg import det_exact, nullspace_exact
+from .linalg import det_exact
 from .pencil import PencilOfQuadrics
-from .variety import CotangentRep, PointOnX, tangent_frame
+from .variety import CotangentRep, PointOnX, _lifts
 
 __all__ = [
     "FibrationValue",
@@ -92,30 +93,20 @@ def phi_Y(y: PointOnX, xi: CotangentRep) -> FibrationValue:
 def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     """Degenerate-member form of the restricted pencil, exactly.
 
-    H is the kernel of eta on S/V; the determinant of q_t | H in a fixed basis
-    is sampled at 2g-1 parameters beyond max(lambda) and interpolated to a
-    binary form of degree 2g-2 (well defined up to nonzero scale).
+    H is the kernel of eta on S/V.  Its basis is one nullspace: the vectors
+    w with q1(v, w) = q2(v, w) = eta(w) = 0 and w_p = 0, for p the first
+    invertible coordinate of v, which lift H into S one to one.  The
+    determinant of q_t | H in that basis is sampled at 2g-1 parameters beyond
+    max(lambda) and interpolated to a binary form of degree 2g-2; another
+    basis of H scales it by a nonzero square, so the form is f_H up to a
+    nonzero scale.  Raises DegenerateCovectorError when eta vanishes on S/V.
     """
     p = x.pencil
-    frame = tangent_frame(x)
-    values = []
-    for w in frame.quotient_basis:
-        s = xi.eta[0] * w[0]
-        for e, c in zip(xi.eta[1:], w[1:]):
-            s = s + e * c
-        values.append(s)
-    if not any(values):
+    h_basis = _lifts(x, xi.eta)
+    if len(h_basis) != 2 * p.g - 2:
+        # the rows v, lambda*v, eta and e_p lose rank exactly when eta lies
+        # in the span of v and lambda*v, the covectors vanishing on S
         raise DegenerateCovectorError("eta vanishes on S/V")
-    combos = nullspace_exact([values])
-    if len(combos) != 2 * p.g - 2:
-        raise DegenerateCovectorError("kernel of eta|_{S/V} has wrong dimension")
-    h_basis = []
-    for combo in combos:
-        vec = None
-        for coeff, w in zip(combo, frame.quotient_basis):
-            part = [coeff * c for c in w]
-            vec = part if vec is None else [a + b for a, b in zip(vec, part)]
-        h_basis.append(vec)
     deg = 2 * p.g - 2
     t_max = max(p.lambdas)
     # q_t | H = t * G1 - G2 for the Gram matrices of q1 and q2 on h_basis

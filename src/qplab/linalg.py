@@ -20,8 +20,8 @@ form and report its pivot columns and the parity of its row swaps.
 
 Back substitution divides by each pivot, so results do not depend on the
 pivot rows' scaling: a nullspace basis is fixed by its pivot columns and
-every ``Biquad`` is kept reduced.  Span tests (:func:`rank_exact`,
-:func:`same_span`) take one echelon form each.
+every ``Biquad`` is kept reduced.  :func:`rank_exact` takes one echelon
+form, :func:`same_span` two.
 """
 
 from __future__ import annotations
@@ -372,6 +372,13 @@ def in_span(vectors, v) -> bool:
 
 def same_span(a, b) -> bool:
     """True iff two families of vectors span the same subspace, exactly:
-    rank(a) == rank(b) == rank(a + b)."""
-    r = rank_exact(a)
-    return r == rank_exact(b) and r == rank_exact(a + b)
+    rank(a) == rank(b) == rank(a + b).
+
+    The pivot columns of one echelon form of the columns of a followed by
+    those of b give rank(a + b), and rank(a) as the pivots below len(a); the
+    spans agree iff every pivot is below len(a) and rank(b) is their number.
+    """
+    pivots = _pivot_columns(list(zip(*a, *b)))
+    if pivots and pivots[-1] >= len(a):
+        return False
+    return rank_exact(b) == len(pivots)

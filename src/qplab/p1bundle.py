@@ -3,9 +3,12 @@
 For an exact point x the row map M(t) = ((t - lambda_k) x_k) has a minimal
 kernel basis of rank 2g+1 with column degrees {0 repeated 2g, 1}.  A column of
 degree d is stored as its d+1 coefficient vectors, the t^k one at index k.  The
-constant columns span S = V^perp(q1) ∩ V^perp(q2) (which contains x itself),
-and quotienting by the line of x realizes the splitting O^{2g-1} ⊕ O(-1) whose
-trivial part is the tangent space.
+constant columns are one nullspace and span S = V^perp(q1) ∩ V^perp(q2)
+(which contains x itself); the degree-1 column is the Koszul syzygy of two
+coordinates of x, in closed form.  Quotienting by the line of x realizes the
+splitting O^{2g-1} ⊕ O(-1) whose trivial part is the tangent space: the
+constant columns and x span a space of dimension one more than the number of
+O summands.
 """
 
 from __future__ import annotations
@@ -13,18 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .linalg import (
-    _invert,
-    _pivot_columns,
-    in_span,
-    matvec,
-    nullspace_exact,
-    rank_exact,
-    same_span,
-)
+from .linalg import matvec, nullspace_exact, rank_exact, same_span
 from .pencil import PencilOfQuadrics
-from .variety import PointOnX, TangentFrame, _invertible_pivot
+from .variety import PointOnX, TangentFrame
 
 __all__ = [
     "KernelBasis",
@@ -64,11 +60,14 @@ class SplittingType:
 
 
 def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
-    """Minimal kernel basis of M(t), by degree-ansatz linear algebra.
+    """Minimal kernel basis of M(t): a nullspace and one closed-form column.
 
-    Degree-0 columns solve the two constant constraints (they are exactly S);
-    one extra degree-1 column completes the rank-(2g+1) kernel.  Anything
-    outside the predicted degree profile raises SplittingError.
+    Degree-0 columns solve the two constant constraints (they are exactly S).
+    The degree-1 column is the Koszul syzygy of the first pair i < j with
+    x_i x_j != 0: w_i = (t - lambda_j) x_j and w_j = -(t - lambda_i) x_i.
+    Its leading term lies off S because lambda_i != lambda_j, which the
+    predictable-degree certificate checks exactly; anything outside the
+    predicted degree profile raises SplittingError.
     """
     if x.pencil != p:
         raise ValueError("point does not belong to the pencil")
@@ -82,21 +81,15 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
         raise SplittingError(
             f"constant kernel has dimension {len(constants)}, expected {2 * p.g}"
         )
-    # degree-1 ansatz w(t) = w0 + t*w1: coefficient blocks give three rows
-    zero = v[0] - v[0]
-    r_t2 = [zero] * n + list(v)
-    r_t1 = list(v) + [-l * c for l, c in zip(lam, v)]
-    r_t0 = [-l * c for l, c in zip(lam, v)] + [zero] * n
-    big = nullspace_exact([r_t2, r_t1, r_t0])
-    degree_one = None
-    for sol in big:
-        w1 = sol[n:]
-        if any(w1) and not in_span(constants, w1):
-            degree_one = [sol[:n], w1]
-            break
-    if degree_one is None:
-        raise SplittingError("no degree-1 kernel column with independent leading term")
-    cols = [[w] for w in constants] + [degree_one]
+    pair = next(((i, j) for i, j in combinations(range(n), 2) if v[i] * v[j]), None)
+    if pair is None:
+        raise SplittingError("no two coordinates of the point have a nonzero product")
+    i, j = pair
+    zero = v[i] - v[i]
+    w0, w1 = [zero] * n, [zero] * n
+    w0[i], w0[j] = -lam[j] * v[j], lam[i] * v[i]
+    w1[i], w1[j] = v[j], -v[i]
+    cols = [[w] for w in constants] + [[w0, w1]]
     degrees = [0] * len(constants) + [1]
     kb = KernelBasis(point=x, columns=cols, degrees=degrees)
     _verify_kernel(kb)
@@ -121,21 +114,13 @@ def _verify_kernel(kb: KernelBasis):
 
 
 def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
-    """Splitting type of V^perp/(V ⊗ O): quotient the columns by the line of x."""
-    v = kb.point.coords
-    pivot = _invertible_pivot(v)
-    inv_vp = _invert(v[pivot])
-    degrees = []
-    reduced = []
-    for col, d in zip(kb.columns, kb.degrees):
-        if d == 0:
-            w = col[0]
-            f = w[pivot] * inv_vp
-            reduced.append([wi - f * vi for wi, vi in zip(w, v)])
-        else:
-            degrees.append(d)
-    # one O summand per reduced constant outside the span of those before it
-    degrees += [0] * len(_pivot_columns(list(zip(*reduced))))
+    """Splitting type of V^perp/(V ⊗ O): quotient the columns by the line of x.
+
+    The constant columns give rank([x] + constants) - 1 summands O.
+    """
+    constants = [col[0] for col, d in zip(kb.columns, kb.degrees) if d == 0]
+    degrees = [d for d in kb.degrees if d]
+    degrees += [0] * (rank_exact([list(kb.point.coords)] + constants) - 1)
     degrees.sort()
     expected = [0] * (2 * kb.point.pencil.g - 1) + [1]
     if degrees != expected:

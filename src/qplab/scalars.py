@@ -26,7 +26,6 @@ __all__ = [
     "ModeMismatchError",
     "NonInvertibleError",
     "Scalar",
-    "as_fraction",
     "to_complex",
     "rational_to_string",
     "scalar_to_json",
@@ -306,14 +305,6 @@ class Biquad:
     def __bool__(self):
         return any(self._n)
 
-    def is_rational(self) -> bool:
-        return not any(self._n[1:])
-
-    def rational_part(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element has irrational coordinates")
-        return Fraction(self._n[0], self._d)
-
     def to_complex(self) -> complex:
         ru, rw = self.ctx._ru, self.ctx._rw
         d = self._d
@@ -340,12 +331,6 @@ def to_complex(x) -> complex:
     if isinstance(x, Biquad):
         return x.to_complex()
     return complex(x)
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Biquad):
-        return x.rational_part()
-    return Fraction(x)
 
 
 def rational_to_string(q) -> str:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _invert, _pivot_columns, nullspace_exact, solve_exact
+from .linalg import _pivot_row, nullspace_exact, solve_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
@@ -181,49 +181,40 @@ class TangentFrame:
 def tangent_frame(x: PointOnX) -> TangentFrame:
     """Exact frame of the common orthogonal S (dim 2g) and of S/V (dim 2g-1).
 
-    Quotient lifts are normalized to vanish at a pivot coordinate of v, so
+    The quotient basis is :func:`_lifts` of x, a basis of the vectors of S
+    that vanish at the first invertible coordinate of v, so
     S_basis = [v] + quotient_basis is a basis of S containing v.
+    """
+    lifts = _lifts(x)
+    if len(lifts) != 2 * x.pencil.g - 1:
+        raise ArithmeticError(
+            f"S has dimension {len(lifts) + 1}, expected {2 * x.pencil.g}; "
+            "rows q1(v,.), q2(v,.) must be independent for x on X"
+        )
+    return TangentFrame(x, [list(x.coords)] + lifts, lifts)
+
+
+def _lifts(x: PointOnX, *rows):
+    """Basis of the vectors of S in the kernel of each extra row that vanish
+    at the first invertible coordinate v_k of v.
+
+    As v_k is invertible, S is the line of v plus the vectors of S with k-th
+    coordinate 0, so these lift the quotient by the line of x (cut by the
+    rows) one to one.
     """
     p = x.pencil
     v = x.coords
-    rows = [p.q1_row(v), p.q2_row(v)]
-    s_all = nullspace_exact(rows)
-    if len(s_all) != 2 * p.g:
-        raise ArithmeticError(
-            f"S has dimension {len(s_all)}, expected {2 * p.g}; "
-            "rows q1(v,.), q2(v,.) must be independent for x on X"
-        )
-    pivot = _invertible_pivot(v)
-    inv_vp = _invert(v[pivot])
-    reduced = []
-    for w in s_all:
-        f = w[pivot] * inv_vp
-        reduced.append([wi - f * vi for wi, vi in zip(w, v)])
-    # the reduced vectors span a (2g-1)-dim complement of v inside S
-    quotient = _independent_subset(reduced, 2 * p.g - 1)
-    return TangentFrame(x, [list(v)] + quotient, quotient)
+    k, _ = _invertible_pivot(v)
+    unit = [int(i == k) for i in range(len(v))]
+    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v), *rows])
 
 
 def _invertible_pivot(v):
-    for k, c in enumerate(v):
-        if isinstance(c, Biquad):
-            if c.norm() != 0:
-                return k
-        elif c:
-            return k
-    raise ArithmeticError("no invertible coordinate in the point")
-
-
-def _independent_subset(vectors, count):
-    """First `count` vectors that are exactly linearly independent.
-
-    Each one lies outside the span of those before it: the first `count` pivot
-    columns of one echelon form of the matrix with these vectors as columns.
-    """
-    picked = _pivot_columns(list(zip(*vectors)), count)
-    if len(picked) != count:
-        raise ArithmeticError("could not extract an independent subset")
-    return [vectors[k] for k in picked]
+    """(k, 1 / v[k]) for the first coordinate v[k] that has an inverse."""
+    found = _pivot_row([[c] for c in v], 0, 0)
+    if found is None:
+        raise ArithmeticError("no invertible coordinate in the point")
+    return found
 
 
 def quotient_full(x: PointOnX):
@@ -308,8 +299,7 @@ def sample_covector(
     rng = derived_rng(seed, index + (1 << 32))
     n = x.pencil.dim_ambient
     v = x.coords
-    pivot = _invertible_pivot(v if not even_restricted else v[:-1])
-    inv_vp = _invert(v[pivot])
+    pivot, inv_vp = _invertible_pivot(v if not even_restricted else v[:-1])
     for _ in range(RESAMPLE_BUDGET):
         eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
         if even_restricted:

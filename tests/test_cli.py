@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,32 @@ def test_phi_and_fh_reports():
     r = run_cli("fh", "--g", "2", "--seed", "3")
     rep = json.loads(r.stdout)
     assert rep["metrics"]["degree"] == 2
+
+
+# f_H of `fh --g 2 --seed 7` (a split context, u = 441) computed in another
+# basis of H; any basis gives these coefficients up to one nonzero factor
+FH_G2_SEED7 = [
+    ["67801345630939/40828009356288", "0", "84592960745/1944190921728", "0"],
+    ["-62082916422553/6804668226048", "0", "-74953901075/324031820288", "0"],
+    ["62126393086315/5103501169536", "0", "71323705625/243023865216", "0"],
+]
+
+
+def test_fh_coefficients_pinned_up_to_scale():
+    from qplab import BiquadContext
+
+    r = run_cli("fh", "--g", "2", "--seed", "7")
+    assert r.returncode == 0
+    metrics = json.loads(r.stdout)["metrics"]
+    ctx = BiquadContext(*metrics["point"]["radicands"])
+
+    def elements(coeffs):
+        return [ctx.element(*(Fraction(c) for c in coords)) for coords in coeffs]
+
+    new, ref = elements(metrics["coefficients"]), elements(FH_G2_SEED7)
+    scale = new[0] / ref[0]
+    scale.inverse()  # raises unless the scale is invertible
+    assert new == [scale * c for c in ref]
 
 
 def test_vandermonde_rational_strings():

@@ -1,6 +1,7 @@
 """The fibration map, its geometric twin, the identification, isotropy."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -10,11 +11,16 @@ from qplab import (
     canonical_pencil,
     f_H,
     fit_identification,
+    n_tilde_splitting,
     phi_components,
     phi_X,
     phi_Y,
+    rank_exact,
     sample_pair,
     sample_point,
+    tangent_frame,
+    trivial_factor_matches_tangent,
+    v_perp_kernel,
     verify_identification,
     verify_lagrangian,
 )
@@ -111,6 +117,42 @@ def test_f_H_degenerate_covector_rejected():
     eta = [a + b for a, b in zip(P2.q1_row(x.coords), P2.q2_row(x.coords))]
     with pytest.raises(DegenerateCovectorError):
         f_H(x, CotangentRep(x, eta))
+
+
+# (g, seed, index, on_Y) of sampled pairs whose radicand u = x_0^2 is a
+# rational square r^2: their coordinates lie in a split algebra, where
+# sqrt(u) - r is a nonzero zero divisor
+SPLIT_PAIRS = [
+    (2, 1, 23, False),
+    (2, 1, 0, True),
+    (2, 2, 14, False),
+    (3, 0, 19, False),
+    (3, 0, 0, True),
+    (3, 2, 14, True),
+]
+
+
+@pytest.mark.parametrize(
+    "g, seed, index, on_Y", SPLIT_PAIRS,
+    ids=[f"g{g}-seed{s}-{i}{'-on_Y' if y else ''}" for g, s, i, y in SPLIT_PAIRS],
+)
+def test_fibration_chain_in_split_context(g, seed, index, on_Y):
+    p = canonical_pencil(g)
+    x, xi = sample_pair(p, seed, index=index, on_Y=on_Y)
+    ctx = x.context()
+    r = Fraction(isqrt(ctx.u.numerator), isqrt(ctx.u.denominator))
+    assert r * r == ctx.u
+    assert (ctx.sqrt_u() - r).norm() == 0
+    frame = tangent_frame(x)
+    assert len(frame.quotient_basis) == 2 * g - 1
+    assert rank_exact(frame.S_basis) == 2 * g
+    form = f_H(x, xi)
+    assert form.degree == 2 * g - 2 and not form.is_zero()
+    kb = v_perp_kernel(p, x)
+    assert n_tilde_splitting(kb).degrees == (0,) * (2 * g - 1) + (1,)
+    assert trivial_factor_matches_tangent(kb, frame)
+    rep = verify_identification(fit_identification(p), [(x, xi)])
+    assert rep == {"pass": True, "samples": 1}
 
 
 def _expand(roots):

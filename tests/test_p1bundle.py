@@ -19,7 +19,7 @@ from qplab import (
 )
 from qplab.linalg import in_span, same_span
 from qplab.p1bundle import KernelBasis, SplittingError, _verify_kernel
-from qplab.variety import _invert, _invertible_pivot
+from qplab.variety import _invertible_pivot
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -89,8 +89,7 @@ def test_splitting_type():
 def greedy_constant_count(kb):
     """Oracle: degree-0 summands counted by the greedy in_span loop."""
     v = kb.point.coords
-    pivot = _invertible_pivot(v)
-    inv_vp = _invert(v[pivot])
+    pivot, inv_vp = _invertible_pivot(v)
     kept = []
     for col, d in zip(kb.columns, kb.degrees):
         if d == 0:

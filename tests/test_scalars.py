@@ -15,7 +15,6 @@ from qplab import (
     NonInvertibleError,
     PointOnX,
     SkewMap,
-    as_fraction,
     canonical_pencil,
     cli,
     det_exact,
@@ -196,9 +195,6 @@ def test_scalar_modes():
 
 
 def test_as_fraction_and_json():
-    assert as_fraction(CTX.embed(Fraction(3, 4))) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        as_fraction(CTX.sqrt_u())
     assert scalar_to_json(Fraction(-3, 4)) == "-3/4"
     assert scalar_to_json(Biquad(CTX, 1, Fraction(1, 2), 0, 0)) == [
         "1",

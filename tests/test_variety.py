@@ -20,8 +20,7 @@ from qplab import (
     sample_point,
     tangent_frame,
 )
-from qplab.linalg import in_span, nullspace_exact, rank_exact
-from qplab.variety import _independent_subset
+from qplab.linalg import in_span, rank_exact
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -153,30 +152,3 @@ def test_quotient_maps():
         prod = prod * c
     assert ext[-1] == prod
 
-
-def greedy_independent(vectors, count=None):
-    """Oracle: keep each vector outside the span of those already kept."""
-    chosen = []
-    for w in vectors:
-        if len(chosen) == count:
-            break
-        if not in_span(chosen, w):
-            chosen.append(w)
-    return chosen
-
-
-def test_independent_subset_matches_greedy_span_loop():
-    for p, seed in ((P2, 37), (P3, 37), (P3, 38)):
-        x = sample_point(p, seed)
-        v = x.coords
-        s_all = nullspace_exact([p.q1_row(v), p.q2_row(v)])
-        zero = [c - c for c in v]
-        # dependent vectors (repeats, multiples, sums, zero) among independent ones
-        family = [s_all[1], [2 * c for c in s_all[1]], zero, s_all[0],
-                  [a - b for a, b in zip(s_all[0], s_all[1])]] + s_all[2:] + [list(v)]
-        rank = len(greedy_independent(family))
-        assert rank == rank_exact(family)
-        for count in range(1, rank + 1):
-            assert _independent_subset(family, count) == greedy_independent(family, count)
-        with pytest.raises(ArithmeticError):
-            _independent_subset(family, rank + 1)
