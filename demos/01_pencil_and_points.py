@@ -16,7 +16,7 @@ from qplab import canonical_pencil, quotient_even, sample_point
 
 p = canonical_pencil(2)
 print("pencil:", p)
-print("degenerate parameters:", p.degenerate_parameters())
+print("degenerate parameters:", list(p.lambdas))
 print("hyperelliptic genus:", p.hyperelliptic_data().genus)
 print("sign group order (mod global sign):", len(p.sign_group_elements()))
 

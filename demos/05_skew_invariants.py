@@ -12,7 +12,6 @@ from qplab import (
     SkewMap,
     char_coeffs,
     det_exact,
-    hitchin_vector,
     nilpotency_and_rank,
     pfaffian,
     rank2_orthogonal_decomposition,
@@ -24,7 +23,7 @@ pf = pfaffian(m)
 print("char coefficients (a_1, a_2, a_3):", coeffs)
 print("Pfaffian:", pf)
 print("Pf^2 == det:", pf * pf == det_exact(m.entries))
-print("invariant vector for g=3:", hitchin_vector(m, 3).as_tuple())
+print("invariant vector for g=3:", coeffs[:2] + (pf,))
 print(nilpotency_and_rank(m))
 
 # a rank-two map u v^T - v u^T

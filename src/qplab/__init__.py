@@ -58,11 +58,9 @@ from .scalars import (
 )
 from .skew import (
     DecompositionError,
-    HitchinVector,
     SkewMap,
     SkewnessError,
     char_coeffs,
-    hitchin_vector,
     nilpotency_and_rank,
     pfaffian,
     rank2_orthogonal_decomposition,
@@ -74,10 +72,8 @@ from .variety import (
     PointOnX,
     SampleBudgetError,
     TangentFrame,
-    canonical_gauge,
     derived_rng,
     quotient_even,
-    quotient_full,
     sample_covector,
     sample_pair,
     sample_point,

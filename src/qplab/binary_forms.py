@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import _require_exact, scalar_to_json
+from .scalars import _require_exact
 
 __all__ = [
     "BinaryForm",
@@ -29,14 +29,6 @@ class BinaryForm:
         self.degree = degree
         self.coeffs = coeffs
 
-    def __call__(self, a, b):
-        d = self.degree
-        s = None
-        for k, c in enumerate(self.coeffs):
-            term = c * a ** (d - k) * b ** k
-            s = term if s is None else s + term
-        return s
-
     def eval_affine(self, t):
         """Value at the point [t : 1]."""
         # Horner in t for f(t,1) = sum c_k t^(d-k)
@@ -48,9 +40,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def scaled(self, s) -> "BinaryForm":
-        return BinaryForm(self.degree, [s * c for c in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)
@@ -60,9 +49,6 @@ class BinaryForm:
 
     def __repr__(self):
         return f"BinaryForm(degree={self.degree}, coeffs={self.coeffs})"
-
-    def to_json(self):
-        return {"degree": self.degree, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
 
 
 def interpolate_binary_form(samples, degree: int) -> BinaryForm:

@@ -51,19 +51,21 @@ class FibrationValue:
 
 
 def phi_components(p: PencilOfQuadrics, v, eta) -> list:
-    """Raw generator-field values; only gauge/covector checks are skipped."""
+    """Raw generator-field values; only gauge/covector checks are skipped.
+
+    Each pair j < k is computed once: its term w_jk^2 / (lambda_k - lambda_j)
+    enters F_j, and F_k (where w_kj^2 = w_jk^2 over lambda_j - lambda_k)
+    with the opposite sign.
+    """
     lam = p.lambdas
     n = len(v)
-    comps = []
+    comps = [None] * n
     for j in range(n):
-        s = None
-        for k in range(n):
-            if k == j:
-                continue
+        for k in range(j + 1, n):
             w = v[j] * eta[k] - v[k] * eta[j]
             term = (w * w) / (lam[k] - lam[j])
-            s = term if s is None else s + term
-        comps.append(s)
+            comps[j] = term if comps[j] is None else comps[j] + term
+            comps[k] = -term if comps[k] is None else comps[k] - term
     return comps
 
 

@@ -13,7 +13,6 @@ O summands.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -51,9 +50,6 @@ class SplittingType:
     """Multiset of degrees d_i; a degree-d column corresponds to O(-d)."""
 
     degrees: tuple
-
-    def as_multiset(self) -> Counter:
-        return Counter(self.degrees)
 
     def total_degree(self) -> int:
         return -sum(self.degrees)

@@ -33,7 +33,6 @@ class HyperellipticData:
 
     genus: int
     branch_params: tuple  # the points [lambda_j : -1], stored as pairs
-    weierstrass_labels: tuple
 
 
 class PencilOfQuadrics:
@@ -56,29 +55,10 @@ class PencilOfQuadrics:
     def dim_ambient(self) -> int:
         return 2 * self.g + 2
 
-    def gram(self, t):
-        """Gram matrix of q_t = t*q1 - q2 at an affine parameter t."""
-        n = self.dim_ambient
-        zero = t - t
-        return [
-            [(t - self.lambdas[i]) if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-
-    def degenerate_parameters(self):
-        """The 2g+2 parameters t = lambda_j of corank-1 members."""
-        return list(self.lambdas)
-
-    def degenerate_kernel(self, j):
-        """Kernel line of the member at t = lambda_j: the j-th coordinate line."""
-        n = self.dim_ambient
-        return [Fraction(1) if k == j else Fraction(0) for k in range(n)]
-
     def hyperelliptic_data(self) -> HyperellipticData:
         return HyperellipticData(
             genus=self.g,
             branch_params=tuple((lam, Fraction(-1)) for lam in self.lambdas),
-            weierstrass_labels=tuple(range(self.dim_ambient)),
         )
 
     def q1(self, x):
@@ -116,13 +96,6 @@ class PencilOfQuadrics:
                 seen.add(e.bits)
                 out.append(e)
         return out
-
-    def to_json(self):
-        return {"lambdas": [rational_to_string(lam) for lam in self.lambdas]}
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(payload["lambdas"])
 
     def __eq__(self, other):
         return isinstance(other, PencilOfQuadrics) and self.lambdas == other.lambdas

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
 # all rational scalar kinds accepted interchangeably in exact arithmetic
 RATIONAL_TYPES = (int, Fraction)
@@ -25,7 +24,6 @@ __all__ = [
     "BiquadContext",
     "ModeMismatchError",
     "NonInvertibleError",
-    "Scalar",
     "to_complex",
     "rational_to_string",
     "scalar_to_json",
@@ -316,7 +314,6 @@ class Biquad:
         return f"Biquad({c0}, {c1}, {c2}, {c3})"
 
 
-Scalar = Union[Fraction, int, Biquad]
 _EXACT_TYPES = RATIONAL_TYPES + (Biquad,)
 
 

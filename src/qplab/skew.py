@@ -1,6 +1,5 @@
 """Invariants of skew-symmetric maps: characteristic coefficients, Pfaffian,
-the invariant vector (a_1, ..., a_{g-1}, Pf), rank/nilpotency and the rank-two
-orthogonal decomposition.
+rank/nilpotency and the rank-two orthogonal decomposition.
 
 The characteristic coefficients and the Pfaffian run on Python ints, so they
 need rational entries: the matrix is scaled once by the lcm of its
@@ -13,7 +12,6 @@ above the diagonal has Pfaffian +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -23,12 +21,10 @@ from .scalars import RATIONAL_TYPES, ModeMismatchError, _require_exact
 
 __all__ = [
     "SkewMap",
-    "HitchinVector",
     "SkewnessError",
     "DecompositionError",
     "char_coeffs",
     "pfaffian",
-    "hitchin_vector",
     "nilpotency_and_rank",
     "rank2_orthogonal_decomposition",
 ]
@@ -85,20 +81,6 @@ class SkewMap:
 
     def __repr__(self):
         return f"SkewMap(size={self.size})"
-
-
-@dataclass(frozen=True)
-class HitchinVector:
-    """(a_1, ..., a_{g-1}, Pf): the invariant basis evaluated at a skew map."""
-
-    a: tuple
-    pf: object
-
-    def as_tuple(self):
-        return self.a + (self.pf,)
-
-    def is_zero(self) -> bool:
-        return not any(self.a) and not self.pf
 
 
 def char_coeffs(m: SkewMap):
@@ -203,14 +185,6 @@ def _swap_rows_cols(a, i, j):
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
-
-
-def hitchin_vector(m: SkewMap, g: int) -> HitchinVector:
-    """(a_1, ..., a_{g-1}, Pf) for a 2g x 2g skew map."""
-    if m.size != 2 * g:
-        raise ValueError(f"matrix size {m.size} != 2g = {2 * g}")
-    coeffs = char_coeffs(m)
-    return HitchinVector(a=tuple(coeffs[: g - 1]), pf=pfaffian(m))
 
 
 def nilpotency_and_rank(m: SkewMap):

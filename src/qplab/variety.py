@@ -1,10 +1,12 @@
-"""Points of X (and Y), tangent/cotangent frames and the sign-group quotients.
+"""Points of X (and Y), tangent frames, cotangent representatives and the
+even sign-group quotient.
 
 Exact points carry coordinates in a biquadratic extension with exactly two
 radicands (u0, u1) coming from the sampling construction: tail coordinates are
-drawn as small rationals, the head coordinates are x0 = sqrt(u0) and
+drawn as small integers, the head coordinates are x0 = sqrt(u0) and
 x1 = sqrt(u1) with (u0, u1) the unique solution of the 2x2 linear system that
-puts the point on both quadrics.
+puts the point on both quadrics.  Sampled points lie off the coordinate
+hyperplanes, apart from x_{2g+1} = 0 on Y.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _pivot_row, nullspace_exact, solve_exact
+from .linalg import _pivot_row, nullspace_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
@@ -35,9 +37,7 @@ __all__ = [
     "sample_covector",
     "sample_pair",
     "tangent_frame",
-    "quotient_full",
     "quotient_even",
-    "canonical_gauge",
     "derived_rng",
 ]
 
@@ -69,15 +69,14 @@ class PointOnX:
 
     __slots__ = ("pencil", "coords", "on_Y")
 
-    def __init__(self, pencil: PencilOfQuadrics, coords, check: bool = True):
+    def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
         if len(coords) != pencil.dim_ambient:
             raise ValueError("wrong number of coordinates")
         _require_exact(coords, "point coordinates")
         self.pencil = pencil
         self.coords = coords
-        if check:
-            self._check_membership()
+        self._check_membership()
         self.on_Y = not coords[-1]
 
     def _check_membership(self):
@@ -134,13 +133,13 @@ def sample_point(
     seed: int,
     index: int = 0,
     on_Y: bool = False,
-    avoid_coordinate_hyperplanes: bool = True,
 ) -> PointOnX:
     """Draw a point with q1 = q2 = 0.
 
     Tail coordinates x2..x_{2g+1} are small random integers (x_{2g+1} = 0 when
     on_Y); the head is solved from the 2x2 system for u0 = x0^2, u1 = x1^2 and
-    the two square roots are adjoined as biquadratic radicands.
+    the two square roots are adjoined as biquadratic radicands.  A draw with
+    a zero coordinate (other than x_{2g+1} on Y) is redrawn.
     """
     rng = derived_rng(seed, index)
     n = pencil.dim_ambient
@@ -149,9 +148,7 @@ def sample_point(
         tail = [Fraction(int(v)) for v in rng.integers(-9, 10, size=n - 2)]
         if on_Y:
             tail[-1] = Fraction(0)
-        if avoid_coordinate_hyperplanes and any(
-            not t for t in (tail[:-1] if on_Y else tail)
-        ):
+        if any(not t for t in (tail[:-1] if on_Y else tail)):
             continue
         a = sum(t * t for t in tail)
         b = sum(lam * t * t for lam, t in zip(pencil.lambdas[2:], tail))
@@ -159,7 +156,7 @@ def sample_point(
         det = lam1 - lam0
         u0 = (-a * lam1 + b) / det
         u1 = (-b + lam0 * a) / det
-        if avoid_coordinate_hyperplanes and (u0 == 0 or u1 == 0):
+        if u0 == 0 or u1 == 0:
             continue
         ctx = BiquadContext(u0, u1)
         coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(t) for t in tail]
@@ -168,22 +165,22 @@ def sample_point(
 
 
 class TangentFrame:
-    """Basis data for S = V^perp(q1) ∩ V^perp(q2) and the quotient S/V."""
+    """A basis of S = V^perp(q1) ∩ V^perp(q2) whose first vector is v, so
+    S_basis[1:] lifts a basis of the quotient S/V."""
 
-    __slots__ = ("point", "S_basis", "quotient_basis")
+    __slots__ = ("point", "S_basis")
 
-    def __init__(self, point: PointOnX, S_basis, quotient_basis):
+    def __init__(self, point: PointOnX, S_basis):
         self.point = point
         self.S_basis = S_basis
-        self.quotient_basis = quotient_basis
 
 
 def tangent_frame(x: PointOnX) -> TangentFrame:
     """Exact frame of the common orthogonal S (dim 2g) and of S/V (dim 2g-1).
 
-    The quotient basis is :func:`_lifts` of x, a basis of the vectors of S
-    that vanish at the first invertible coordinate of v, so
-    S_basis = [v] + quotient_basis is a basis of S containing v.
+    S_basis is [v] followed by :func:`_lifts` of x, a basis of the vectors
+    of S that vanish at the first invertible coordinate of v, which lift a
+    basis of S/V one to one.
     """
     lifts = _lifts(x)
     if len(lifts) != 2 * x.pencil.g - 1:
@@ -191,7 +188,7 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
             f"S has dimension {len(lifts) + 1}, expected {2 * x.pencil.g}; "
             "rows q1(v,.), q2(v,.) must be independent for x on X"
         )
-    return TangentFrame(x, [list(x.coords)] + lifts, lifts)
+    return TangentFrame(x, [list(x.coords)] + lifts)
 
 
 def _lifts(x: PointOnX, *rows):
@@ -215,11 +212,6 @@ def _invertible_pivot(v):
     if found is None:
         raise ArithmeticError("no invertible coordinate in the point")
     return found
-
-
-def quotient_full(x: PointOnX):
-    """Image [x_0^2 : ... : x_{2g+1}^2] in P^{2g+1}, constant on Upsilon-orbits."""
-    return [c * c for c in x.coords]
 
 
 def quotient_even(x: PointOnX):
@@ -271,25 +263,6 @@ def _dot(a, b):
     for x, y in zip(a[1:], b[1:]):
         s = s + x * y
     return s
-
-
-def canonical_gauge(xi: CotangentRep) -> CotangentRep:
-    """The representative orthogonal to both gauge generators q1(v,.), q2(v,.).
-
-    Idempotent; uses the standard (bilinear, unconjugated) pairing.
-    """
-    p = xi.point.pencil
-    v = xi.point.coords
-    r1 = p.q1_row(v)
-    r2 = p.q2_row(v)
-    gram = [[_dot(r1, r1), _dot(r2, r1)], [_dot(r1, r2), _dot(r2, r2)]]
-    rhs = [_dot(xi.eta, r1), _dot(xi.eta, r2)]
-    sol = solve_exact(gram, rhs)
-    if sol is None:
-        raise ArithmeticError("gauge Gram system is singular")
-    alpha, beta = sol
-    eta = [e - alpha * a - beta * b for e, a, b in zip(xi.eta, r1, r2)]
-    return CotangentRep(xi.point, eta, xi.even_restricted)
 
 
 def sample_covector(

@@ -15,8 +15,8 @@ from qplab import (
 
 def test_evaluation_conventions():
     f = BinaryForm(2, [Fraction(1), Fraction(-3), Fraction(2)])  # a^2 - 3ab + 2b^2
-    assert f(Fraction(1), Fraction(1)) == 0
-    assert f(Fraction(2), Fraction(1)) == 0
+    assert f.eval_affine(Fraction(1)) == 0
+    assert f.eval_affine(Fraction(2)) == 0
     assert f.eval_affine(Fraction(3)) == 2
 
 
@@ -48,9 +48,3 @@ def test_interpolation_errors():
     with pytest.raises(InterpolationError):
         interpolate_binary_form(samples, 1)
 
-
-def test_scaled_and_json():
-    f = BinaryForm(1, [Fraction(1), Fraction(2)])
-    assert f.scaled(Fraction(3)).coeffs == [3, 6]
-    payload = f.to_json()
-    assert payload == {"degree": 1, "coeffs": ["1", "2"]}

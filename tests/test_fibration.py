@@ -144,7 +144,7 @@ def test_fibration_chain_in_split_context(g, seed, index, on_Y):
     assert r * r == ctx.u
     assert (ctx.sqrt_u() - r).norm() == 0
     frame = tangent_frame(x)
-    assert len(frame.quotient_basis) == 2 * g - 1
+    assert len(frame.S_basis[1:]) == 2 * g - 1
     assert rank_exact(frame.S_basis) == 2 * g
     form = f_H(x, xi)
     assert form.degree == 2 * g - 2 and not form.is_zero()
@@ -153,6 +153,36 @@ def test_fibration_chain_in_split_context(g, seed, index, on_Y):
     assert trivial_factor_matches_tangent(kb, frame)
     rep = verify_identification(fit_identification(p), [(x, xi)])
     assert rep == {"pass": True, "samples": 1}
+
+
+def phi_components_double_loop(p, v, eta):
+    """Oracle: F_j = sum_{k != j} w_jk^2 / (lambda_k - lambda_j), term by term."""
+    comps = []
+    for j in range(len(v)):
+        s = None
+        for k in range(len(v)):
+            if k != j:
+                w = v[j] * eta[k] - v[k] * eta[j]
+                term = (w * w) / (p.lambdas[k] - p.lambdas[j])
+                s = term if s is None else s + term
+        comps.append(s)
+    return comps
+
+
+def test_phi_components_matches_double_loop():
+    pairs = [(2, 61, i, False) for i in range(3)] + [
+        (3, 5, 0, False), (2, 7, 1, True), (3, 2, 2, True),
+    ] + SPLIT_PAIRS
+    for g, seed, index, on_Y in pairs:
+        p = canonical_pencil(g)
+        x, xi = sample_pair(p, seed, index=index, on_Y=on_Y)
+        assert phi_components(p, x.coords, xi.eta) == phi_components_double_loop(
+            p, x.coords, xi.eta
+        )
+    # rational vectors off X: the raw formula, with rational values
+    v = [Fraction(k * k - 3, k + 1) for k in range(6)]
+    eta = [Fraction(2 - k, 3) for k in range(6)]
+    assert phi_components(P2, v, eta) == phi_components_double_loop(P2, v, eta)
 
 
 def _expand(roots):

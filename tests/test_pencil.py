@@ -35,15 +35,6 @@ def test_canonical_pencil_and_genus():
         assert p.dim_ambient == 2 * g + 2
 
 
-def test_gram_and_degenerate_members():
-    p = canonical_pencil(2)
-    for j, t in enumerate(p.degenerate_parameters()):
-        gram = p.gram(t)
-        assert gram[j][j] == 0
-        k = p.degenerate_kernel(j)
-        assert all(sum(gram[i][l] * k[l] for l in range(6)) == 0 for i in range(6))
-
-
 def test_quadric_evaluation():
     p = canonical_pencil(2)
     x = [Fraction(1)] * 6
@@ -56,12 +47,6 @@ def test_quadric_evaluation():
 def test_fingerprint_distinguishes_pencils():
     assert canonical_pencil(2).fingerprint() != canonical_pencil(3).fingerprint()
     assert canonical_pencil(2).fingerprint() == PencilOfQuadrics(range(6)).fingerprint()
-
-
-def test_json_roundtrip():
-    p = PencilOfQuadrics([Fraction(1, 3), 1, 2, 3, 4, 5])
-    q = PencilOfQuadrics.from_json(p.to_json())
-    assert q == p
 
 
 def test_sign_group_order_and_parity():

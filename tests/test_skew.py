@@ -18,7 +18,6 @@ from qplab import (
     SkewnessError,
     char_coeffs,
     det_exact,
-    hitchin_vector,
     nilpotency_and_rank,
     pfaffian,
     rank2_orthogonal_decomposition,
@@ -228,19 +227,9 @@ def test_integer_kernels_reject_biquad_entries():
     one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
     u, v = [one, i, zero, zero], [zero, zero, one, one]
     m = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(4)] for a in range(4)])
-    for invariant in (char_coeffs, pfaffian, nilpotency_and_rank,
-                      lambda m: hitchin_vector(m, 2)):
+    for invariant in (char_coeffs, pfaffian, nilpotency_and_rank):
         with pytest.raises(ModeMismatchError, match="rational entries"):
             invariant(m)
-
-
-def test_hitchin_vector_layout():
-    m = SkewMap.from_upper(6, [Fraction(v) for v in range(1, 16)])
-    hv = hitchin_vector(m, 3)
-    assert len(hv.a) == 2
-    assert hv.pf == pfaffian(m)
-    with pytest.raises(ValueError):
-        hitchin_vector(m, 2)
 
 
 @given(skew_matrices(4))

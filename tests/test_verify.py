@@ -10,6 +10,7 @@ from qplab.p1bundle import SplittingError
 from qplab.verify import (
     run_diagram_check,
     run_even_check,
+    run_invariance_check,
     run_quotient_check,
     run_skew_battery,
     run_splitting_check,
@@ -186,4 +187,30 @@ def test_quotient_check_names_first_failure(monkeypatch):
         "pass": False,
         "samples": 4,
         "first_failure": {"case": "quotient", "index": 2},
+    }
+
+
+def test_invariance_check_fails_on_a_rank_one_image(monkeypatch):
+    # every sample maps to F_0 times one fixed vector: still invariant and
+    # quadratic in eta, but the sampled image has rank 1, not 2g-1 = 3
+    real = verify.phi_components
+    direction = [Fraction(k + 1) for k in range(6)]
+
+    def proportional(p, v, eta):
+        f0 = real(p, v, eta)[0]
+        return [f0 * d for d in direction]
+
+    monkeypatch.setattr(verify, "phi_components", proportional)
+    monkeypatch.setattr(
+        verify,
+        "phi_X",
+        lambda x, xi: FibrationValue(proportional(x.pencil, x.coords, xi.eta)),
+    )
+    rep = run_invariance_check(P2, seed=3, count=5)
+    assert rep == {
+        "pass": False,
+        "samples": 5,
+        "exact_invariance": True,
+        "image_rank": 1,
+        "expected_rank": 3,
     }
