@@ -20,7 +20,6 @@ from .fibration import (
     fit_identification,
     phi_components,
     phi_X,
-    phi_Y,
     verify_identification,
     verify_lagrangian,
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import solve_exact
 from .scalars import _require_exact
 
 __all__ = [
@@ -14,7 +15,7 @@ __all__ = [
 
 
 class InterpolationError(ValueError):
-    """Repeated parameters or inconsistent overdetermined exact data."""
+    """Repeated parameters, or a sample count other than degree + 1."""
 
 
 class BinaryForm:
@@ -52,27 +53,18 @@ class BinaryForm:
 
 
 def interpolate_binary_form(samples, degree: int) -> BinaryForm:
-    """Unique form of degree <= d through samples [(t_i, value_i)].
+    """Unique form of degree <= d through exactly d+1 samples [(t_i, value_i)].
 
-    Parameters are rational and affine (the point [t:1]); values are exact.
-    With more than d+1 samples the extra ones are checked for consistency.
+    Parameters are rational, distinct and affine (the point [t:1]); values
+    are exact.  The Vandermonde system of d+1 distinct parameters is square
+    and invertible, so it has exactly one solution.
     """
     _require_exact([x for sample in samples for x in sample], "interpolation samples")
     params = [Fraction(t) for t, _ in samples]
     if len(set(params)) != len(params):
         raise InterpolationError("repeated interpolation parameters")
-    if len(samples) < degree + 1:
-        raise InterpolationError(f"need at least {degree + 1} samples")
+    if len(samples) != degree + 1:
+        raise InterpolationError(f"need exactly {degree + 1} samples")
     # Solve the Vandermonde system for f(t,1) = sum c_k t^(d-k)
-    from .linalg import solve_exact
-
-    m = [[t ** (degree - k) for k in range(degree + 1)] for t in params[: degree + 1]]
-    rhs = [v for _, v in samples[: degree + 1]]
-    coeffs = solve_exact(m, rhs)
-    if coeffs is None:
-        raise InterpolationError("inconsistent interpolation data")
-    form = BinaryForm(degree, coeffs)
-    for t, (_, v) in zip(params[degree + 1:], samples[degree + 1:]):
-        if form.eval_affine(t) != v:
-            raise InterpolationError("inconsistent overdetermined exact data")
-    return form
+    m = [[t ** (degree - k) for k in range(degree + 1)] for t in params]
+    return BinaryForm(degree, solve_exact(m, [v for _, v in samples]))

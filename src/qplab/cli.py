@@ -67,18 +67,12 @@ def _report(args, command: str, passed: bool, metrics: dict, samples_used: int) 
         "seed": getattr(args, "seed", None),
         "version": REPORT_VERSION,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
     return EXIT_PASS if passed else EXIT_FAIL
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return rational_to_string(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,6 @@ def _add_pencil_flags(sp):
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--json-out", dest="json_out", metavar="PATH")
 
 
@@ -264,24 +257,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw a point of X (or Y)")
     _add_pencil_flags(sp)
     _add_common(sp)
+    sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_sample)
 
     sp = sub.add_parser("phi", help="fibration components at a sampled pair")
     _add_pencil_flags(sp)
     _add_common(sp)
+    sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_phi)
 
     sp = sub.add_parser("fh", help="degenerate-member form of the restricted pencil")
     _add_pencil_flags(sp)
     _add_common(sp)
+    sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_fh)
 
     sp = sub.add_parser("bundle-splitting", help="kernel-basis splitting type")
     _add_pencil_flags(sp)
     _add_common(sp)
+    sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--point", metavar="FILE", help="point JSON (default: sample)")
     sp.set_defaults(fn=_cmd_bundle_splitting)
 
@@ -329,10 +326,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)  # argparse exits 2 on usage errors
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "version": REPORT_VERSION}), file=sys.stderr)
-        return EXIT_INPUT
-    except PencilError as exc:
+    except (InputError, PencilError) as exc:
         print(json.dumps({"error": str(exc), "version": REPORT_VERSION}), file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # internal invariant violation

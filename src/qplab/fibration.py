@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binary_forms import BinaryForm, interpolate_binary_form
-from .linalg import det_exact
+from .linalg import det_exact, dot
 from .pencil import PencilOfQuadrics
 from .variety import CotangentRep, PointOnX, _lifts
 
@@ -31,7 +31,6 @@ __all__ = [
     "DegenerateCovectorError",
     "phi_components",
     "phi_X",
-    "phi_Y",
     "f_H",
     "fit_identification",
     "verify_identification",
@@ -76,22 +75,6 @@ def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:
     return FibrationValue(components=phi_components(x.pencil, x.coords, xi.eta))
 
 
-def phi_Y(y: PointOnX, xi: CotangentRep) -> FibrationValue:
-    """Restriction to T*Y: requires y_{2g+1} = 0 and eta_{2g+1} = 0.
-
-    The last component vanishes identically (both factors of every one of its
-    summands are zero).
-    """
-    if not y.on_Y:
-        raise ValueError("point is not on Y (last coordinate nonzero)")
-    if not xi.even_restricted:
-        raise ValueError("covector is not even-restricted")
-    val = phi_X(y, xi)
-    if val.components[-1]:
-        raise ArithmeticError("last component failed to vanish on T*Y")
-    return val
-
-
 def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     """Degenerate-member form of the restricted pencil, exactly.
 
@@ -129,10 +112,7 @@ def _gram(h_basis, weights):
     gram = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            s = weighted[i][0] * h_basis[j][0]
-            for a, b in zip(weighted[i][1:], h_basis[j][1:]):
-                s = s + a * b
-            gram[i][j] = gram[j][i] = s
+            gram[i][j] = gram[j][i] = dot(weighted[i], h_basis[j])
     return gram
 
 
@@ -153,14 +133,7 @@ class IdentificationMap:
 
     def apply(self, value: FibrationValue) -> list:
         """L*F, exactly."""
-        comps = value.components
-        out = []
-        for row in self.L:
-            s = comps[0] * row[0]
-            for c, l in zip(comps[1:], row[1:]):
-                s = s + c * l
-            out.append(s)
-        return out
+        return [dot(value.components, row) for row in self.L]
 
 
 def _mismatch(ident: IdentificationMap, value: FibrationValue, form: BinaryForm):

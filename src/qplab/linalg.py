@@ -7,10 +7,10 @@ form and report its pivot columns and the parity of its row swaps.
 * A rational matrix is taken onto Python ints once: each row is scaled by the
   lcm of its denominators.  One fraction-free (Bareiss) elimination on those
   ints, with exact integer division by the previous pivot, serves the echelon
-  form (nullspace, solve, rank, pivot columns) and the determinant; the result
+  form (nullspace, rank, pivot columns) and the determinant; the result
   becomes a ``Fraction`` once, at the end.
 * A matrix with biquadratic entries goes through one forward elimination with
-  invertible pivots, :func:`_eliminate`, for the same four jobs.  The pivot
+  invertible pivots, :func:`_eliminate`, for the same jobs.  The pivot
   search inverts each candidate and keeps the first inverse that exists, so
   no norm is taken; only the nonzero entries right of each pivot are updated.
   It raises :class:`NonInvertibleError` when a nonzero column holds nothing
@@ -18,10 +18,12 @@ form and report its pivot columns and the parity of its row swaps.
   cofactor expansion is kept for sizes up to 3 and as the fallback when no
   invertible pivot exists.
 
-Back substitution divides by each pivot, so results do not depend on the
-pivot rows' scaling: a nullspace basis is fixed by its pivot columns and
-every ``Biquad`` is kept reduced.  :func:`rank_exact` takes one echelon
-form, :func:`same_span` two.
+There is one back substitution, :func:`_back_substitute`, and it divides by
+each pivot, so results do not depend on the pivot rows' scaling: a nullspace
+basis is fixed by its pivot columns and every ``Biquad`` is kept reduced.
+:func:`solve_exact` is a nullspace vector of the augmented matrix
+[m | -rhs].  :func:`rank_exact` takes one echelon form, :func:`same_span`
+two.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "in_span",
     "same_span",
     "matvec",
+    "dot",
     "check_exact_matrix",
 ]
 
@@ -328,38 +331,35 @@ def _det_cofactor(m):
 
 
 def solve_exact(m, rhs):
-    """One exact solution of m x = rhs, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(m, rhs)]
-    ncols = len(m[0])
-    ctx = check_exact_matrix(aug)
-    if ctx is None:
-        a, pivots = _row_echelon_bareiss(aug)
-        zero = Fraction(0)
-    else:
-        a = aug
-        pivots, _ = _eliminate(a)
-        zero = ctx.embed(0)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [zero] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = zero + a[r][ncols]  # a Fraction, not an int, on Bareiss rows
-        for c in range(pc + 1, ncols):
-            if x[c]:
-                s = s - a[r][c] * x[c]
-        x[pc] = s / a[r][pc]
-    return x
+    """One exact solution of m x = rhs, or None if inconsistent.
+
+    It is the nullspace basis vector of [m | -rhs] that has a 1 in the last
+    column, without that entry; its other free unknowns are 0.  The system is
+    inconsistent iff the last column is a pivot column, and then no basis
+    vector has that entry.
+    """
+    basis = nullspace_exact([list(row) + [-b] for row, b in zip(m, rhs)])
+    # free columns come in order, so the last column's vector is the last one
+    if basis and basis[-1][-1]:
+        return basis[-1][:-1]
+    return None
+
+
+def dot(a, b):
+    """Sum of the products a[i] * b[i].
+
+    The sum starts at a[0] * b[0], so it keeps the type of the entries; put
+    the ``Biquad`` factor first where there is one, so that each product
+    runs ``Biquad.__mul__`` directly.
+    """
+    s = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        s = s + x * y
+    return s
 
 
 def matvec(m, v):
-    out = []
-    for row in m:
-        s = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            s = s + x * y
-        out.append(s)
-    return out
+    return [dot(row, v) for row in m]
 
 
 def in_span(vectors, v) -> bool:

@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import dot
 from .scalars import rational_to_string
 
 __all__ = [
@@ -62,16 +63,10 @@ class PencilOfQuadrics:
         )
 
     def q1(self, x):
-        s = x[0] * x[0]
-        for c in x[1:]:
-            s = s + c * c
-        return s
+        return dot(x, x)
 
     def q2(self, x):
-        s = self.lambdas[0] * (x[0] * x[0])
-        for lam, c in zip(self.lambdas[1:], x[1:]):
-            s = s + lam * (c * c)
-        return s
+        return dot([c * c for c in x], self.lambdas)
 
     def q1_row(self, v):
         """The covector q1(v, .) of the symmetric bilinear form of q1."""

@@ -277,18 +277,6 @@ class Biquad:
             return NotImplemented
         return self.inverse() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.embed(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- predicates & conversion --------------------------------------------
 
     def __eq__(self, other):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _pivot_row, nullspace_exact
+from .linalg import _pivot_row, dot, nullspace_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
@@ -238,7 +238,7 @@ class CotangentRep:
         _require_exact(eta, "covector entries")
         self.point = point
         self.eta = eta
-        pairing = _dot(eta, point.coords)
+        pairing = dot(point.coords, eta)
         if pairing:
             raise GaugeError(f"eta(v) = {pairing} != 0")
         if even_restricted:
@@ -258,13 +258,6 @@ class CotangentRep:
         return f"CotangentRep(eta={self.eta}, even_restricted={self.even_restricted})"
 
 
-def _dot(a, b):
-    s = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        s = s + x * y
-    return s
-
-
 def sample_covector(
     x: PointOnX, seed: int, index: int = 0, even_restricted: bool = False
 ) -> CotangentRep:
@@ -278,7 +271,7 @@ def sample_covector(
         if even_restricted:
             eta[-1] = Fraction(0)
         eta[pivot] = Fraction(0)
-        s = _dot(eta, v)
+        s = dot(v, eta)
         eta[pivot] = -(s * inv_vp)
         if any(eta):
             return CotangentRep(x, eta, even_restricted)

@@ -18,11 +18,10 @@ from .fibration import (
     fit_identification,
     phi_components,
     phi_X,
-    phi_Y,
     verify_identification,
     verify_lagrangian,
 )
-from .linalg import det_exact, rank_exact
+from .linalg import det_exact, dot, rank_exact
 from .p1bundle import (
     SplittingError,
     n_tilde_splitting,
@@ -72,19 +71,20 @@ def run_diagram_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
 def run_even_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
     """Diagram check on T*Y samples 0..holdout-1, plus the exact vanishing.
 
-    On each Y-sample the last fibration component (phi_Y raises otherwise)
+    On each Y-sample (y_{2g+1} = eta_{2g+1} = 0) the last fibration component
     and f_H(lambda_{2g+1}) vanish identically; the vanishing is checked
     first, then the identification.  A failing report names the first
-    failing sample and its case.
+    failing sample and its case, "vanishing" when either of the two is
+    nonzero.
     """
     ident = fit_identification(p)
     lam_last = p.lambdas[-1]
     report = {"pass": True, "exact_vanishing": True, "samples": holdout}
     for i in range(holdout):
         y, xi = sample_pair(p, seed, index=i, on_Y=True)
-        value = phi_Y(y, xi)
+        value = phi_X(y, xi)
         form = f_H(y, xi)
-        if form.eval_affine(lam_last):
+        if value.components[-1] or form.eval_affine(lam_last):
             report["exact_vanishing"] = False
             case = "vanishing"
         else:
@@ -199,9 +199,7 @@ def run_quotient_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         x = sample_point(p, seed, index=i)
         ys = quotient_even(x)
         lin1 = sum(ys[:-1], start=Fraction(0))
-        lin2 = ys[0] * p.lambdas[0]
-        for lam, y in zip(p.lambdas[1:], ys[1:-1]):
-            lin2 = lin2 + lam * y
+        lin2 = dot(ys[:-1], p.lambdas)
         prod = ys[0]
         for y in ys[1:-1]:
             prod = prod * y

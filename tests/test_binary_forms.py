@@ -30,10 +30,10 @@ def test_evaluation_conventions():
 @settings(max_examples=50, deadline=None)
 def test_exact_interpolation_roundtrip(coeffs):
     f = BinaryForm(3, coeffs)
-    ts = [Fraction(k) for k in range(6)]
+    ts = [Fraction(k) for k in range(4)]
     samples = [(t, f.eval_affine(t)) for t in ts]
     g = interpolate_binary_form(samples, 3)
-    assert g == f  # overdetermined consistency included
+    assert g == f
 
 
 def test_interpolation_errors():
@@ -41,10 +41,9 @@ def test_interpolation_errors():
         interpolate_binary_form([(Fraction(0), Fraction(1))] * 3, 2)
     with pytest.raises(InterpolationError):
         interpolate_binary_form([(Fraction(0), Fraction(1))], 2)
-    # inconsistent overdetermined data
+    # too many samples, even consistent ones: exactly degree + 1 are taken
     f = BinaryForm(1, [Fraction(1), Fraction(0)])
     samples = [(Fraction(k), f.eval_affine(Fraction(k))) for k in range(3)]
-    samples[2] = (samples[2][0], samples[2][1] + 1)
     with pytest.raises(InterpolationError):
         interpolate_binary_form(samples, 1)
 

@@ -133,6 +133,15 @@ def test_removed_fit_flags_exit_2(args):
     assert "unrecognized arguments" in r.stderr
 
 
+def test_index_only_where_it_is_read():
+    # --index picks one sample; batch commands draw samples 0..n-1 and take
+    # no --index
+    r = run_cli("verify-all", "--g", "2", "--index", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --index 3" in r.stderr
+
+
 def test_bundle_splitting_roundtrip(tmp_path):
     r = run_cli("sample", "--g", "2", "--seed", "5")
     point = json.loads(r.stdout)["metrics"]["point"]

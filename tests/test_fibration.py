@@ -14,7 +14,6 @@ from qplab import (
     n_tilde_splitting,
     phi_components,
     phi_X,
-    phi_Y,
     rank_exact,
     sample_pair,
     sample_point,
@@ -73,15 +72,6 @@ def test_phi_sign_group_invariance():
     e = SignGroupElement([0, 1, 1, 0, 1, 0])
     flipped = phi_components(P2, e.act(x.coords), e.act(xi.eta))
     assert all((a - b) == 0 for a, b in zip(phi_X(x, xi).components, flipped))
-
-
-def test_phi_Y_last_component_vanishes():
-    y, xi = sample_pair(P2, 79, on_Y=True)
-    val = phi_Y(y, xi)
-    assert not val.components[-1]
-    x, eta = sample_pair(P2, 79)
-    with pytest.raises(ValueError):
-        phi_Y(x, eta)
 
 
 def test_f_H_degree_and_gauge_invariance():

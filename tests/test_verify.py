@@ -115,6 +115,28 @@ def test_even_check_names_wrong_f_H(monkeypatch, form, case, vanishing):
     }
 
 
+def test_even_check_names_nonzero_last_component(monkeypatch):
+    # run_even_check calls phi_X once per Y-sample, in index order; sample 1
+    # gets a last component of 1, which must vanish on T*Y
+    real, calls = verify.phi_X, []
+
+    def last_nonzero_at_1(*args):
+        calls.append(args)
+        value = real(*args)
+        if len(calls) == 2:
+            value.components[-1] = value.components[-1] + 1
+        return value
+
+    monkeypatch.setattr(verify, "phi_X", last_nonzero_at_1)
+    rep = run_even_check(P2, seed=3, holdout=3)
+    assert rep == {
+        "pass": False,
+        "exact_vanishing": False,
+        "samples": 3,
+        "first_failure": {"case": "vanishing", "index": 1},
+    }
+
+
 def test_skew_battery_names_first_failure(monkeypatch):
     # pfaffian is called once per Pfaffian case, in index order
     monkeypatch.setattr(verify, "pfaffian", failing_at(verify.pfaffian, 5, lambda: 7))
