@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import solve_exact
 from .scalars import _require_exact
 
 __all__ = [
@@ -56,8 +55,9 @@ def interpolate_binary_form(samples, degree: int) -> BinaryForm:
     """Unique form of degree <= d through exactly d+1 samples [(t_i, value_i)].
 
     Parameters are rational, distinct and affine (the point [t:1]); values
-    are exact.  The Vandermonde system of d+1 distinct parameters is square
-    and invertible, so it has exactly one solution.
+    are exact.  Newton divided differences give f(t,1) = c_0 + (t - t_0)(c_1
+    + (t - t_1)(c_2 + ...)), dividing only by the rational differences of
+    the parameters, and that nested form is multiplied out from the inside.
     """
     _require_exact([x for sample in samples for x in sample], "interpolation samples")
     params = [Fraction(t) for t, _ in samples]
@@ -65,6 +65,14 @@ def interpolate_binary_form(samples, degree: int) -> BinaryForm:
         raise InterpolationError("repeated interpolation parameters")
     if len(samples) != degree + 1:
         raise InterpolationError(f"need exactly {degree + 1} samples")
-    # Solve the Vandermonde system for f(t,1) = sum c_k t^(d-k)
-    m = [[t ** (degree - k) for k in range(degree + 1)] for t in params]
-    return BinaryForm(degree, solve_exact(m, [v for _, v in samples]))
+    newton = [v for _, v in samples]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) * (1 / (params[i] - params[i - j]))
+    # coefficients of f(t,1) = sum c_k t^(d-k), highest power first
+    coeffs = [newton[degree]]
+    for i in range(degree - 1, -1, -1):
+        t = params[i]
+        coeffs = ([coeffs[0]] + [a - b * t for a, b in zip(coeffs[1:], coeffs)]
+                  + [newton[i] - coeffs[-1] * t])
+    return BinaryForm(degree, coeffs)

@@ -4,9 +4,11 @@ phi_X evaluates the quadratic generator fields on a cotangent representative:
 component j is sum_{k != j} (x_j eta_k - x_k eta_j)^2 / (lambda_k - lambda_j).
 f_H computes the same data geometrically: the binary form (degree 2g-2) cutting
 out the degenerate members of the pencil restricted to the hyperplane
-H = ker(eta) of the tangent space S/V, with H lifted into S as the vectors of
-S in ker(eta) that vanish at one invertible coordinate of v.  The two are matched by a closed-form
-rational matrix of the pencil: the coefficients of
+H = ker(eta) of the tangent space S/V.  The determinant of q_t on H is a
+bordered determinant: det(D_t) det(C^T D_t^-1 C) for D_t = diag(t - lambda_k)
+and C the four rows that cut H out of the ambient space, which the identities
+q1(x) = q2(x) = eta(x) = 0 reduce to 3x3 at every g.  The two are matched by a
+closed-form rational matrix of the pencil: the coefficients of
 sum_j F_j prod_{k != j}(t - lambda_k) lose their top three (the moments of F,
 which vanish) and are proportional to those of f_H, which verify_identification
 checks exactly.  verify_lagrangian checks the fibration property itself by
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
 from .binary_forms import BinaryForm, interpolate_binary_form
-from .linalg import det_exact, dot
+from .linalg import det_exact, dot, rank_exact
 from .pencil import PencilOfQuadrics
-from .variety import CotangentRep, PointOnX, _lifts
+from .variety import CotangentRep, PointOnX, _invertible_pivot
 
 __all__ = [
     "FibrationValue",
@@ -78,42 +81,44 @@ def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:
 def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     """Degenerate-member form of the restricted pencil, exactly.
 
-    H is the kernel of eta on S/V.  Its basis is one nullspace: the vectors
-    w with q1(v, w) = q2(v, w) = eta(w) = 0 and w_p = 0, for p the first
-    invertible coordinate of v, which lift H into S one to one.  The
-    determinant of q_t | H in that basis is sampled at 2g-1 parameters beyond
-    max(lambda) and interpolated to a binary form of degree 2g-2; another
-    basis of H scales it by a nonzero square, so the form is f_H up to a
-    nonzero scale.  Raises DegenerateCovectorError when eta vanishes on S/V.
+    H lifts one to one onto the kernel W of the rows e_p, x, lambda*x and
+    eta, for p the first invertible coordinate of x.  For any basis B of W,
+    det(B^T D_t B) is a nonzero constant times det(D_t) det(C^T D_t^-1 C),
+    where D_t = diag(d_k), d_k = t - lambda_k and C has those rows as columns.
+    Eliminating e_p, then using q1(x) = q2(x) = eta(x) = 0, leaves
+    prod_{k != p} d_k det([[A, a_p, B], [a_p, (lambda_p - t) a_p, b_p],
+    [B, b_p, C]]), where A, B, C sum x_k^2, x_k eta_k, eta_k^2 over d_k for
+    k != p, a_p = x_p^2 and b_p = x_p eta_p.  That value is sampled at 2g-1
+    parameters beyond max(lambda) and interpolated to a binary form of
+    degree 2g-2: f_H up to a nonzero scale.  The 3x3 is not expanded
+    further: up to a constant its expansion is sum_{i<j} w_ij^2
+    prod_{k != i,j} d_k with w_ij = x_i eta_j - x_j eta_i, which is exactly
+    -L(F)(t), so the diagram check would compare phi with itself.  Raises
+    DegenerateCovectorError when eta vanishes on S/V.
     """
     p = x.pencil
-    h_basis = _lifts(x, xi.eta)
-    if len(h_basis) != 2 * p.g - 2:
-        # the rows v, lambda*v, eta and e_p lose rank exactly when eta lies
-        # in the span of v and lambda*v, the covectors vanishing on S
+    v, eta, lam = x.coords, xi.eta, p.lambdas
+    piv, _ = _invertible_pivot(v)
+    unit = [int(k == piv) for k in range(len(v))]
+    if rank_exact([unit, p.q1_row(v), p.q2_row(v), eta]) != 4:
+        # the rows lose rank exactly when eta lies in the span of v and
+        # lambda*v, the covectors vanishing on S
         raise DegenerateCovectorError("eta vanishes on S/V")
-    deg = 2 * p.g - 2
-    t_max = max(p.lambdas)
-    # q_t | H = t * G1 - G2 for the Gram matrices of q1 and q2 on h_basis
-    g1 = _gram(h_basis, [1] * len(p.lambdas))
-    g2 = _gram(h_basis, p.lambdas)
+    others = [k for k in range(len(v)) if k != piv]
+    xx = [v[k] * v[k] for k in others]
+    xe = [v[k] * eta[k] for k in others]
+    ee = [eta[k] * eta[k] for k in others]
+    a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
+    t_max = max(lam)
     samples = []
     for m in range(1, 2 * p.g):
         t = t_max + m
-        gram = [[t * a - b for a, b in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
-        samples.append((t, det_exact(gram)))
-    return interpolate_binary_form(samples, deg)
-
-
-def _gram(h_basis, weights):
-    """Symmetric matrix sum_k weights[k] * h_i[k] * h_j[k] over the basis."""
-    weighted = [[l * c for l, c in zip(weights, h)] for h in h_basis]
-    size = len(h_basis)
-    gram = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            gram[i][j] = gram[j][i] = dot(weighted[i], h_basis[j])
-    return gram
+        d = [t - lam[k] for k in others]
+        w = [1 / dk for dk in d]
+        a, b, c = dot(xx, w), dot(xe, w), dot(ee, w)
+        det = det_exact([[a, a_p, b], [a_p, a_p * (lam[piv] - t), b_p], [b, b_p, c]])
+        samples.append((t, det * prod(d)))
+    return interpolate_binary_form(samples, 2 * p.g - 2)
 
 
 @dataclass

@@ -73,7 +73,9 @@ class PencilOfQuadrics:
         return list(v)
 
     def q2_row(self, v):
-        return [lam * c for lam, c in zip(self.lambdas, v)]
+        """The covector q2(v, .); each coordinate comes first in its
+        product, so a ``Biquad`` one runs ``Biquad.__mul__`` directly."""
+        return [c * lam for lam, c in zip(self.lambdas, v)]
 
     def fingerprint(self) -> str:
         payload = ",".join(rational_to_string(lam) for lam in self.lambdas)

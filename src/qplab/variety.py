@@ -191,19 +191,18 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
     return TangentFrame(x, [list(x.coords)] + lifts)
 
 
-def _lifts(x: PointOnX, *rows):
-    """Basis of the vectors of S in the kernel of each extra row that vanish
-    at the first invertible coordinate v_k of v.
+def _lifts(x: PointOnX):
+    """Basis of the vectors of S that vanish at the first invertible
+    coordinate v_k of v; only :func:`tangent_frame` uses it.
 
     As v_k is invertible, S is the line of v plus the vectors of S with k-th
-    coordinate 0, so these lift the quotient by the line of x (cut by the
-    rows) one to one.
+    coordinate 0, so these lift the quotient S/V one to one.
     """
     p = x.pencil
     v = x.coords
     k, _ = _invertible_pivot(v)
     unit = [int(i == k) for i in range(len(v))]
-    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v), *rows])
+    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v)])
 
 
 def _invertible_pivot(v):

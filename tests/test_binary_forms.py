@@ -8,9 +8,30 @@ from hypothesis import strategies as st
 
 from qplab import (
     BinaryForm,
+    BiquadContext,
     InterpolationError,
     interpolate_binary_form,
+    solve_exact,
 )
+
+CTX = BiquadContext(Fraction(-7, 3), 5)
+# unequally spaced rational parameters, not in increasing order
+NODES = [Fraction(3), Fraction(-1, 2), Fraction(7, 5), Fraction(0), Fraction(-4),
+         Fraction(11, 3), Fraction(5, 8)]
+
+
+def _biquad_coeffs(count, seed):
+    return [
+        CTX.element(*[Fraction((seed + 3 * k + j) % 11 - 5, 1 + (k + j) % 4)
+                      for j in range(4)])
+        for k in range(count)
+    ]
+
+
+def _vandermonde_solve(samples, degree):
+    """Oracle: the coefficients from the Vandermonde system, solved exactly."""
+    m = [[Fraction(t) ** (degree - k) for k in range(degree + 1)] for t, _ in samples]
+    return solve_exact(m, [v for _, v in samples])
 
 
 def test_evaluation_conventions():
@@ -34,6 +55,26 @@ def test_exact_interpolation_roundtrip(coeffs):
     samples = [(t, f.eval_affine(t)) for t in ts]
     g = interpolate_binary_form(samples, 3)
     assert g == f
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_biquad_roundtrip_at_unequal_rational_nodes(degree):
+    f = BinaryForm(degree, _biquad_coeffs(degree + 1, degree))
+    samples = [(t, f.eval_affine(t)) for t in NODES[: degree + 1]]
+    assert interpolate_binary_form(samples, degree) == f
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_interpolation_matches_vandermonde_solve(degree):
+    # arbitrary exact values, Biquad and then rational
+    values = _biquad_coeffs(degree + 1, 7 * degree)
+    samples = list(zip(NODES[::-1], values))[: degree + 1]
+    form = interpolate_binary_form(samples, degree)
+    assert form.coeffs == _vandermonde_solve(samples, degree)
+    rational = [(t, Fraction(k * k - 2 * k, k + 3))
+                for k, t in enumerate(NODES[: degree + 1])]
+    form = interpolate_binary_form(rational, degree)
+    assert form.coeffs == _vandermonde_solve(rational, degree)
 
 
 def test_interpolation_errors():

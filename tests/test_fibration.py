@@ -9,21 +9,25 @@ from qplab import (
     DegenerateCovectorError,
     PencilOfQuadrics,
     canonical_pencil,
+    det_exact,
     f_H,
     fit_identification,
     n_tilde_splitting,
+    nullspace_exact,
     phi_components,
     phi_X,
     rank_exact,
     sample_pair,
     sample_point,
+    solve_exact,
     tangent_frame,
     trivial_factor_matches_tangent,
     v_perp_kernel,
     verify_identification,
     verify_lagrangian,
 )
-from qplab.variety import CotangentRep
+from qplab.linalg import dot
+from qplab.variety import CotangentRep, _invertible_pivot
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -105,8 +109,38 @@ def test_f_H_degenerate_covector_rejected():
     x = sample_point(P2, 101)
     # an eta vanishing on all of S: combination of the gauge generators
     eta = [a + b for a, b in zip(P2.q1_row(x.coords), P2.q2_row(x.coords))]
-    with pytest.raises(DegenerateCovectorError):
-        f_H(x, CotangentRep(x, eta))
+    for covector in (eta, [Fraction(0)] * 6, P2.q2_row(x.coords)):
+        with pytest.raises(DegenerateCovectorError):
+            f_H(x, CotangentRep(x, covector))
+
+
+def f_H_gram_oracle(x, xi):
+    """Oracle: f_H from Gram determinants of size 2g-2.
+
+    H lifts to the nullspace of the rows e_p, q1(v, .), q2(v, .) and eta;
+    q_t | H is t*G1 - G2 for the Gram matrices of q1 and q2 on that basis,
+    its determinant is taken at 2g-1 parameters beyond max(lambda), and a
+    Vandermonde solve gives the coefficients.
+    """
+    p = x.pencil
+    v = x.coords
+    k, _ = _invertible_pivot(v)
+    unit = [int(i == k) for i in range(len(v))]
+    h = nullspace_exact([unit, p.q1_row(v), p.q2_row(v), xi.eta])
+    assert len(h) == 2 * p.g - 2
+
+    def gram(weights):
+        weighted = [[c * w for c, w in zip(b, weights)] for b in h]
+        return [[dot(a, b) for b in h] for a in weighted]
+
+    g1, g2 = gram([1] * len(v)), gram(p.lambdas)
+    ts = [max(p.lambdas) + m for m in range(1, 2 * p.g)]
+    dets = [
+        det_exact([[a * t - b for a, b in zip(r1, r2)] for r1, r2 in zip(g1, g2)])
+        for t in ts
+    ]
+    deg = 2 * p.g - 2
+    return solve_exact([[t ** (deg - j) for j in range(deg + 1)] for t in ts], dets)
 
 
 # (g, seed, index, on_Y) of sampled pairs whose radicand u = x_0^2 is a
@@ -258,3 +292,20 @@ def test_verify_lagrangian_flags_zero_covector():
     rep = verify_lagrangian(P2, x, xi)
     assert not rep["generic"]
     assert rep["jacobian_rank"] < 3
+
+
+ORACLE_PAIRS = (
+    [(canonical_pencil(g), 0, i, False) for g in range(2, 6) for i in range(3)]
+    + [(canonical_pencil(g), 3, i, True) for g in (2, 3, 4) for i in range(3)]
+    + [(canonical_pencil(g), s, i, y) for g, s, i, y in SPLIT_PAIRS]
+    + [(NON_INTEGER, 3, i, y) for i in range(5) for y in (False, True)]
+)
+
+
+@pytest.mark.parametrize(
+    "p, seed, index, on_Y", ORACLE_PAIRS,
+    ids=[f"g{p.g}-seed{s}-{i}{'-on_Y' if y else ''}" for p, s, i, y in ORACLE_PAIRS],
+)
+def test_f_H_matches_gram_determinant_oracle(p, seed, index, on_Y):
+    x, xi = sample_pair(p, seed, index=index, on_Y=on_Y)
+    assert _proportional(f_H(x, xi).coeffs, f_H_gram_oracle(x, xi))

@@ -502,10 +502,11 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 2720 products and 92 inverses and no norm: every
+    # Per sample it takes 1407 products and 47 inverses and no norm: every
     # pivot search, _invertible_pivot included, inverts its candidates
-    # instead of testing their norm; tangent_frame and f_H take one
-    # nullspace each, and the degree-1 kernel column is a closed form
+    # instead of testing their norm; tangent_frame takes one nullspace, f_H
+    # one rank and 3x3 determinants, and the degree-1 kernel column is a
+    # closed form
     p = canonical_pencil(4)
     counts = count_biquad_ops(monkeypatch)
     for i in range(3):
@@ -516,9 +517,24 @@ def test_g4_chain_operation_counts(monkeypatch):
         kb = v_perp_kernel(p, x)
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
-    assert counts["mul"] <= 3 * 2750
-    assert counts["inverse"] <= 3 * 95
+    assert counts["mul"] <= 3 * 1445
+    assert counts["inverse"] <= 3 * 48
     assert counts["norm"] == 0
+
+
+def test_f_H_cost_grows_polynomially(monkeypatch):
+    # f_H takes one rank of four rows and 2g-1 determinants of size 3, so its
+    # products grow like g^2 (191 at g=3, 599 at g=6) and it takes 4 inverses
+    # at every g
+    muls = {}
+    for g in range(2, 7):
+        x, xi = sample_pair(canonical_pencil(g), 0)
+        counts = count_biquad_ops(monkeypatch)
+        f_H(x, xi)
+        muls[g] = counts["mul"]
+        assert counts["inverse"] <= 4, g
+        monkeypatch.undo()
+    assert muls[6] <= 5 * muls[3]
 
 
 def test_pivot_columns_take_no_norms(monkeypatch):
