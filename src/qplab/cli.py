@@ -236,8 +236,11 @@ def _add_pencil_flags(sp):
 
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json-out", dest="json_out", metavar="PATH")
+
+
+def _add_seed(sp):
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw a point of X (or Y)")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_sample)
@@ -264,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phi", help="fibration components at a sampled pair")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_phi)
@@ -271,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fh", help="degenerate-member form of the restricted pencil")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--on-y", action="store_true")
     sp.set_defaults(fn=_cmd_fh)
@@ -278,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bundle-splitting", help="kernel-basis splitting type")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--point", metavar="FILE", help="point JSON (default: sample)")
     sp.set_defaults(fn=_cmd_bundle_splitting)
@@ -295,18 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-diagram", help="exact identification of phi with f_H")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--holdout", type=int, default=100)
     sp.set_defaults(fn=_cmd_verify_diagram)
 
     sp = sub.add_parser("verify-even", help="diagram check on T*Y + exact vanishing")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--holdout", type=int, default=100)
     sp.set_defaults(fn=_cmd_verify_even)
 
     sp = sub.add_parser("verify-lagrangian", help="finite-difference isotropy check")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
     sp.add_argument("--tol", type=float, default=1e-6)
@@ -315,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all", help="every verification section in one run")
     _add_pencil_flags(sp)
     _add_common(sp)
+    _add_seed(sp)
     sp.add_argument("--budget", type=float, default=1.0, help="sample-count scale")
     sp.set_defaults(fn=_cmd_verify_all)
 

@@ -52,20 +52,26 @@ class FibrationValue:
     components: list
 
 
+def _differences(p: PencilOfQuadrics) -> list:
+    """Row j holds lambda_k - lambda_j for every k."""
+    return [[lk - lj for lk in p.lambdas] for lj in p.lambdas]
+
+
 def phi_components(p: PencilOfQuadrics, v, eta) -> list:
     """Raw generator-field values; only gauge/covector checks are skipped.
 
     Each pair j < k is computed once: its term w_jk^2 / (lambda_k - lambda_j)
     enters F_j, and F_k (where w_kj^2 = w_jk^2 over lambda_j - lambda_k)
-    with the opposite sign.
+    with the opposite sign.  The differences are constants of the pencil.
     """
-    lam = p.lambdas
+    diff = p.derived("differences", _differences)
     n = len(v)
     comps = [None] * n
     for j in range(n):
+        dj = diff[j]
         for k in range(j + 1, n):
             w = v[j] * eta[k] - v[k] * eta[j]
-            term = (w * w) / (lam[k] - lam[j])
+            term = (w * w) / dj[k]
             comps[j] = term if comps[j] is None else comps[j] + term
             comps[k] = -term if comps[k] is None else comps[k] - term
     return comps
@@ -93,11 +99,13 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     degree 2g-2: f_H up to a nonzero scale.  The 3x3 is not expanded
     further: up to a constant its expansion is sum_{i<j} w_ij^2
     prod_{k != i,j} d_k with w_ij = x_i eta_j - x_j eta_i, which is exactly
-    -L(F)(t), so the diagram check would compare phi with itself.  Raises
-    DegenerateCovectorError when eta vanishes on S/V.
+    -L(F)(t), so the diagram check would compare phi with itself.  The
+    rational factors at each parameter are constants of the pencil and p
+    (:func:`_f_H_table`).  Raises DegenerateCovectorError when eta vanishes
+    on S/V.
     """
     p = x.pencil
-    v, eta, lam = x.coords, xi.eta, p.lambdas
+    v, eta = x.coords, xi.eta
     piv, _ = _invertible_pivot(v)
     unit = [int(k == piv) for k in range(len(v))]
     if rank_exact([unit, p.q1_row(v), p.q2_row(v), eta]) != 4:
@@ -109,16 +117,28 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     xe = [v[k] * eta[k] for k in others]
     ee = [eta[k] * eta[k] for k in others]
     a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
-    t_max = max(lam)
     samples = []
+    table = p.derived(("f_H", piv), lambda p: _f_H_table(p, piv))
+    for t, w, d_prod, lam_p_minus_t in table:
+        a, b, c = dot(xx, w), dot(xe, w), dot(ee, w)
+        det = det_exact([[a, a_p, b], [a_p, a_p * lam_p_minus_t, b_p], [b, b_p, c]])
+        samples.append((t, det * d_prod))
+    return interpolate_binary_form(samples, 2 * p.g - 2)
+
+
+def _f_H_table(p: PencilOfQuadrics, piv: int) -> list:
+    """For each parameter t = max(lambda) + m (m = 1..2g-1) at which f_H is
+    sampled: t, the weights 1/(t - lambda_k) for k != piv, the product
+    prod_{k != piv}(t - lambda_k) and lambda_piv - t."""
+    lam = p.lambdas
+    others = [lam[k] for k in range(len(lam)) if k != piv]
+    t_max = max(lam)
+    table = []
     for m in range(1, 2 * p.g):
         t = t_max + m
-        d = [t - lam[k] for k in others]
-        w = [1 / dk for dk in d]
-        a, b, c = dot(xx, w), dot(xe, w), dot(ee, w)
-        det = det_exact([[a, a_p, b], [a_p, a_p * (lam[piv] - t), b_p], [b, b_p, c]])
-        samples.append((t, det * prod(d)))
-    return interpolate_binary_form(samples, 2 * p.g - 2)
+        d = [t - lk for lk in others]
+        table.append((t, [1 / dk for dk in d], prod(d), lam[piv] - t))
+    return table
 
 
 @dataclass
@@ -171,9 +191,15 @@ def _proportional(a, b) -> bool:
 def fit_identification(p: PencilOfQuadrics) -> IdentificationMap:
     """The identification of the pencil p, exactly and without samples.
 
-    Column j of L is prod_k (t - lambda_k) divided by (t - lambda_j),
-    by synthetic division.
+    It is built on the first call for p and the same map is returned after
+    that, so callers must not modify it.
     """
+    return p.derived("identification", _identification)
+
+
+def _identification(p: PencilOfQuadrics) -> IdentificationMap:
+    """Column j of L is prod_k (t - lambda_k) divided by (t - lambda_j),
+    by synthetic division."""
     full = [Fraction(1)]
     for lam in p.lambdas:
         full = [a - lam * b for a, b in zip(full + [0], [0] + full)]
@@ -195,9 +221,17 @@ def verify_identification(ident: IdentificationMap, pairs) -> dict:
     """
     if any(x.pencil.fingerprint() != ident.pencil_fingerprint for x, _ in pairs):
         raise ValueError("sample from a different pencil")
-    report = {"pass": True, "samples": len(pairs)}
-    for i, (x, xi) in enumerate(pairs):
-        case = _mismatch(ident, phi_X(x, xi), f_H(x, xi))
+    values = ((phi_X(x, xi), f_H(x, xi)) for x, xi in pairs)
+    return _identification_report(ident, len(pairs), values)
+
+
+def _identification_report(ident: IdentificationMap, count: int, values) -> dict:
+    """The report of :func:`verify_identification` on `count` samples whose
+    (phi_X, f_H) values `values` yields in index order; it stops at the
+    first failing sample."""
+    report = {"pass": True, "samples": count}
+    for i, (value, form) in enumerate(values):
+        case = _mismatch(ident, value, form)
         if case:
             report["pass"] = False
             report["first_failure"] = {"case": case, "index": i}

@@ -39,7 +39,7 @@ class HyperellipticData:
 class PencilOfQuadrics:
     """q1 = sum x_j^2 and q2 = sum lambda_j x_j^2 with distinct rational lambda_j."""
 
-    __slots__ = ("g", "lambdas")
+    __slots__ = ("g", "lambdas", "_derived")
 
     def __init__(self, lambdas):
         # a list, not a generator expression: tuple() over a generator made
@@ -51,6 +51,15 @@ class PencilOfQuadrics:
             raise PencilError("repeated lambda: the intersection X is singular")
         self.lambdas = lambdas
         self.g = len(lambdas) // 2 - 1
+        self._derived = {}
+
+    def derived(self, key, build):
+        """build(self), computed on the first call with this key and kept on
+        the pencil for later calls; for tables that depend only on the pencil."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self)
+        return value
 
     @property
     def dim_ambient(self) -> int:
@@ -59,7 +68,7 @@ class PencilOfQuadrics:
     def hyperelliptic_data(self) -> HyperellipticData:
         return HyperellipticData(
             genus=self.g,
-            branch_params=tuple((lam, Fraction(-1)) for lam in self.lambdas),
+            branch_params=tuple([(lam, Fraction(-1)) for lam in self.lambdas]),
         )
 
     def q1(self, x):
@@ -87,7 +96,7 @@ class PencilOfQuadrics:
         seen = set()
         out = []
         for mask in range(2 ** n):
-            bits = tuple((mask >> k) & 1 for k in range(n))
+            bits = [(mask >> k) & 1 for k in range(n)]
             e = SignGroupElement(bits)
             if e.bits not in seen:
                 seen.add(e.bits)
@@ -120,8 +129,10 @@ class SignGroupElement:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        bits = tuple(int(b) & 1 for b in bits)
-        comp = tuple(1 - b for b in bits)
+        # lists, not generator expressions: tuple() over a generator made the
+        # peak RSS of long runs creep up (measured on CPython 3.11)
+        bits = tuple([int(b) & 1 for b in bits])
+        comp = tuple([1 - b for b in bits])
         self.bits = bits if _first_set(bits) <= _first_set(comp) else comp
 
     @property

@@ -120,10 +120,12 @@ class Biquad:
     def __init__(self, ctx: BiquadContext, c0=0, c1=0, c2=0, c3=0):
         cs = [c if isinstance(c, RATIONAL_TYPES) else Fraction(c)
               for c in (c0, c1, c2, c3)]
-        # over the lcm of reduced denominators the numerators share no factor
-        d = lcm(*(c.denominator for c in cs))
+        # over the lcm of reduced denominators the numerators share no factor;
+        # lists, not generator expressions, under lcm(*...) and tuple(): a
+        # generator there made the peak RSS of long runs creep up
+        d = lcm(*[c.denominator for c in cs])
         self.ctx = ctx
-        self._n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._n = tuple([c.numerator * (d // c.denominator) for c in cs])
         self._d = d
 
     @property

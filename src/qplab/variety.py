@@ -119,7 +119,7 @@ class PointOnX:
             else:
                 if ctx is None:
                     raise ValueError("biquadratic coordinates need radicands")
-                coords.append(Biquad(ctx, *(Fraction(x) for x in c)))
+                coords.append(Biquad(ctx, *[Fraction(x) for x in c]))
         if ctx is not None:
             coords = [ctx.embed(c) if not isinstance(c, Biquad) else c for c in coords]
         return cls(pencil, coords)

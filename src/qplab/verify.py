@@ -6,6 +6,12 @@ them into one report.  Samples are drawn and checked one after another in
 index order.  The diagram, even and falsifiability sections check the
 closed-form identification of the fibration with f_H exactly, on samples
 0..n-1: no training samples, no fit and no tolerance.
+
+verify_all holds one sample store for the run: X-sample i of (pencil, seed),
+and its phi_X and f_H once a section asks for them, are computed once and
+shared by every section that uses them.  A section called on its own makes
+its own store, and nothing is kept after the call.  The Y-samples of the
+even section are other draws and are not stored.
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fibration import (
+    _identification_report,
     _mismatch,
     f_H,
     fit_identification,
     phi_components,
     phi_X,
-    verify_identification,
     verify_lagrangian,
 )
 from .linalg import det_exact, dot, rank_exact
@@ -43,6 +49,7 @@ from .variety import (
     GaugeError,
     derived_rng,
     quotient_even,
+    sample_covector,
     sample_pair,
     sample_point,
     tangent_frame,
@@ -62,10 +69,66 @@ __all__ = [
 ]
 
 
-def run_diagram_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
-    """The exact identification L*phi ∝ f_H on samples 0..holdout-1."""
-    pairs = [sample_pair(p, seed, index=i) for i in range(holdout)]
-    return verify_identification(fit_identification(p), pairs)
+class _Samples:
+    """The X-samples of one run of (p, seed), each made at most once.
+
+    point(i) is sample_point(p, seed, i) and pair(i) is sample_pair(p, seed,
+    i) on that point; phi(i) and f_H(i) are phi_X and f_H at pair(i).  Every
+    section that asks gets the same objects, so none may modify them.
+    """
+
+    def __init__(self, p: PencilOfQuadrics, seed: int):
+        self.p, self.seed = p, seed
+        self._made = {}
+
+    def _once(self, kind: str, i: int, make):
+        key = (kind, i)
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
+
+    def point(self, i: int):
+        return self._once("point", i, lambda: sample_point(self.p, self.seed, index=i))
+
+    def pair(self, i: int):
+        xi = self._once(
+            "covector", i, lambda: sample_covector(self.point(i), self.seed, index=i)
+        )
+        return xi.point, xi
+
+    def phi(self, i: int):
+        return self._once("phi", i, lambda: phi_X(*self.pair(i)))
+
+    def f_H(self, i: int):
+        return self._once("f_H", i, lambda: f_H(*self.pair(i)))
+
+    def values(self, count: int):
+        """(phi, f_H) of samples 0..count-1, each made when it is reached."""
+        return ((self.phi(i), self.f_H(i)) for i in range(count))
+
+
+def _store(samples, p: PencilOfQuadrics, seed: int) -> _Samples:
+    """`samples` when it is a store of (p, seed); a new store when it is None."""
+    if samples is None:
+        return _Samples(p, seed)
+    if samples.p != p or samples.seed != seed:
+        raise ValueError("sample store of another pencil or seed")
+    return samples
+
+
+def run_diagram_check(
+    p: PencilOfQuadrics, seed: int, holdout: int, *, samples=None
+) -> dict:
+    """The exact identification L*phi ∝ f_H on samples 0..holdout-1.
+
+    `samples` is the run's sample store of (p, seed) (verify_all passes
+    one); without it the section makes its own.  The same holds for every
+    section that draws X-samples.
+    """
+    samples = _store(samples, p, seed)
+    return _identification_report(
+        fit_identification(p), holdout, samples.values(holdout)
+    )
 
 
 def run_even_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
@@ -101,9 +164,18 @@ def run_lagrangian_check(
     count: int,
     fd_step: float = 1e-5,
     tol: float = 1e-6,
+    *,
+    samples=None,
 ) -> dict:
+    """Finite-difference Lagrangian check on samples 0..count-1.
+
+    A failing report names the first failing sample: "nongeneric" when its
+    Jacobian rank is short, "isotropy" when the kernel is not isotropic.
+    """
+    samples = _store(samples, p, seed)
+
     def one(i: int):
-        x, xi = sample_pair(p, seed, index=i)
+        x, xi = samples.pair(i)
         return verify_lagrangian(p, x, xi, fd_step=fd_step, tol=tol)
 
     reports = [one(i) for i in range(count)]
@@ -111,7 +183,7 @@ def run_lagrangian_check(
     defect = max((r["isotropy_defect"] for r in generic), default=0.0)
     ranks = sorted({r["jacobian_rank"] for r in reports})
     ok = all(r["pass"] for r in generic) and len(generic) == len(reports)
-    return {
+    report = {
         "pass": ok,
         "samples": count,
         "generic_samples": len(generic),
@@ -120,14 +192,22 @@ def run_lagrangian_check(
         "fd_step": fd_step,
         "tol": tol,
     }
+    if not ok:
+        index = next(i for i, r in enumerate(reports) if not r["pass"])
+        case = "isotropy" if reports[index]["generic"] else "nongeneric"
+        report["first_failure"] = {"case": case, "index": index}
+    return report
 
 
-def run_splitting_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
+def run_splitting_check(
+    p: PencilOfQuadrics, seed: int, count: int, *, samples=None
+) -> dict:
     """Splitting type (0, ..., 0, 1) and the trivial factor along the tangent
     frame at each sample; a failing report names the first failing index."""
+    samples = _store(samples, p, seed)
 
     def one(i: int) -> bool:
-        x = sample_point(p, seed, index=i)
+        x = samples.point(i)
         kb = v_perp_kernel(p, x)
         st = n_tilde_splitting(kb)
         frame = tangent_frame(x)
@@ -190,13 +270,16 @@ def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
     return report
 
 
-def run_quotient_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
+def run_quotient_check(
+    p: PencilOfQuadrics, seed: int, count: int, *, samples=None
+) -> dict:
     """Squared coordinates land on Z: two linear equations and the weighted
     quadric y_{2g+2}^2 = prod y_j, all exactly.  A failing report names the
     first failing sample."""
+    samples = _store(samples, p, seed)
 
     def one(i: int) -> bool:
-        x = sample_point(p, seed, index=i)
+        x = samples.point(i)
         ys = quotient_even(x)
         lin1 = sum(ys[:-1], start=Fraction(0))
         lin2 = dot(ys[:-1], p.lambdas)
@@ -276,7 +359,9 @@ def run_skew_battery(
     return report
 
 
-def run_invariance_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
+def run_invariance_check(
+    p: PencilOfQuadrics, seed: int, count: int, *, samples=None
+) -> dict:
     """Sign-group invariance, gauge invariance and quadratic scaling of the
     fibration map, exactly; plus the exact rank 2g-1 of the sampled image.
 
@@ -284,15 +369,18 @@ def run_invariance_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
     components in the basis 1, sqrt(u), sqrt(w), sqrt(uw).  A rational
     relation among the components holds in the algebra iff it holds in all
     four coordinates, so the rank of those rows is the rank of the image.
+    A report whose invariance fails names the first failing sample and the
+    first of "sign", "gauge" and "scaling" that it breaks.
     """
     n = p.dim_ambient
+    samples = _store(samples, p, seed)
 
     def one(i: int):
-        x, xi = sample_pair(p, seed, index=i)
-        base = phi_X(x, xi).components
+        x, xi = samples.pair(i)
+        base = samples.phi(i).components
         rng = derived_rng(seed, (1 << 48) + i)
         # sign-group action on point and covector together
-        e = SignGroupElement(int(b) for b in rng.integers(0, 2, size=n))
+        e = SignGroupElement([int(b) for b in rng.integers(0, 2, size=n)])
         flipped = phi_components(p, e.act(x.coords), e.act(xi.eta))
         sign_ok = all((a - b) == 0 for a, b in zip(base, flipped))
         # gauge shift by the two generators
@@ -309,35 +397,45 @@ def run_invariance_check(p: PencilOfQuadrics, seed: int, count: int) -> dict:
         scaled = phi_components(p, x.coords, [s * c for c in xi.eta])
         scale_ok = all((s * s * a - b) == 0 for a, b in zip(base, scaled))
         coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]
-        return sign_ok and gauge_ok and scale_ok, [list(r) for r in zip(*coords)]
+        checks = (("sign", sign_ok), ("gauge", gauge_ok), ("scaling", scale_ok))
+        broken = [case for case, ok in checks if not ok]
+        return broken, [list(r) for r in zip(*coords)]
 
     results = [one(i) for i in range(count)]
-    ok_flags = [r[0] for r in results]
+    broken = [r[0] for r in results]
     rank = rank_exact([row for _, rows in results for row in rows])
     expected = 2 * p.g - 1
-    return {
-        "pass": all(ok_flags) and rank == expected,
+    invariant = not any(broken)
+    report = {
+        "pass": invariant and rank == expected,
         "samples": count,
-        "exact_invariance": all(ok_flags),
+        "exact_invariance": invariant,
         "image_rank": rank,
         "expected_rank": expected,
     }
+    if not invariant:
+        index = next(i for i, cases in enumerate(broken) if cases)
+        report["first_failure"] = {"case": broken[index][0], "index": index}
+    return report
 
 
-def run_falsifiability_check(p: PencilOfQuadrics, seed: int) -> dict:
+def run_falsifiability_check(
+    p: PencilOfQuadrics, seed: int, *, samples=None
+) -> dict:
     """Controls that must FAIL: an identification matrix with one entry off
     by 1/7 and a covector with eta(v) != 0.  The section passes iff both are
-    caught."""
+    caught.  Both identification matrices are checked on the phi_X and f_H
+    values of samples 0..9."""
+    samples = _store(samples, p, seed)
     ident = fit_identification(p)
-    holdout = [sample_pair(p, seed, index=i) for i in range(10)]
-    clean = verify_identification(ident, holdout)
+    clean = _identification_report(ident, 10, samples.values(10))
 
     bad_l = [row[:] for row in ident.L]
     bad_l[3][0] += Fraction(1, 7)  # a row compared with f_H
     perturbed = type(ident)(L=bad_l, pencil_fingerprint=ident.pencil_fingerprint)
-    broken_map = verify_identification(perturbed, holdout)
+    broken_map = _identification_report(perturbed, 10, samples.values(10))
 
-    x, xi = holdout[0]
+    x, xi = samples.pair(0)
     bad_eta = list(xi.eta)
     bad_eta[0] = bad_eta[0] + 1  # eta(v) != 0 generically
     gauge_rejected = False
@@ -370,23 +468,29 @@ def run_falsifiability_check(p: PencilOfQuadrics, seed: int) -> dict:
 
 
 def verify_all(p: PencilOfQuadrics, seed: int, budget: float = 1.0) -> dict:
-    """Run every section at desk scale; counts scale with `budget` (>= 0.05)."""
+    """Run every section at desk scale; counts scale with `budget` (>= 0.05).
+
+    The sections share one sample store for the run.
+    """
     if budget <= 0:
         raise ValueError("budget must be positive")
 
     def scaled(n: int, floor: int = 1) -> int:
         return max(floor, int(round(n * budget)))
 
+    samples = _Samples(p, seed)
     sections = {
-        "diagram": run_diagram_check(p, seed, scaled(100)),
+        "diagram": run_diagram_check(p, seed, scaled(100), samples=samples),
         "even": run_even_check(p, seed, scaled(50)),
-        "lagrangian": run_lagrangian_check(p, seed, scaled(20)),
-        "splitting": run_splitting_check(p, seed, scaled(50)),
+        "lagrangian": run_lagrangian_check(p, seed, scaled(20), samples=samples),
+        "splitting": run_splitting_check(p, seed, scaled(50), samples=samples),
         "vandermonde": run_vandermonde_check(p.g, seed, scaled(100)),
-        "quotient": run_quotient_check(p, seed, scaled(200)),
+        "quotient": run_quotient_check(p, seed, scaled(200), samples=samples),
         "skew": run_skew_battery(seed, scaled(500), scaled(200)),
-        "invariance": run_invariance_check(p, seed, scaled(100, 2 * p.g - 1)),
-        "falsifiability": run_falsifiability_check(p, seed),
+        "invariance": run_invariance_check(
+            p, seed, scaled(100, 2 * p.g - 1), samples=samples
+        ),
+        "falsifiability": run_falsifiability_check(p, seed, samples=samples),
     }
     return {
         "pass": all(s["pass"] for s in sections.values()),

@@ -142,6 +142,27 @@ def test_index_only_where_it_is_read():
     assert "unrecognized arguments: --index 3" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pencil-info", "--g", "2"],
+        ["vandermonde", "--g", "2"],
+        ["skew-invariants", "--matrix", "m.json"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_seed_only_where_it_is_read(args):
+    # these commands draw no sample, so they take no --seed and their
+    # reports carry "seed": null
+    r = run_cli(*args, "--seed", "5")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --seed 5" in r.stderr
+    if args[0] != "skew-invariants":
+        r = run_cli(*args)
+        assert r.returncode == 0 and json.loads(r.stdout)["seed"] is None
+
+
 def test_bundle_splitting_roundtrip(tmp_path):
     r = run_cli("sample", "--g", "2", "--seed", "5")
     point = json.loads(r.stdout)["metrics"]["point"]
@@ -224,7 +245,7 @@ SKEW_PINS = {
         "  \"pass\": true,\n"
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
-        "  \"seed\": 0,\n"
+        "  \"seed\": null,\n"
         "  \"version\": \"2\"\n"
         "}\n"
     ),
@@ -253,7 +274,7 @@ SKEW_PINS = {
         "  \"pass\": true,\n"
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
-        "  \"seed\": 0,\n"
+        "  \"seed\": null,\n"
         "  \"version\": \"2\"\n"
         "}\n"
     ),
@@ -280,7 +301,7 @@ SKEW_PINS = {
         "  \"pass\": true,\n"
         "  \"rng\": \"philox4x64 with per-sample counter substreams key=[seed, index]\",\n"
         "  \"samples_used\": 0,\n"
-        "  \"seed\": 0,\n"
+        "  \"seed\": null,\n"
         "  \"version\": \"2\"\n"
         "}\n"
     ),
@@ -304,9 +325,9 @@ def test_verify_diagram_exit_codes(monkeypatch, capsys):
     assert rep["pass"] and rep["samples_used"] == 5
     assert rep["metrics"] == {"pass": True, "samples": 5}
     # a wrong f_H flips the verdict and the exit code
-    from qplab import BinaryForm, cli, fibration
+    from qplab import BinaryForm, cli, verify
 
-    monkeypatch.setattr(fibration, "f_H", lambda x, xi: BinaryForm(2, [1, 2, 3]))
+    monkeypatch.setattr(verify, "f_H", lambda x, xi: BinaryForm(2, [1, 2, 3]))
     code = cli.main(["verify-diagram", "--g", "2", "--seed", "1", "--holdout", "5"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 1 and rep["pass"] is False

@@ -10,11 +10,14 @@ from qplab.p1bundle import SplittingError
 from qplab.verify import (
     run_diagram_check,
     run_even_check,
+    run_falsifiability_check,
     run_invariance_check,
+    run_lagrangian_check,
     run_quotient_check,
     run_skew_battery,
     run_splitting_check,
     run_vandermonde_check,
+    verify_all,
 )
 
 P2 = canonical_pencil(2)
@@ -49,6 +52,15 @@ def test_passing_reports_have_no_failure_fields():
         "g": 2,
     }
     assert run_quotient_check(P2, seed=3, count=3) == {"pass": True, "samples": 3}
+    lagrangian = run_lagrangian_check(P2, seed=3, count=2)
+    assert lagrangian["pass"] and "first_failure" not in lagrangian
+    assert run_invariance_check(P2, seed=3, count=3) == {
+        "pass": True,
+        "samples": 3,
+        "exact_invariance": True,
+        "image_rank": 3,
+        "expected_rank": 3,
+    }
 
 
 def wrong_form():
@@ -57,8 +69,9 @@ def wrong_form():
 
 
 def test_diagram_check_names_wrong_f_H(monkeypatch):
-    # verify_identification calls f_H once per sample, in index order
-    monkeypatch.setattr(fibration, "f_H", failing_at(fibration.f_H, 2, wrong_form))
+    # the diagram section calls f_H once per sample, in index order, through
+    # its sample store
+    monkeypatch.setattr(verify, "f_H", failing_at(verify.f_H, 2, wrong_form))
     rep = run_diagram_check(P2, seed=3, holdout=4)
     assert rep == {
         "pass": False,
@@ -80,7 +93,7 @@ def test_diagram_check_names_broken_phi(monkeypatch, components, case):
     def broken_phi():
         return FibrationValue(components=components)
 
-    monkeypatch.setattr(fibration, "phi_X", failing_at(fibration.phi_X, 1, broken_phi))
+    monkeypatch.setattr(verify, "phi_X", failing_at(verify.phi_X, 1, broken_phi))
     rep = run_diagram_check(P2, seed=3, holdout=3)
     assert not rep["pass"]
     assert rep["first_failure"] == {"case": case, "index": 1}
@@ -236,3 +249,168 @@ def test_invariance_check_fails_on_a_rank_one_image(monkeypatch):
         "image_rank": 1,
         "expected_rank": 3,
     }
+
+
+@pytest.mark.parametrize(
+    "failing_calls, case, index",
+    [
+        ({0}, "sign", 0),
+        ({3}, "sign", 1),
+        ({7}, "gauge", 2),
+        ({5}, "scaling", 1),
+        # sample 1 breaks gauge and scaling: the first of them is named
+        ({4, 5, 6}, "gauge", 1),
+        # sample 1 breaks scaling, sample 2 the sign: the first failing
+        # sample is named, with its own case
+        ({5, 6}, "scaling", 1),
+    ],
+    ids=["sign-0", "sign", "gauge", "scaling", "gauge-and-scaling", "first-sample"],
+)
+def test_invariance_check_names_first_failure(monkeypatch, failing_calls, case, index):
+    # the section calls phi_components three times per sample, for the sign
+    # flip, the gauge shift and the scaling, in that order; the base value
+    # comes from phi_X
+    real, calls = verify.phi_components, []
+
+    def wrong_at(*args):
+        calls.append(args)
+        value = real(*args)
+        return [c + 1 for c in value] if len(calls) - 1 in failing_calls else value
+
+    monkeypatch.setattr(verify, "phi_components", wrong_at)
+    rep = run_invariance_check(P2, seed=3, count=4)
+    assert rep == {
+        "pass": False,
+        "samples": 4,
+        "exact_invariance": False,
+        "image_rank": 3,
+        "expected_rank": 3,
+        "first_failure": {"case": case, "index": index},
+    }
+
+
+@pytest.mark.parametrize(
+    "fake, case",
+    [
+        ({"jacobian_rank": 2, "isotropy_defect": 0.0, "generic": False,
+          "pass": False}, "nongeneric"),
+        ({"jacobian_rank": 3, "isotropy_defect": 1.0, "generic": True,
+          "pass": False}, "isotropy"),
+    ],
+    ids=["nongeneric", "isotropy"],
+)
+def test_lagrangian_check_names_first_failure(monkeypatch, fake, case):
+    # verify_lagrangian is called once per sample, in index order
+    monkeypatch.setattr(
+        verify,
+        "verify_lagrangian",
+        failing_at(verify.verify_lagrangian, 1, lambda: dict(fake)),
+    )
+    rep = run_lagrangian_check(P2, seed=3, count=3)
+    assert not rep["pass"]
+    assert rep["generic_samples"] == (2 if case == "nongeneric" else 3)
+    assert rep["first_failure"] == {"case": case, "index": 1}
+
+
+def _section_counts(g, budget):
+    """The counts verify_all gives each section at this budget."""
+
+    def scaled(n, floor=1):
+        return max(floor, int(round(n * budget)))
+
+    return {
+        "diagram": scaled(100),
+        "even": scaled(50),
+        "lagrangian": scaled(20),
+        "splitting": scaled(50),
+        "vandermonde": scaled(100),
+        "quotient": scaled(200),
+        "skew": (scaled(500), scaled(200)),
+        "invariance": scaled(100, 2 * g - 1),
+    }
+
+
+@pytest.mark.parametrize("budget", [0.05, 0.2])
+@pytest.mark.parametrize("g", [2, 3])
+def test_shared_samples_give_the_sections_run_alone(g, budget):
+    # verify_all shares one sample store among its sections; each section
+    # run on its own, with its own store, must give the same report
+    for seed in range(3):
+        n = _section_counts(g, budget)
+        alone = {
+            "diagram": run_diagram_check(canonical_pencil(g), seed, n["diagram"]),
+            "even": run_even_check(canonical_pencil(g), seed, n["even"]),
+            "lagrangian": run_lagrangian_check(
+                canonical_pencil(g), seed, n["lagrangian"]
+            ),
+            "splitting": run_splitting_check(canonical_pencil(g), seed, n["splitting"]),
+            "vandermonde": run_vandermonde_check(g, seed, n["vandermonde"]),
+            "quotient": run_quotient_check(canonical_pencil(g), seed, n["quotient"]),
+            "skew": run_skew_battery(seed, *n["skew"]),
+            "invariance": run_invariance_check(
+                canonical_pencil(g), seed, n["invariance"]
+            ),
+            "falsifiability": run_falsifiability_check(canonical_pencil(g), seed),
+        }
+        assert verify_all(canonical_pencil(g), seed, budget)["sections"] == alone
+
+
+def test_section_refuses_a_store_of_another_run():
+    samples = verify._Samples(P2, 3)
+    with pytest.raises(ValueError):
+        run_quotient_check(P2, seed=4, count=2, samples=samples)
+    with pytest.raises(ValueError):
+        run_quotient_check(canonical_pencil(3), seed=3, count=2, samples=samples)
+    assert run_quotient_check(P2, seed=3, count=2, samples=samples)["pass"]
+
+
+def counting(module, name, calls):
+    """module.name wrapped so that each call appends its arguments to calls."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return real(*args, **kwargs)
+
+    return counted
+
+
+def test_verify_all_computes_each_sample_once(monkeypatch):
+    p = canonical_pencil(2)  # a new pencil: no constants built yet
+    calls = {}
+    for module, name in [
+        (verify, "sample_point"),
+        (verify, "sample_covector"),
+        (verify, "phi_X"),
+        (verify, "f_H"),
+        (fibration, "_identification"),
+        (fibration, "_differences"),
+        (fibration, "_f_H_table"),
+    ]:
+        calls[name] = []
+        monkeypatch.setattr(module, name, counting(module, name, calls[name]))
+    budget = 0.05
+    assert verify_all(p, 4, budget)["pass"]
+    n = _section_counts(2, budget)
+    # X-samples 0..9 (quotient draws 10 points, falsifiability 10 pairs), each
+    # drawn once; the even section draws its Y-samples with sample_pair
+    assert [args[1:] for args in calls["sample_point"]] == [(4, i) for i in range(10)]
+    covectors = sorted(args[1:] for args in calls["sample_covector"])
+    assert covectors == [(4, i) for i in range(10)]
+    x_calls = [args for args in calls["f_H"] if not args[0].on_Y]
+    y_calls = [args for args in calls["f_H"] if args[0].on_Y]
+    # f_H: once per X-index of the diagram and falsifiability sections, and
+    # once per Y-sample of the even section
+    assert len(x_calls) == max(n["diagram"], 10)
+    assert len({tuple(x.coords) for x, _ in x_calls}) == len(x_calls)
+    assert len(y_calls) == n["even"]
+    # phi_X: once per X-index (the invariance section needs it too) and once
+    # per Y-sample
+    phi_x = [args for args in calls["phi_X"] if not args[0].on_Y]
+    assert len(phi_x) == max(n["diagram"], n["invariance"], 10)
+    assert len({tuple(x.coords) for x, _ in phi_x}) == len(phi_x)
+    # the pencil's constants are built once: sampled points have an
+    # invertible first coordinate, so f_H uses one pivot
+    assert calls["_identification"] == [(p,)]
+    assert calls["_differences"] == [(p,)]
+    assert calls["_f_H_table"] == [(p, 0)]
