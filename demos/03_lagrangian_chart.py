@@ -12,7 +12,7 @@ p = canonical_pencil(2)
 
 for i in range(5):
     x, xi = sample_pair(p, seed=11, index=i)
-    rep = verify_lagrangian(p, x, xi, fd_step=1e-5, tol=1e-6)
+    rep = verify_lagrangian(x, xi)
     print(
         f"sample {i}: rank={rep['jacobian_rank']} (expected {2 * p.g - 1}), "
         f"isotropy defect={rep['isotropy_defect']:.2e}, pass={rep['pass']}"

@@ -12,8 +12,8 @@ from qplab import (
     SkewMap,
     char_coeffs,
     det_exact,
-    nilpotency_and_rank,
     pfaffian,
+    rank_exact,
     rank2_orthogonal_decomposition,
 )
 
@@ -24,14 +24,15 @@ print("char coefficients (a_1, a_2, a_3):", coeffs)
 print("Pfaffian:", pf)
 print("Pf^2 == det:", pf * pf == det_exact(m.entries))
 print("invariant vector for g=3:", coeffs[:2] + (pf,))
-print(nilpotency_and_rank(m))
+print("rank:", rank_exact(m.entries), " nilpotent:", not any(coeffs) and not pf)
 
 # a rank-two map u v^T - v u^T
 u = [Fraction(v) for v in (1, 2, 0, 1, -1, 3)]
 v = [Fraction(v) for v in (0, 1, 1, -2, 2, 1)]
 r2 = SkewMap([[u[i] * v[j] - v[i] * u[j] for j in range(6)] for i in range(6)])
-print("\nrank-two map:", nilpotency_and_rank(r2))
-print("higher invariants vanish:", char_coeffs(r2)[1:])
+coeffs2 = char_coeffs(r2)
+print("\nrank-two map: rank", rank_exact(r2.entries), " a_1 =", coeffs2[0])
+print("higher invariants vanish:", coeffs2[1:])
 ker, im = rank2_orthogonal_decomposition(r2)
 print("kernel dim:", len(ker), " image dim:", len(im))
 orth = all(

@@ -60,7 +60,6 @@ from .skew import (
     SkewMap,
     SkewnessError,
     char_coeffs,
-    nilpotency_and_rank,
     pfaffian,
     rank2_orthogonal_decomposition,
 )

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from . import __version__
 from .fibration import f_H, phi_X
+from .linalg import rank_exact
 from .p1bundle import n_tilde_splitting, v_perp_kernel, vandermonde_normalizer
 from .pencil import PencilError, PencilOfQuadrics, canonical_pencil
 from .scalars import rational_to_string, scalar_to_json
-from .skew import SkewMap, SkewnessError, char_coeffs, nilpotency_and_rank, pfaffian
+from .skew import SkewMap, SkewnessError, char_coeffs, pfaffian
 from .variety import sample_pair, sample_point
 from .verify import (
     run_diagram_check,
@@ -167,12 +168,12 @@ def _cmd_skew_invariants(args) -> int:
         raise InputError(str(exc)) from exc
     coeffs = char_coeffs(skew)
     pf = pfaffian(skew)
-    info = nilpotency_and_rank(skew)
     metrics = {
         "a": [rational_to_string(c) for c in coeffs],
         "pf": rational_to_string(pf),
-        "rank": info["rank"],
-        "nilpotent": bool(info["nilpotent"]),
+        "rank": rank_exact(m),
+        # nilpotent iff every invariant vanishes
+        "nilpotent": not any(coeffs) and not pf,
     }
     return _report(args, "skew-invariants", True, metrics, 0)
 
@@ -207,9 +208,7 @@ def _cmd_verify_lagrangian(args) -> int:
     p = _pencil_from_args(args)
     if args.count < 1:
         raise InputError("need --count >= 1")
-    rep = run_lagrangian_check(
-        p, args.seed, args.count, fd_step=args.fd_step, tol=args.tol
-    )
+    rep = run_lagrangian_check(p, args.seed, args.count)
     return _report(args, "verify-lagrangian", rep["pass"], rep, args.count)
 
 
@@ -318,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_seed(sp)
     sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
-    sp.add_argument("--tol", type=float, default=1e-6)
     sp.set_defaults(fn=_cmd_verify_lagrangian)
 
     sp = sub.add_parser("verify-all", help="every verification section in one run")

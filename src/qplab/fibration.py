@@ -24,9 +24,9 @@ from math import prod
 import numpy as np
 
 from .binary_forms import BinaryForm, interpolate_binary_form
-from .linalg import det_exact, dot, rank_exact
+from .linalg import det_exact, dot
 from .pencil import PencilOfQuadrics
-from .variety import CotangentRep, PointOnX, _invertible_pivot
+from .variety import CotangentRep, PointOnX, _invertible_pair, _vanishes_on_S
 
 __all__ = [
     "FibrationValue",
@@ -102,16 +102,15 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     -L(F)(t), so the diagram check would compare phi with itself.  The
     rational factors at each parameter are constants of the pencil and p
     (:func:`_f_H_table`).  Raises DegenerateCovectorError when eta vanishes
-    on S/V.
+    on S/V, which the closed form of :func:`_vanishes_on_S` tells without
+    an elimination.
     """
     p = x.pencil
     v, eta = x.coords, xi.eta
-    piv, _ = _invertible_pivot(v)
-    unit = [int(k == piv) for k in range(len(v))]
-    if rank_exact([unit, p.q1_row(v), p.q2_row(v), eta]) != 4:
-        # the rows lose rank exactly when eta lies in the span of v and
-        # lambda*v, the covectors vanishing on S
+    pair = _invertible_pair(v)
+    if _vanishes_on_S(x, eta, pair):
         raise DegenerateCovectorError("eta vanishes on S/V")
+    piv = pair[0]
     others = [k for k in range(len(v)) if k != piv]
     xx = [v[k] * v[k] for k in others]
     xe = [v[k] * eta[k] for k in others]
@@ -252,6 +251,14 @@ def _component_projector(g: int) -> np.ndarray:
     )
 
 
+# The finite-difference Lagrangian check: the central-difference step in the
+# chart coordinates, the largest isotropy defect it accepts, and the relative
+# residual at which the Newton refinement onto X stops.
+FD_STEP = 1e-5
+ISOTROPY_TOL = 1e-6
+NEWTON_TOL = 1e-14
+
+
 class _Chart:
     """Local chart of X: dehomogenize at the largest coordinate, split the
     remaining coordinates into 2 dependent and 2g-1 free by column pivoting."""
@@ -275,13 +282,13 @@ class _Chart:
     def _constraints(self, w):
         return np.array([np.sum(w * w), np.sum(self.lam * w * w)])
 
-    def point(self, z: np.ndarray, newton_tol: float = 1e-14) -> np.ndarray:
+    def point(self, z: np.ndarray) -> np.ndarray:
         """Ambient representative with hom-coordinate 1 and free coords z."""
         w = self.w0.copy()
         w[self.free] = z
         for _ in range(50):
             r = self._constraints(w)
-            if np.max(np.abs(r)) < newton_tol * max(1.0, np.max(np.abs(w)) ** 2):
+            if np.max(np.abs(r)) < NEWTON_TOL * max(1.0, np.max(np.abs(w)) ** 2):
                 return w
             jd = self._ambient_jacobian(w)[:, self.dep]
             delta = np.linalg.solve(jd, r)
@@ -344,19 +351,16 @@ def _phi_complex(p: PencilOfQuadrics, v: np.ndarray, eta: np.ndarray) -> np.ndar
     return terms.sum(axis=1)
 
 
-def verify_lagrangian(
-    p: PencilOfQuadrics,
-    x: PointOnX,
-    xi: CotangentRep,
-    fd_step: float = 1e-5,
-    tol: float = 1e-6,
-):
+def verify_lagrangian(x: PointOnX, xi: CotangentRep):
     """Finite-difference check that the fibration is Lagrangian at (x, xi).
 
-    Builds canonical coordinates (z, p_z) on T*X in a local chart, takes the
-    central-difference Jacobian of 2g-1 independent components, and reports its
-    rank together with the maximal |omega(u, u')| over a kernel basis.
+    Builds canonical coordinates (z, p_z) on T*X in a local chart of x's
+    pencil, takes the central-difference Jacobian (step FD_STEP) of 2g-1
+    independent components, and reports its rank together with the maximal
+    |omega(u, u')| over a kernel basis.  The sample passes when the rank is
+    2g-1 and that defect is at most ISOTROPY_TOL.
     """
+    p = x.pencil
     v = x.complex_coords()
     eta0 = xi.complex_eta()
     chart = _Chart(p, v)
@@ -384,9 +388,9 @@ def verify_lagrangian(
     for m in range(dim):
         up = u0.copy()
         um = u0.copy()
-        up[m] += fd_step
-        um[m] -= fd_step
-        jac[:, m] = (value(up) - value(um)) / (2 * fd_step * scale)
+        up[m] += FD_STEP
+        um[m] -= FD_STEP
+        jac[:, m] = (value(up) - value(um)) / (2 * FD_STEP * scale)
     _, sv, vt = np.linalg.svd(jac)
     rank_tol = 1e-6
     rank = int(np.sum(sv > rank_tol * (sv[0] if sv[0] > 0 else 1.0)))
@@ -401,5 +405,5 @@ def verify_lagrangian(
         "jacobian_rank": rank,
         "isotropy_defect": float(defect),
         "generic": generic,
-        "pass": generic and defect <= tol,
+        "pass": generic and defect <= ISOTROPY_TOL,
     }

@@ -1,29 +1,28 @@
 """Dense exact linear algebra over rationals and biquadratic extensions.
 
-Matrices are lists of row lists.  Each job has one elimination routine per
-kind of entry, and both are forward-only: they leave an unnormalised echelon
-form and report its pivot columns and the parity of its row swaps.
+Matrices are lists of row lists.  Pivot columns, rank, nullspace and span
+membership are all read off one forward echelon form, :func:`_echelon`, the
+one place that chooses the elimination routine for the kind of entry:
 
 * A rational matrix is taken onto Python ints once: each row is scaled by the
-  lcm of its denominators.  One fraction-free (Bareiss) elimination on those
-  ints, with exact integer division by the previous pivot, serves the echelon
-  form (nullspace, rank, pivot columns) and the determinant; the result
-  becomes a ``Fraction`` once, at the end.
+  lcm of its denominators, and one fraction-free (Bareiss) elimination runs on
+  those ints, with exact integer division by the previous pivot.
 * A matrix with biquadratic entries goes through one forward elimination with
-  invertible pivots, :func:`_eliminate`, for the same jobs.  The pivot
-  search inverts each candidate and keeps the first inverse that exists, so
-  no norm is taken; only the nonzero entries right of each pivot are updated.
-  It raises :class:`NonInvertibleError` when a nonzero column holds nothing
-  but zero divisors.  The determinant is the signed product of the diagonal;
-  cofactor expansion is kept for sizes up to 3 and as the fallback when no
-  invertible pivot exists.
+  invertible pivots, :func:`_eliminate`.  The pivot search inverts each
+  candidate and keeps the first inverse that exists, so no norm is taken;
+  only the nonzero entries right of each pivot are updated.  It raises
+  :class:`NonInvertibleError` when a nonzero column holds nothing but zero
+  divisors.
 
-There is one back substitution, :func:`_back_substitute`, and it divides by
-each pivot, so results do not depend on the pivot rows' scaling: a nullspace
-basis is fixed by its pivot columns and every ``Biquad`` is kept reduced.
-:func:`solve_exact` is a nullspace vector of the augmented matrix
-[m | -rhs].  :func:`rank_exact` takes one echelon form, :func:`same_span`
-two.
+Both leave an unnormalised echelon form and report its pivot columns and the
+parity of its row swaps.  :func:`det_exact` keeps its own branch, as it needs
+the row scales, that parity and, over the biquadratic algebra, cofactor
+expansion for sizes up to 3 and when no invertible pivot exists.  The one
+back substitution, :func:`_back_substitute`, divides by each pivot, so a
+nullspace basis is fixed by its pivot columns and every ``Biquad`` is kept
+reduced.  :func:`solve_exact` is a nullspace vector of [m | -rhs],
+:func:`in_span` asks whether v is a pivot column of [vectors | v], and
+:func:`same_span` takes two echelon forms.
 """
 
 from __future__ import annotations
@@ -97,15 +96,15 @@ def _pivot_row(a, r, c):
     return None
 
 
-def _eliminate(a, limit=None):
+def _eliminate(a):
     """Forward elimination with invertible pivots, in place.
 
     For matrices with biquadratic entries.  Below the pivot p of column c,
     each row with a nonzero entry f in column c loses (f / p) times the pivot
     row, on the pivot row's nonzero entries right of c only; f becomes 0.
-    Pivot rows stay unnormalised.  Stops after ``limit`` pivots when a limit
-    is given.  Returns (pivot_cols, negate) like :func:`_bareiss`; raises
-    :class:`NonInvertibleError` as :func:`_pivot_row` does.
+    Pivot rows stay unnormalised.  Returns (pivot_cols, negate) like
+    :func:`_bareiss`; raises :class:`NonInvertibleError` as
+    :func:`_pivot_row` does.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -113,7 +112,7 @@ def _eliminate(a, limit=None):
     negate = False
     r = 0
     for c in range(ncols):
-        if r >= nrows or r == limit:
+        if r >= nrows:
             break
         found = _pivot_row(a, r, c)
         if found is None:
@@ -153,14 +152,14 @@ def _integer_rows(m):
     return rows, scales
 
 
-def _bareiss(a, limit=None):
+def _bareiss(a):
     """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
 
     Each step sets a[i][j] = (p * a[i][j] - a[i][c] * a[r][j]) // prev below
     the pivot p, where prev is the previous pivot; by Sylvester's identity the
-    entries stay integer minors of a, so the division is exact.  Stops after
-    ``limit`` pivots when a limit is given.  Returns (pivot_cols, negate),
-    where negate tells whether the row swaps made an odd permutation.
+    entries stay integer minors of a, so the division is exact.  Returns
+    (pivot_cols, negate), where negate tells whether the row swaps made an
+    odd permutation.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -169,7 +168,7 @@ def _bareiss(a, limit=None):
     negate = False
     r = 0
     for c in range(ncols):
-        if r >= nrows or r == limit:
+        if r >= nrows:
             break
         for piv in range(r, nrows):
             if a[piv][c]:
@@ -193,24 +192,36 @@ def _bareiss(a, limit=None):
     return pivots, negate
 
 
-def _row_echelon_bareiss(m, limit=None):
-    """Fraction-free echelon form of a rational matrix, on Python ints.
+def _echelon(m):
+    """One forward echelon form of an exact matrix: (rows, pivot_cols, ctx).
 
-    Returns (rows, pivot_cols) with rows in (unnormalized) echelon form.
+    ctx is the matrix's biquadratic context, or None when every entry is
+    rational; then rows are the integer rows of the Bareiss elimination,
+    otherwise a copy of m after the elimination with invertible pivots.
     """
-    a, _ = _integer_rows(m)
-    pivots, _ = _bareiss(a, limit)
-    return a, pivots
+    ctx = check_exact_matrix(m)
+    if ctx is None:
+        a, _ = _integer_rows(m)
+        pivots, _ = _bareiss(a)
+    else:
+        a = [list(row) for row in m]
+        pivots, _ = _eliminate(a)
+    return a, pivots, ctx
 
 
-def _back_substitute(a, pivots, ncols, one, zero):
+def _back_substitute(a, pivots, ctx):
     """Nullspace basis from an echelon form with non-unit pivots.
 
     Each pivot is inverted once and shared by every basis vector.
     """
+    ncols = len(a[0])
     free_cols = [c for c in range(ncols) if c not in pivots]
     if not free_cols:
         return []
+    if ctx is None:
+        one, zero = Fraction(1), Fraction(0)
+    else:
+        one, zero = ctx.embed(1), ctx.embed(0)
     neg_inv = [-_invert(a[r][pc]) for r, pc in enumerate(pivots)]
     basis = []
     for fc in free_cols:
@@ -232,36 +243,23 @@ def _back_substitute(a, pivots, ncols, one, zero):
 def nullspace_exact(m):
     """Basis of the right nullspace of an exact matrix.
 
-    Rational matrices use the integer fraction-free elimination, matrices over
-    a biquadratic extension the forward elimination with invertible pivots.
     The basis vector of each free column has a 1 there and 0 in the other free
     columns, so the basis depends on the pivot columns only.  Returns [] for a
     trivial kernel.
     """
     if not m or not m[0]:
         return []
-    ctx = check_exact_matrix(m)
-    ncols = len(m[0])
-    if ctx is None:
-        a, pivots = _row_echelon_bareiss(m)
-        return _back_substitute(a, pivots, ncols, Fraction(1), Fraction(0))
-    a = [list(row) for row in m]
-    pivots, _ = _eliminate(a)
-    return _back_substitute(a, pivots, ncols, ctx.embed(1), ctx.embed(0))
+    return _back_substitute(*_echelon(m))
 
 
-def _pivot_columns(m, limit=None) -> list:
+def _pivot_columns(m) -> list:
     """Indices of the columns of m outside the span of the columns before them.
 
     These are the pivot columns of one echelon form of m, so they are exactly
     the columns a greedy "keep it unless it lies in the span of those kept"
-    loop picks.  Stops after ``limit`` of them when a limit is given.
+    loop picks.
     """
-    if not m or not m[0]:
-        return []
-    if check_exact_matrix(m) is None:
-        return _row_echelon_bareiss(m, limit)[1]
-    return _eliminate([list(row) for row in m], limit)[0]
+    return _echelon(m)[1]
 
 
 def rank_exact(m) -> int:
@@ -363,11 +361,10 @@ def matvec(m, v):
 
 
 def in_span(vectors, v) -> bool:
-    """True iff v lies in the exact span of the given vectors."""
-    if not vectors:
-        return not any(v)
-    m = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return solve_exact(m, list(v)) is not None
+    """True iff v lies in the exact span of the given vectors: the last
+    column of [vectors | v] is not a pivot column.  The empty family spans
+    only the zero vector."""
+    return len(vectors) not in _pivot_columns(list(zip(*vectors, v)))
 
 
 def same_span(a, b) -> bool:

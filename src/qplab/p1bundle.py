@@ -42,7 +42,11 @@ class KernelBasis:
 
     point: PointOnX
     columns: list          # per column, its coefficient vectors [w0] or [w0, w1]
-    degrees: list          # per-column minimal degree
+
+    @property
+    def degrees(self) -> list:
+        """Per-column degree: a column of d+1 coefficient vectors has degree d."""
+        return [len(col) - 1 for col in self.columns]
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,7 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     w0[i], w0[j] = -lam[j] * v[j], lam[i] * v[i]
     w1[i], w1[j] = v[j], -v[i]
     cols = [[w] for w in constants] + [[w0, w1]]
-    degrees = [0] * len(constants) + [1]
-    kb = KernelBasis(point=x, columns=cols, degrees=degrees)
+    kb = KernelBasis(point=x, columns=cols)
     _verify_kernel(kb)
     return kb
 
@@ -104,7 +107,7 @@ def _verify_kernel(kb: KernelBasis):
         if any(out):
             raise SplittingError("column fails M(t) * column = 0")
     # predictable-degree certificate: leading coefficient vectors independent
-    leads = [col[d] for col, d in zip(kb.columns, kb.degrees)]
+    leads = [col[-1] for col in kb.columns]
     m = [[leads[c][r] for c in range(len(leads))] for r in range(len(leads[0]))]
     if rank_exact(m) != len(leads):
         raise SplittingError("leading coefficient vectors are dependent")

@@ -1,10 +1,10 @@
-"""Invariants of skew-symmetric maps: characteristic coefficients, Pfaffian,
-rank/nilpotency and the rank-two orthogonal decomposition.
+"""Invariants of skew-symmetric maps: characteristic coefficients, Pfaffian
+and the rank-two orthogonal decomposition.
 
 The characteristic coefficients and the Pfaffian run on Python ints, so they
 need rational entries: the matrix is scaled once by the lcm of its
 denominators, and each result becomes a ``Fraction`` once, at the end.  The
-rank and the rank-two decomposition also work over the biquadratic algebra.
+rank-two decomposition also works over the biquadratic algebra.
 
 The Pfaffian sign convention: the direct sum of standard 2x2 blocks with +1
 above the diagonal has Pfaffian +1.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import _pivot_columns, nullspace_exact, rank_exact
+from .linalg import _back_substitute, _echelon, rank_exact
 from .scalars import RATIONAL_TYPES, ModeMismatchError, _require_exact
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "DecompositionError",
     "char_coeffs",
     "pfaffian",
-    "nilpotency_and_rank",
     "rank2_orthogonal_decomposition",
 ]
 
@@ -187,32 +186,23 @@ def _swap_rows_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def nilpotency_and_rank(m: SkewMap):
-    """Exact rank and the nilpotency dichotomy (all invariants vanish)."""
-    rank = rank_exact(m.entries)
-    coeffs = char_coeffs(m)
-    pf = pfaffian(m)
-    nilpotent = not any(coeffs) and not pf
-    return {"rank": rank, "nilpotent": nilpotent}
-
-
 def rank2_orthogonal_decomposition(m: SkewMap):
     """Bases (ker_basis, im_basis) with ker ⊕ im = C^{2n} and q(ker, im) = 0.
 
     Requires rank(A) = 2 and A non-nilpotent; the two violations are reported
     distinctly.  For a skew map ker = im^perp, and the Gram determinant of two
     image columns is a_1 (Lagrange's identity), so ker ∩ im != 0, which the
-    spanning test detects, exactly when the rank-2 map is nilpotent.
+    spanning test detects, exactly when the rank-2 map is nilpotent.  One
+    echelon form of A gives the rank, the image columns (its pivot columns)
+    and the kernel; the spanning test is the second elimination.
     """
     a = m.entries
     size = m.size
-    pivots = _pivot_columns(a)
+    echelon, pivots, ctx = _echelon(a)
     if len(pivots) != 2:
         raise DecompositionError(f"rank is {len(pivots)}, expected 2")
-    ker = nullspace_exact(a)
+    ker = _back_substitute(echelon, pivots, ctx)
     im = [[a[i][j] for i in range(size)] for j in pivots]
-    if len(ker) != size - 2:
-        raise ArithmeticError("inconsistent kernel/image dimensions")
     stacked = ker + im
     if rank_exact([[v[c] for v in stacked] for c in range(size)]) != size:
         raise DecompositionError("map is nilpotent; no orthogonal decomposition")

@@ -20,6 +20,7 @@ from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
     BiquadContext,
+    NonInvertibleError,
     _require_exact,
     rational_to_string,
     scalar_to_json,
@@ -213,6 +214,42 @@ def _invertible_pivot(v):
     return found
 
 
+def _invertible_pair(v):
+    """(p, 1 / v[p], j, 1 / v[j]) for the first two invertible coordinates
+    v[p] and v[j] of v, p < j.
+
+    A point of X over a field has at least three nonzero coordinates (q1 and
+    q2 cannot both vanish on fewer), so both exist there.  When the radicands
+    make the algebra split, the nonzero coordinates after p may all be zero
+    divisors; then this raises :class:`NonInvertibleError`.
+    """
+    p, inv_p = _invertible_pivot(v)
+    try:
+        found = _pivot_row([[c] for c in v], p + 1, 0)
+    except NonInvertibleError:
+        found = None
+    if found is None:
+        raise NonInvertibleError("no second invertible coordinate in the point")
+    return (p, inv_p) + found
+
+
+def _vanishes_on_S(x: PointOnX, eta, pair) -> bool:
+    """True iff the covector eta vanishes on S = ker q1(v, .) ∩ ker q2(v, .).
+
+    That holds iff eta = a q1(v, .) + b q2(v, .), that is
+    eta_k = (a + b lambda_k) v_k for every k.  `pair` is
+    :func:`_invertible_pair` of v: its coordinates p and j fix
+    a + b lambda_p = eta_p / v_p and a + b lambda_j = eta_j / v_j, so the
+    test takes no elimination and no inverse beyond those of `pair`.
+    """
+    lam, v = x.pencil.lambdas, x.coords
+    p, inv_p, j, inv_j = pair
+    c_p = inv_p * eta[p]
+    b = (inv_j * eta[j] - c_p) * (1 / (lam[j] - lam[p]))
+    a = c_p - b * lam[p]
+    return all(e == (a + b * l) * c for e, l, c in zip(eta, lam, v))
+
+
 def quotient_even(x: PointOnX):
     """Image in the weighted space P(1^{2g+2}, g+1): squares plus the product."""
     prod = x.coords[0]
@@ -260,11 +297,16 @@ class CotangentRep:
 def sample_covector(
     x: PointOnX, seed: int, index: int = 0, even_restricted: bool = False
 ) -> CotangentRep:
-    """Random exact covector with eta(v) = 0 (and eta_{2g+1} = 0 if even)."""
+    """Random exact covector with eta(v) = 0 (and eta_{2g+1} = 0 if even).
+
+    A draw that vanishes on S (:func:`_vanishes_on_S`), the zero covector
+    among them, is redrawn.
+    """
     rng = derived_rng(seed, index + (1 << 32))
     n = x.pencil.dim_ambient
     v = x.coords
-    pivot, inv_vp = _invertible_pivot(v if not even_restricted else v[:-1])
+    pair = _invertible_pair(v if not even_restricted else v[:-1])
+    pivot, inv_vp = pair[:2]
     for _ in range(RESAMPLE_BUDGET):
         eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
         if even_restricted:
@@ -272,9 +314,9 @@ def sample_covector(
         eta[pivot] = Fraction(0)
         s = dot(v, eta)
         eta[pivot] = -(s * inv_vp)
-        if any(eta):
+        if not _vanishes_on_S(x, eta, pair):
             return CotangentRep(x, eta, even_restricted)
-    raise SampleBudgetError("no nonzero covector drawn within budget")
+    raise SampleBudgetError("no covector nonzero on S drawn within budget")
 
 
 def sample_pair(

@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fibration import (
+    FD_STEP,
+    ISOTROPY_TOL,
     _identification_report,
     _mismatch,
     f_H,
@@ -159,26 +161,16 @@ def run_even_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
 
 
 def run_lagrangian_check(
-    p: PencilOfQuadrics,
-    seed: int,
-    count: int,
-    fd_step: float = 1e-5,
-    tol: float = 1e-6,
-    *,
-    samples=None,
+    p: PencilOfQuadrics, seed: int, count: int, *, samples=None
 ) -> dict:
     """Finite-difference Lagrangian check on samples 0..count-1.
 
-    A failing report names the first failing sample: "nongeneric" when its
-    Jacobian rank is short, "isotropy" when the kernel is not isotropic.
+    The report states the step and the tolerance of the check.  A failing
+    report names the first failing sample: "nongeneric" when its Jacobian
+    rank is short, "isotropy" when the kernel is not isotropic.
     """
     samples = _store(samples, p, seed)
-
-    def one(i: int):
-        x, xi = samples.pair(i)
-        return verify_lagrangian(p, x, xi, fd_step=fd_step, tol=tol)
-
-    reports = [one(i) for i in range(count)]
+    reports = [verify_lagrangian(*samples.pair(i)) for i in range(count)]
     generic = [r for r in reports if r["generic"]]
     defect = max((r["isotropy_defect"] for r in generic), default=0.0)
     ranks = sorted({r["jacobian_rank"] for r in reports})
@@ -189,8 +181,8 @@ def run_lagrangian_check(
         "generic_samples": len(generic),
         "jacobian_ranks": ranks,
         "max_isotropy_defect": defect,
-        "fd_step": fd_step,
-        "tol": tol,
+        "fd_step": FD_STEP,
+        "tol": ISOTROPY_TOL,
     }
     if not ok:
         index = next(i for i, r in enumerate(reports) if not r["pass"])

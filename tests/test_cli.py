@@ -343,6 +343,159 @@ def test_verify_even_and_lagrangian():
     assert r.returncode == 0 and rep["metrics"]["jacobian_ranks"] == [3]
 
 
+# stdout of two runs that carry the Lagrangian report, pinned byte for byte.
+# The isotropy defect is a floating-point value from numpy's LAPACK, so
+# another BLAS may change its last digits; every other field is exact.
+LAGRANGIAN_PINS = {
+    ("verify-lagrangian", "--g", "2", "--seed", "1", "--count", "3"): """\
+{
+  "command": "verify-lagrangian",
+  "metrics": {
+    "fd_step": 1e-05,
+    "generic_samples": 3,
+    "jacobian_ranks": [
+      3
+    ],
+    "max_isotropy_defect": 6.843068998291225e-11,
+    "pass": true,
+    "samples": 3,
+    "tol": 1e-06
+  },
+  "pass": true,
+  "rng": "philox4x64 with per-sample counter substreams key=[seed, index]",
+  "samples_used": 3,
+  "seed": 1,
+  "version": "2"
+}
+""",
+    ("verify-all", "--g", "2", "--seed", "1", "--budget", "0.05"): """\
+{
+  "command": "verify-all",
+  "metrics": {
+    "budget": 0.05,
+    "pass": true,
+    "sections": {
+      "diagram": {
+        "pass": true,
+        "samples": 5
+      },
+      "even": {
+        "exact_vanishing": true,
+        "pass": true,
+        "samples": 2
+      },
+      "falsifiability": {
+        "clean_pass": true,
+        "gauge_invariance_broken": true,
+        "gauge_violation_rejected": true,
+        "pass": true,
+        "perturbed_map_fails": true
+      },
+      "invariance": {
+        "exact_invariance": true,
+        "expected_rank": 3,
+        "image_rank": 3,
+        "pass": true,
+        "samples": 5
+      },
+      "lagrangian": {
+        "fd_step": 1e-05,
+        "generic_samples": 1,
+        "jacobian_ranks": [
+          3
+        ],
+        "max_isotropy_defect": 3.8995302363808454e-11,
+        "pass": true,
+        "samples": 1,
+        "tol": 1e-06
+      },
+      "quotient": {
+        "pass": true,
+        "samples": 10
+      },
+      "skew": {
+        "pass": true,
+        "pfaffian_cases": 25,
+        "pfaffian_pass": true,
+        "rank2_cases": 10,
+        "rank2_pass": true
+      },
+      "splitting": {
+        "matches": 2,
+        "pass": true,
+        "samples": 2
+      },
+      "vandermonde": {
+        "g": 2,
+        "pass": true,
+        "pencils": 5
+      }
+    },
+    "seed": 1
+  },
+  "pass": true,
+  "rng": "philox4x64 with per-sample counter substreams key=[seed, index]",
+  "samples_used": 55,
+  "seed": 1,
+  "version": "2"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", sorted(LAGRANGIAN_PINS), ids=lambda args: args[0])
+def test_lagrangian_reports_stdout_pinned(args):
+    r = run_cli(*args)
+    assert r.returncode == 0
+    assert r.stdout == LAGRANGIAN_PINS[args]
+
+
+@pytest.mark.parametrize("flag", [["--fd-step", "1e-4"], ["--tol", "1e-3"]], ids=lambda f: f[0])
+def test_lagrangian_constants_take_no_flags(flag):
+    # the step and the tolerance of the finite-difference check are constants
+    # of the check; the report states them
+    r = run_cli("verify-lagrangian", "--g", "2", "--count", "1", *flag)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments" in r.stderr
+
+
+# every subcommand's options: a new option fails here until it is reviewed
+SUBCOMMAND_FLAGS = {
+    "pencil-info": ["--g", "--json-out", "--lambdas"],
+    "sample": ["--g", "--index", "--json-out", "--lambdas", "--on-y", "--seed"],
+    "phi": ["--g", "--index", "--json-out", "--lambdas", "--on-y", "--seed"],
+    "fh": ["--g", "--index", "--json-out", "--lambdas", "--on-y", "--seed"],
+    "bundle-splitting": ["--g", "--index", "--json-out", "--lambdas", "--point", "--seed"],
+    "skew-invariants": ["--json-out", "--matrix"],
+    "vandermonde": ["--g", "--json-out", "--lambdas"],
+    "verify-diagram": ["--g", "--holdout", "--json-out", "--lambdas", "--seed"],
+    "verify-even": ["--g", "--holdout", "--json-out", "--lambdas", "--seed"],
+    "verify-lagrangian": ["--count", "--g", "--json-out", "--lambdas", "--seed"],
+    "verify-all": ["--budget", "--g", "--json-out", "--lambdas", "--seed"],
+}
+
+
+def test_subcommand_flags_pinned():
+    from qplab.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {
+        name: sorted(
+            o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")
+        )
+        for name, sp in sub.choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+
+
+def test_verify_all_redraws_covectors_vanishing_on_S():
+    # the first covector drawn for Y-sample 0 of this seed vanishes on S, where
+    # f_H is undefined; the sampler draws again
+    r = run_cli("verify-all", "--g", "2", "--seed", "612749189", "--budget", "0.05")
+    assert r.returncode == 0, r.stderr
+
+
 def test_verify_all_deterministic():
     args = ["verify-all", "--g", "2", "--seed", "4", "--budget", "0.05"]
     a = run_cli(*args)

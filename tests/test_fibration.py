@@ -6,8 +6,11 @@ from math import isqrt
 import pytest
 
 from qplab import (
+    BiquadContext,
     DegenerateCovectorError,
+    NonInvertibleError,
     PencilOfQuadrics,
+    PointOnX,
     canonical_pencil,
     det_exact,
     f_H,
@@ -17,6 +20,7 @@ from qplab import (
     phi_components,
     phi_X,
     rank_exact,
+    sample_covector,
     sample_pair,
     sample_point,
     solve_exact,
@@ -27,7 +31,13 @@ from qplab import (
     verify_lagrangian,
 )
 from qplab.linalg import dot
-from qplab.variety import CotangentRep, _invertible_pivot
+import qplab.variety as variety
+from qplab.variety import (
+    CotangentRep,
+    _invertible_pair,
+    _invertible_pivot,
+    _vanishes_on_S,
+)
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -112,6 +122,68 @@ def test_f_H_degenerate_covector_rejected():
     for covector in (eta, [Fraction(0)] * 6, P2.q2_row(x.coords)):
         with pytest.raises(DegenerateCovectorError):
             f_H(x, CotangentRep(x, covector))
+
+
+def vanishes_by_rank(x, eta):
+    """Oracle for _vanishes_on_S: the rows e_p, q1(v, .), q2(v, .) and eta
+    lose rank, p being the first invertible coordinate of v."""
+    p, v = x.pencil, x.coords
+    k, _ = _invertible_pivot(v)
+    unit = [int(i == k) for i in range(len(v))]
+    return rank_exact([unit, p.q1_row(v), p.q2_row(v), eta]) != 4
+
+
+def test_degenerate_covector_test_matches_rank_test():
+    # sampled covectors, combinations a q1(v, .) + b q2(v, .) (rational and
+    # biquadratic a, b, zero included) and sampled ones shifted by those
+    pairs = [(g, 5, i, y) for g in (2, 3, 4) for i in range(3) for y in (False, True)]
+    seen = {True: 0, False: 0}
+    for g, seed, index, on_Y in pairs + SPLIT_PAIRS:
+        p = canonical_pencil(g)
+        x, xi = sample_pair(p, seed, index=index, on_Y=on_Y)
+        r1, r2 = p.q1_row(x.coords), p.q2_row(x.coords)
+        root = x.context().sqrt_w()
+        coefficients = [(0, 0), (1, 0), (0, -2), (Fraction(3, 4), 5), (root, 1 - root)]
+        gauge = [[a * s + b * t for s, t in zip(r1, r2)] for a, b in coefficients]
+        covectors = [xi.eta] + gauge + [[e + d for e, d in zip(xi.eta, w)] for w in gauge]
+        for eta in covectors:
+            expected = vanishes_by_rank(x, eta)
+            assert _vanishes_on_S(x, eta, _invertible_pair(x.coords)) is expected
+            seen[expected] += 1
+    assert seen[True] and seen[False]
+
+
+def test_sampler_redraws_covectors_vanishing_on_S(monkeypatch):
+    # the first covector drawn for Y-sample 0 of this seed vanishes on S; the
+    # sampler draws again, and f_H takes the second draw
+    results = []
+
+    def recorded(*args):
+        results.append(_vanishes_on_S(*args))
+        return results[-1]
+
+    monkeypatch.setattr(variety, "_vanishes_on_S", recorded)
+    y, xi = sample_pair(P2, 612749189, index=0, on_Y=True)
+    assert results == [True, False]
+    assert f_H(y, xi).degree == 2
+
+
+def test_point_with_one_invertible_coordinate():
+    # over Q(i, s) with s^2 = 1 the idempotents e = (1 + s)/2 and 1 - e are
+    # zero divisors; v below lies on X with v_0 = 1 its only invertible
+    # coordinate (on each factor of the split algebra it is a point with three
+    # nonzero coordinates), so neither sampler nor f_H can fix a and b
+    ctx = BiquadContext(-1, 1)
+    i, e = ctx.sqrt_u(), (1 + ctx.sqrt_w()) * Fraction(1, 2)
+    p = PencilOfQuadrics([0, 16, -9, 32, -18, 1])
+    coords = [ctx.embed(1), e * i * Fraction(3, 5), e * i * Fraction(4, 5),
+              (1 - e) * i * Fraction(3, 5), (1 - e) * i * Fraction(4, 5), ctx.embed(0)]
+    x = PointOnX(p, coords)
+    assert [c.norm() == 0 for c in coords] == [False] + [True] * 5
+    with pytest.raises(NonInvertibleError, match="no second invertible"):
+        sample_covector(x, 0)
+    with pytest.raises(NonInvertibleError, match="no second invertible"):
+        f_H(x, CotangentRep(x, [0, 0, 0, 0, 0, 1]))
 
 
 def f_H_gram_oracle(x, xi):
@@ -279,7 +351,7 @@ def test_verify_rejects_foreign_pencil():
 
 def test_verify_lagrangian_generic_sample():
     x, xi = sample_pair(P2, 131)
-    rep = verify_lagrangian(P2, x, xi, fd_step=1e-5, tol=1e-6)
+    rep = verify_lagrangian(x, xi)
     assert rep["generic"]
     assert rep["jacobian_rank"] == 3
     assert rep["isotropy_defect"] <= 1e-6
@@ -289,7 +361,7 @@ def test_verify_lagrangian_generic_sample():
 def test_verify_lagrangian_flags_zero_covector():
     x = sample_point(P2, 137)
     xi = CotangentRep(x, [Fraction(0)] * 6)
-    rep = verify_lagrangian(P2, x, xi)
+    rep = verify_lagrangian(x, xi)
     assert not rep["generic"]
     assert rep["jacobian_rank"] < 3
 

@@ -40,7 +40,8 @@ def test_kernel_basis_shape_and_exactness():
     for p in (P2, P3):
         x = sample_point(p, 41)
         kb = v_perp_kernel(p, x)
-        assert sorted(kb.degrees) == [0] * (2 * p.g) + [1]
+        # a column of d+1 coefficient vectors has degree d
+        assert kb.degrees == [0] * (2 * p.g) + [1]
         assert [len(col) for col in kb.columns] == [d + 1 for d in kb.degrees]
         # every column is annihilated by M(t): a polynomial of degree <= 2 in t
         # that vanishes at three values of t is zero
@@ -60,12 +61,12 @@ def test_verify_kernel_rejects_broken_columns():
     broken = list(kb.columns)
     broken[d1] = [w0, [c + e for c, e in zip(w1, e0)]]
     with pytest.raises(SplittingError):
-        _verify_kernel(KernelBasis(x, broken, kb.degrees))
+        _verify_kernel(KernelBasis(x, broken))
     # e0 is off S: its product with x is x_0
     broken = list(kb.columns)
     broken[kb.degrees.index(0)] = [e0]
     with pytest.raises(SplittingError):
-        _verify_kernel(KernelBasis(x, broken, kb.degrees))
+        _verify_kernel(KernelBasis(x, broken))
 
 
 def test_constant_columns_span_common_orthogonal():
@@ -111,12 +112,11 @@ def test_splitting_matches_greedy_span_loop():
         other = [c for c, d in zip(kb.columns, kb.degrees) if d != 0]
         point_col = [list(x.coords)]
         # repeated columns and the line of x add no summand
-        padded = KernelBasis(x, const + const[:2] + [point_col] + other,
-                             [0] * (len(const) + 3) + [1])
+        padded = KernelBasis(x, const + const[:2] + [point_col] + other)
         assert greedy_constant_count(padded) == 2 * p.g - 1
         assert n_tilde_splitting(padded) == st
         # two missing constant columns leave one summand short for both
-        short = KernelBasis(x, const[2:] + other, [0] * (len(const) - 2) + [1])
+        short = KernelBasis(x, const[2:] + other)
         assert greedy_constant_count(short) == 2 * p.g - 2
         with pytest.raises(SplittingError):
             n_tilde_splitting(short)

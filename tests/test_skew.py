@@ -18,11 +18,10 @@ from qplab import (
     SkewnessError,
     char_coeffs,
     det_exact,
-    nilpotency_and_rank,
     pfaffian,
     rank2_orthogonal_decomposition,
 )
-from qplab.linalg import in_span
+from qplab.linalg import in_span, rank_exact
 
 
 def skew_matrices(size):
@@ -227,7 +226,7 @@ def test_integer_kernels_reject_biquad_entries():
     one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
     u, v = [one, i, zero, zero], [zero, zero, one, one]
     m = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(4)] for a in range(4)])
-    for invariant in (char_coeffs, pfaffian, nilpotency_and_rank):
+    for invariant in (char_coeffs, pfaffian):
         with pytest.raises(ModeMismatchError, match="rational entries"):
             invariant(m)
 
@@ -235,8 +234,9 @@ def test_integer_kernels_reject_biquad_entries():
 @given(skew_matrices(4))
 @settings(max_examples=40, deadline=None)
 def test_nilpotency_dichotomy(m):
-    # nilpotent (A^4 = 0) exactly when every invariant vanishes
-    info = nilpotency_and_rank(m)
+    # nilpotent (A^4 = 0) exactly when every invariant vanishes, which is
+    # how skew-invariants reports it
+    invariants_vanish = not any(char_coeffs(m)) and not pfaffian(m)
     a = [[Fraction(x) for x in row] for row in m.entries]
 
     def matmul(x, y):
@@ -249,7 +249,7 @@ def test_nilpotency_dichotomy(m):
     for _ in range(3):
         power = matmul(power, a)
     is_nilpotent = all(not x for row in power for x in row)
-    assert info["nilpotent"] == is_nilpotent
+    assert invariants_vanish == is_nilpotent
 
 
 def test_rank2_decomposition_properties():
@@ -258,16 +258,13 @@ def test_rank2_decomposition_properties():
     v = [Fraction(v) for v in (0, 1, 1, -2, 2, 1)]
     m = [[u[i] * v[j] - v[i] * u[j] for j in range(n)] for i in range(n)]
     sm = SkewMap(m)
-    info = nilpotency_and_rank(sm)
-    assert info["rank"] == 2 and not info["nilpotent"]
+    assert rank_exact(m) == 2 and char_coeffs(sm)[0]
     ker, im = rank2_orthogonal_decomposition(sm)
     assert len(ker) == n - 2 and len(im) == 2
     # orthogonality for the standard symmetric form and directness
     for a in ker:
         for b in im:
             assert sum((x * y for x, y in zip(a, b)), start=Fraction(0)) == 0
-    from qplab.linalg import rank_exact
-
     assert rank_exact(ker + im) == n
 
 
@@ -332,3 +329,42 @@ def test_rank2_image_columns_match_greedy_span_loop():
         ker, im = rank2_orthogonal_decomposition(SkewMap(a))
         assert im == greedy_image_columns(a)
         assert len(ker) == n - 2
+
+
+def test_rank2_decomposition_takes_two_eliminations(monkeypatch):
+    # one echelon form of A gives the rank, the image and the kernel, and
+    # the spanning test is the second; a map of another rank stops after one
+    import qplab.linalg as linalg
+
+    calls = []
+    for name in ("_eliminate", "_bareiss"):
+        routine = getattr(linalg, name)
+
+        def counted(*args, routine=routine):
+            calls.append(1)
+            return routine(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    ctx = BiquadContext(-1, 2)
+    one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
+
+    def wedge(u, v):
+        n = len(u)
+        return SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(n)] for a in range(n)])
+
+    rational = [Fraction(x, 3) for x in (1, 2, 0, 1, -1, 3)]
+    cases = [
+        (wedge(rational, [Fraction(x) for x in (0, 1, 1, -2, 2, 1)]), None, 2),
+        (wedge([one, i, one, zero], [zero, zero, one, one]), None, 2),
+        (wedge([one, i, zero, zero], [zero, zero, one, one]), "nilpotent", 2),
+        (SkewMap.from_upper(4, [Fraction(v) for v in (1, 0, 0, 0, 0, 1)]), "rank", 1),
+    ]
+    for m, error, expected in cases:
+        calls.clear()
+        if error:
+            with pytest.raises(DecompositionError, match=error):
+                rank2_orthogonal_decomposition(m)
+        else:
+            ker, im = rank2_orthogonal_decomposition(m)
+            assert len(ker) == m.size - 2 and len(im) == 2
+        assert len(calls) == expected
