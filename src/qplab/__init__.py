@@ -29,7 +29,6 @@ from .linalg import (
     matvec,
     nullspace_exact,
     rank_exact,
-    same_span,
     solve_exact,
 )
 from .p1bundle import (

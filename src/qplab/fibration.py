@@ -270,7 +270,7 @@ class _Chart:
         self.w0 = v / v[self.hom]
         others = [k for k in range(len(v)) if k != self.hom]
         jac = self._ambient_jacobian(self.w0)[:, others]
-        dep_local = _pivot_columns(jac, 2)
+        dep_local = _chart_pivots(jac)
         self.dep = [others[k] for k in dep_local]
         self.free = [k for k in others if k not in self.dep]
         if len(self.free) != 2 * p.g - 1:
@@ -327,10 +327,13 @@ class _Chart:
         return np.array([eta @ tau for tau in taus])
 
 
-def _pivot_columns(jac: np.ndarray, count: int):
+def _chart_pivots(jac: np.ndarray) -> list:
+    """The two columns of the 2 x (2g+1) constraint Jacobian that the chart
+    solves for: greedily the column of largest norm, after projecting out
+    the columns chosen before it."""
     cols = jac.copy()
     chosen = []
-    for _ in range(count):
+    for _ in range(2):
         norms = np.linalg.norm(cols, axis=0)
         norms[chosen] = -1.0
         k = int(np.argmax(norms))

@@ -20,9 +20,8 @@ the row scales, that parity and, over the biquadratic algebra, cofactor
 expansion for sizes up to 3 and when no invertible pivot exists.  The one
 back substitution, :func:`_back_substitute`, divides by each pivot, so a
 nullspace basis is fixed by its pivot columns and every ``Biquad`` is kept
-reduced.  :func:`solve_exact` is a nullspace vector of [m | -rhs],
-:func:`in_span` asks whether v is a pivot column of [vectors | v], and
-:func:`same_span` takes two echelon forms.
+reduced.  :func:`solve_exact` is a nullspace vector of [m | -rhs], and
+:func:`in_span` asks whether v is a pivot column of [vectors | v].
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "rank_exact",
     "solve_exact",
     "in_span",
-    "same_span",
     "matvec",
     "dot",
     "check_exact_matrix",
@@ -344,16 +342,19 @@ def solve_exact(m, rhs):
 
 
 def dot(a, b):
-    """Sum of the products a[i] * b[i].
+    """Sum of the products a[i] * b[i] over the terms with both factors
+    nonzero, so a sparse vector costs one product per nonzero entry.
 
-    The sum starts at a[0] * b[0], so it keeps the type of the entries; put
-    the ``Biquad`` factor first where there is one, so that each product
-    runs ``Biquad.__mul__`` directly.
+    The sum keeps the type of the entries: it starts at the first such
+    product, and with none it is a[0] * b[0], a typed zero.  Put the
+    ``Biquad`` factor first where there is one, so that each product runs
+    ``Biquad.__mul__`` directly.
     """
-    s = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        s = s + x * y
-    return s
+    s = None
+    for x, y in zip(a, b):
+        if x and y:
+            s = x * y if s is None else s + x * y
+    return a[0] * b[0] if s is None else s
 
 
 def matvec(m, v):
@@ -365,17 +366,3 @@ def in_span(vectors, v) -> bool:
     column of [vectors | v] is not a pivot column.  The empty family spans
     only the zero vector."""
     return len(vectors) not in _pivot_columns(list(zip(*vectors, v)))
-
-
-def same_span(a, b) -> bool:
-    """True iff two families of vectors span the same subspace, exactly:
-    rank(a) == rank(b) == rank(a + b).
-
-    The pivot columns of one echelon form of the columns of a followed by
-    those of b give rank(a + b), and rank(a) as the pivots below len(a); the
-    spans agree iff every pivot is below len(a) and rank(b) is their number.
-    """
-    pivots = _pivot_columns(list(zip(*a, *b)))
-    if pivots and pivots[-1] >= len(a):
-        return False
-    return rank_exact(b) == len(pivots)

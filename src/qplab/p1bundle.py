@@ -3,23 +3,25 @@
 For an exact point x the row map M(t) = ((t - lambda_k) x_k) has a minimal
 kernel basis of rank 2g+1 with column degrees {0 repeated 2g, 1}.  A column of
 degree d is stored as its d+1 coefficient vectors, the t^k one at index k.  The
-constant columns are one nullspace and span S = V^perp(q1) ∩ V^perp(q2)
-(which contains x itself); the degree-1 column is the Koszul syzygy of two
-coordinates of x, in closed form.  Quotienting by the line of x realizes the
-splitting O^{2g-1} ⊕ O(-1) whose trivial part is the tangent space: the
-constant columns and x span a space of dimension one more than the number of
-O summands.
+constant columns span S = V^perp(q1) ∩ V^perp(q2) (which contains x itself)
+and are its closed-form basis: for the first two invertible coordinates i < j
+of x and each other k, the vector of S that is e_k off {i, j}.  The degree-1
+column is the Koszul syzygy of x_i and x_j.  Every span question about
+vectors of S is answered in the coordinates of that basis, which are just
+their entries off {i, j}; no nullspace is taken.  Quotienting by the line of
+x realizes the splitting O^{2g-1} ⊕ O(-1) whose trivial part is the tangent
+space: the constant columns and x span a space of dimension one more than the
+number of O summands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .linalg import matvec, nullspace_exact, rank_exact, same_span
+from .linalg import _pivot_columns, dot, matvec, nullspace_exact, rank_exact
 from .pencil import PencilOfQuadrics
-from .variety import PointOnX, TangentFrame
+from .variety import PointOnX, TangentFrame, _invertible_pair
 
 __all__ = [
     "KernelBasis",
@@ -38,15 +40,35 @@ class SplittingError(ArithmeticError):
 
 @dataclass
 class KernelBasis:
-    """Minimal kernel basis of the 1x(2g+2) row map M(t) = ((t-lambda_k) x_k)."""
+    """Minimal kernel basis of the 1x(2g+2) row map M(t) = ((t-lambda_k) x_k).
+
+    `pair` is :func:`~qplab.variety._invertible_pair` of the point, looked
+    up when it is not given; the coordinates of S are taken off that pair.
+    """
 
     point: PointOnX
     columns: list          # per column, its coefficient vectors [w0] or [w0, w1]
+    pair: tuple = None
+
+    def __post_init__(self):
+        if self.pair is None:
+            self.pair = _invertible_pair(self.point.coords)
 
     @property
     def degrees(self) -> list:
         """Per-column degree: a column of d+1 coefficient vectors has degree d."""
         return [len(col) - 1 for col in self.columns]
+
+    def constants(self) -> list:
+        """The constant vectors of the degree-0 columns; they lie in S, as
+        M(t) w = 0 for a constant w says exactly that."""
+        return [col[0] for col in self.columns if len(col) == 1]
+
+    def S_coordinates(self, vectors) -> list:
+        """Coordinates of vectors of S in the closed-form basis: their
+        entries off the pair (i, j), as that basis is e_k there."""
+        i, _, j, _ = self.pair
+        return [[c for k, c in enumerate(w) if k != i and k != j] for w in vectors]
 
 
 @dataclass(frozen=True)
@@ -60,36 +82,51 @@ class SplittingType:
 
 
 def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
-    """Minimal kernel basis of M(t): a nullspace and one closed-form column.
+    """Minimal kernel basis of M(t): 2g closed-form constant columns and one
+    Koszul column.
 
-    Degree-0 columns solve the two constant constraints (they are exactly S).
-    The degree-1 column is the Koszul syzygy of the first pair i < j with
-    x_i x_j != 0: w_i = (t - lambda_j) x_j and w_j = -(t - lambda_i) x_i.
-    Its leading term lies off S because lambda_i != lambda_j, which the
-    predictable-degree certificate checks exactly; anything outside the
-    predicted degree profile raises SplittingError.
+    Let i < j be the first two invertible coordinates of x.  For each other
+    k the constant column is w = e_k + a_k e_i + b_k e_j with
+    a_k = x_k (lambda_k - lambda_j) / ((lambda_j - lambda_i) x_i) and
+    b_k = x_k (lambda_i - lambda_k) / ((lambda_j - lambda_i) x_j), the one
+    vector of S that is e_k off {i, j}; so these 2g columns are a basis of S.
+    When the rows q1(v, .), q2(v, .) have pivot columns i, j they are also
+    the nullspace basis of those rows.  The degree-1 column is the Koszul
+    syzygy w_i = (t - lambda_j) x_j, w_j = -(t - lambda_i) x_i.  Its leading
+    term lies off S because lambda_i != lambda_j, which the predictable-degree
+    certificate checks exactly; anything outside the predicted degree
+    profile raises SplittingError.
+
+    Sampled points have the invertible coordinates x_0 = sqrt(u0) and
+    x_1 = sqrt(u1), even when the radicands make the algebra split, so the
+    pair is (0, 1) there.  A point with fewer than two invertible
+    coordinates has no such basis, and this raises
+    :class:`~qplab.scalars.NonInvertibleError`, as f_H does.
     """
     if x.pencil != p:
         raise ValueError("point does not belong to the pencil")
     v = x.coords
     lam = p.lambdas
-    n = p.dim_ambient
-    # constant columns: sum x_k w_k = 0 and sum lambda_k x_k w_k = 0
-    constants = nullspace_exact([p.q1_row(v), p.q2_row(v)])
-    if len(constants) != 2 * p.g:
-        raise SplittingError(
-            f"constant kernel has dimension {len(constants)}, expected {2 * p.g}"
-        )
-    pair = next(((i, j) for i, j in combinations(range(n), 2) if v[i] * v[j]), None)
-    if pair is None:
-        raise SplittingError("no two coordinates of the point have a nonzero product")
-    i, j = pair
+    pair = _invertible_pair(v)
+    i, inv_i, j, inv_j = pair
+    d = lam[j] - lam[i]
+    c_i, c_j = inv_i * (1 / d), inv_j * (1 / d)
     zero = v[i] - v[i]
-    w0, w1 = [zero] * n, [zero] * n
-    w0[i], w0[j] = -lam[j] * v[j], lam[i] * v[i]
+    one = zero + 1
+    cols = []
+    for k in range(len(v)):
+        if k == i or k == j:
+            continue
+        w = [zero] * len(v)
+        w[k] = one
+        w[i] = v[k] * (lam[k] - lam[j]) * c_i
+        w[j] = v[k] * (lam[i] - lam[k]) * c_j
+        cols.append([w])
+    w0, w1 = [zero] * len(v), [zero] * len(v)
+    w0[i], w0[j] = v[j] * -lam[j], v[i] * lam[i]
     w1[i], w1[j] = v[j], -v[i]
-    cols = [[w] for w in constants] + [[w0, w1]]
-    kb = KernelBasis(point=x, columns=cols)
+    cols.append([w0, w1])
+    kb = KernelBasis(point=x, columns=cols, pair=pair)
     _verify_kernel(kb)
     return kb
 
@@ -106,21 +143,38 @@ def _verify_kernel(kb: KernelBasis):
         out = [-bw[0]] + [x - y for x, y in zip(aw, bw[1:])] + [aw[-1]]
         if any(out):
             raise SplittingError("column fails M(t) * column = 0")
-    # predictable-degree certificate: leading coefficient vectors independent
-    leads = [col[-1] for col in kb.columns]
-    m = [[leads[c][r] for c in range(len(leads))] for r in range(len(leads[0]))]
-    if rank_exact(m) != len(leads):
+    degrees = sorted(kb.degrees)
+    expected = [0] * (2 * p.g) + [1]
+    if degrees != expected:
+        raise SplittingError(f"kernel column degrees {degrees}, expected {expected}")
+    # predictable-degree certificate: the leading coefficient vectors are
+    # independent.  The constant columns lie in S, so they are independent
+    # iff their coordinates have full rank, and then they span S; the lead
+    # w1 of the degree-1 column has a.w1 = 0, so it lies off S iff b.w1 != 0
+    constants = kb.constants()
+    w1 = next(col[1] for col in kb.columns if len(col) == 2)
+    independent = _rank_of_rows(kb.S_coordinates(constants)) == len(constants)
+    if not independent or not dot(rows[1], w1):
         raise SplittingError("leading coefficient vectors are dependent")
+
+
+def _rank_of_rows(rows) -> int:
+    """Rank of the rows, eliminated sparsest first.  The rank does not depend
+    on their order, and a row with one nonzero entry, like the coordinates of
+    a closed-form basis vector, clears its column without fill-in."""
+    return rank_exact(sorted(rows, key=lambda row: sum(1 for c in row if c)))
 
 
 def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
     """Splitting type of V^perp/(V ⊗ O): quotient the columns by the line of x.
 
-    The constant columns give rank([x] + constants) - 1 summands O.
+    The constant columns give rank([x] + constants) - 1 summands O.  x and
+    the constant columns lie in S, so that rank is the rank of their
+    coordinates in the closed-form basis (:meth:`KernelBasis.S_coordinates`).
     """
-    constants = [col[0] for col, d in zip(kb.columns, kb.degrees) if d == 0]
     degrees = [d for d in kb.degrees if d]
-    degrees += [0] * (rank_exact([list(kb.point.coords)] + constants) - 1)
+    rows = kb.S_coordinates([kb.point.coords] + kb.constants())
+    degrees += [0] * (_rank_of_rows(rows) - 1)
     degrees.sort()
     expected = [0] * (2 * kb.point.pencil.g - 1) + [1]
     if degrees != expected:
@@ -129,9 +183,25 @@ def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
 
 
 def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool:
-    """True iff the constant kernel columns span exactly S of the frame."""
-    constants = [col[0] for col, d in zip(kb.columns, kb.degrees) if d == 0]
-    return same_span(constants, frame.S_basis)
+    """True iff the constant kernel columns span exactly S of the frame.
+
+    Every vector of the frame must lie in S: both rows q1(v, .) and
+    q2(v, .) vanish on it.  The constant columns lie in S, so the two spans
+    agree iff rank(constants) = rank(frame) = rank(constants + frame) in the
+    coordinates of the closed-form basis.  The pivot columns of one echelon
+    form of the constants followed by the frame give the first and the
+    last of these; the frame's rows, sparsest first, give the second.
+    """
+    p, v = kb.point.pencil, kb.point.coords
+    rows = [p.q1_row(v), p.q2_row(v)]
+    if any(any(matvec(rows, s)) for s in frame.S_basis):
+        return False
+    constants = kb.S_coordinates(kb.constants())
+    tangent = kb.S_coordinates(frame.S_basis)
+    pivots = _pivot_columns(list(zip(*constants, *tangent)))
+    if pivots and pivots[-1] >= len(constants):
+        return False
+    return _rank_of_rows(tangent) == len(pivots)
 
 
 def vandermonde_normalizer(p: PencilOfQuadrics):

@@ -417,7 +417,10 @@ def run_falsifiability_check(
     """Controls that must FAIL: an identification matrix with one entry off
     by 1/7 and a covector with eta(v) != 0.  The section passes iff both are
     caught.  Both identification matrices are checked on the phi_X and f_H
-    values of samples 0..9."""
+    values of samples 0..9, the covector is that of sample 0.  A failing
+    report names the first of "clean", "perturbed_map", "gauge_rejected" and
+    "gauge_invariance" that fails, with the clean map's first failing sample
+    as its index and 0 for the others."""
     samples = _store(samples, p, seed)
     ident = fit_identification(p)
     clean = _identification_report(ident, 10, samples.values(10))
@@ -444,19 +447,26 @@ def run_falsifiability_check(
     )
     gauge_broken = any((a - b) != 0 for a, b in zip(base, shifted))
 
-    ok = (
-        bool(clean["pass"])
-        and not broken_map["pass"]
-        and gauge_rejected
-        and gauge_broken
+    checks = (
+        ("clean", bool(clean["pass"])),
+        ("perturbed_map", not broken_map["pass"]),
+        ("gauge_rejected", gauge_rejected),
+        ("gauge_invariance", gauge_broken),
     )
-    return {
-        "pass": ok,
+    report = {
+        "pass": all(ok for _, ok in checks),
         "clean_pass": bool(clean["pass"]),
         "perturbed_map_fails": not broken_map["pass"],
         "gauge_violation_rejected": gauge_rejected,
         "gauge_invariance_broken": gauge_broken,
     }
+    failed = [case for case, ok in checks if not ok]
+    if failed:
+        # the clean map names its failing sample; the other controls are
+        # either no sample's verdict or that of sample 0
+        index = clean["first_failure"]["index"] if failed[0] == "clean" else 0
+        report["first_failure"] = {"case": failed[0], "index": index}
+    return report
 
 
 def verify_all(p: PencilOfQuadrics, seed: int, budget: float = 1.0) -> dict:

@@ -168,18 +168,25 @@ def test_sampler_redraws_covectors_vanishing_on_S(monkeypatch):
     assert f_H(y, xi).degree == 2
 
 
-def test_point_with_one_invertible_coordinate():
-    # over Q(i, s) with s^2 = 1 the idempotents e = (1 + s)/2 and 1 - e are
-    # zero divisors; v below lies on X with v_0 = 1 its only invertible
-    # coordinate (on each factor of the split algebra it is a point with three
-    # nonzero coordinates), so neither sampler nor f_H can fix a and b
+def one_invertible_point():
+    """A point of X whose only invertible coordinate is v_0 = 1.
+
+    Over Q(i, s) with s^2 = 1 the idempotents e = (1 + s)/2 and 1 - e are
+    zero divisors; on each factor of the split algebra the point has three
+    nonzero coordinates.
+    """
     ctx = BiquadContext(-1, 1)
     i, e = ctx.sqrt_u(), (1 + ctx.sqrt_w()) * Fraction(1, 2)
     p = PencilOfQuadrics([0, 16, -9, 32, -18, 1])
     coords = [ctx.embed(1), e * i * Fraction(3, 5), e * i * Fraction(4, 5),
               (1 - e) * i * Fraction(3, 5), (1 - e) * i * Fraction(4, 5), ctx.embed(0)]
-    x = PointOnX(p, coords)
-    assert [c.norm() == 0 for c in coords] == [False] + [True] * 5
+    return PointOnX(p, coords)
+
+
+def test_point_with_one_invertible_coordinate():
+    # with one invertible coordinate neither sampler nor f_H can fix a and b
+    x = one_invertible_point()
+    assert [c.norm() == 0 for c in x.coords] == [False] + [True] * 5
     with pytest.raises(NonInvertibleError, match="no second invertible"):
         sample_covector(x, 0)
     with pytest.raises(NonInvertibleError, match="no second invertible"):

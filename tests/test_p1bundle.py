@@ -6,10 +6,13 @@ import pytest
 
 from qplab import (
     ModeMismatchError,
+    NonInvertibleError,
     PencilOfQuadrics,
     PointOnX,
     canonical_pencil,
     n_tilde_splitting,
+    nullspace_exact,
+    rank_exact,
     sample_point,
     tangent_frame,
     to_complex,
@@ -17,12 +20,18 @@ from qplab import (
     v_perp_kernel,
     vandermonde_normalizer,
 )
-from qplab.linalg import in_span, same_span
+from qplab.linalg import in_span
 from qplab.p1bundle import KernelBasis, SplittingError, _verify_kernel
-from qplab.variety import _invertible_pivot
+from qplab.variety import TangentFrame, _invertible_pivot
+from test_fibration import SPLIT_PAIRS, one_invertible_point
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
+
+
+def same_span(a, b):
+    """Oracle: rank(a) == rank(b) == rank(a + b), three eliminations."""
+    return rank_exact(a) == rank_exact(b) == rank_exact(a + b)
 
 
 def row_map_at(p, x, t, col):
@@ -67,6 +76,95 @@ def test_verify_kernel_rejects_broken_columns():
     broken[kb.degrees.index(0)] = [e0]
     with pytest.raises(SplittingError):
         _verify_kernel(KernelBasis(x, broken))
+
+
+CLOSED_FORM_POINTS = (
+    [(canonical_pencil(g), 0, i, False) for g in range(2, 7) for i in range(2)]
+    + [(canonical_pencil(g), 3, 0, True) for g in (2, 3)]
+    + [(PencilOfQuadrics([-3, Fraction(1, 2), 2, Fraction(7, 3), 5, 11]), 9, i, y)
+       for i in range(3) for y in (False, True)]
+    + [(canonical_pencil(g), s, i, y) for g, s, i, y in SPLIT_PAIRS]
+)
+
+
+@pytest.mark.parametrize(
+    "p, seed, index, on_Y", CLOSED_FORM_POINTS,
+    ids=[f"{p.fingerprint()[:6]}-g{p.g}-seed{s}-{i}{'-on_Y' if y else ''}"
+         for p, s, i, y in CLOSED_FORM_POINTS],
+)
+def test_closed_form_constants_are_the_nullspace(p, seed, index, on_Y):
+    x = sample_point(p, seed, index=index, on_Y=on_Y)
+    kb = v_perp_kernel(p, x)
+    constants = kb.constants()
+    v = x.coords
+    nullspace = nullspace_exact([p.q1_row(v), p.q2_row(v)])
+    assert same_span(constants, nullspace)
+    # the rows have pivot columns 0 and 1 on a sampled point, which is the
+    # pair the closed form is taken on, so the two bases coincide
+    assert kb.pair[0] == 0 and kb.pair[2] == 1
+    assert constants == nullspace
+
+
+def test_kernel_needs_two_invertible_coordinates():
+    # the closed-form basis of S and the Koszul column are taken on two
+    # invertible coordinates; without them the chain stops, as f_H does
+    x = one_invertible_point()
+    with pytest.raises(NonInvertibleError, match="no second invertible"):
+        v_perp_kernel(x.pencil, x)
+    with pytest.raises(NonInvertibleError, match="no second invertible"):
+        n_tilde_splitting(KernelBasis(x, []))
+
+
+def test_verify_kernel_rejects_perturbed_closed_form():
+    x = sample_point(P3, 41)
+    kb = v_perp_kernel(P3, x)
+    p, _, q, _ = kb.pair
+    for c, col in enumerate(kb.columns):
+        if len(col) != 1:
+            continue
+        k = next(k for k, w in enumerate(col[0]) if w and k not in (p, q))
+        for entry in (p, q, k):
+            moved = list(col[0])
+            moved[entry] = moved[entry] + Fraction(1, 7)
+            broken = list(kb.columns)
+            broken[c] = [moved]
+            with pytest.raises(SplittingError, match="M\\(t\\)"):
+                _verify_kernel(KernelBasis(x, broken))
+
+
+def test_verify_kernel_rejects_lead_in_S():
+    # t * c0 + c1 for two constant columns is annihilated by M(t), but its
+    # lead c0 lies in S, in the span of the constant columns
+    x = sample_point(P2, 41)
+    kb = v_perp_kernel(P2, x)
+    c0, c1 = kb.constants()[:2]
+    broken = [col for col in kb.columns if len(col) == 1] + [[c1, c0]]
+    with pytest.raises(SplittingError, match="leading coefficient vectors are dependent"):
+        _verify_kernel(KernelBasis(x, broken))
+    # so is a constant column repeated in place of another
+    broken = [[c1]] + kb.columns[1:]
+    with pytest.raises(SplittingError, match="leading coefficient vectors are dependent"):
+        _verify_kernel(KernelBasis(x, broken))
+    # a missing constant column leaves the degree profile short
+    with pytest.raises(SplittingError, match="kernel column degrees"):
+        _verify_kernel(KernelBasis(x, kb.columns[1:]))
+
+
+def test_trivial_factor_rejects_frames_off_S_or_short():
+    x = sample_point(P3, 43)
+    kb = v_perp_kernel(P3, x)
+    frame = tangent_frame(x)
+    assert trivial_factor_matches_tangent(kb, frame)
+    for i in range(len(frame.S_basis)):
+        moved = [list(s) for s in frame.S_basis]
+        moved[i][3] = moved[i][3] + Fraction(1, 7)
+        assert not trivial_factor_matches_tangent(kb, TangentFrame(x, moved))
+    # vectors of S that span less than S
+    short = frame.S_basis[:-1] + [frame.S_basis[1]]
+    assert not trivial_factor_matches_tangent(kb, TangentFrame(x, short))
+    # and constant columns that span less than S
+    fewer = KernelBasis(x, kb.columns[1:])
+    assert not trivial_factor_matches_tangent(fewer, frame)
 
 
 def test_constant_columns_span_common_orthogonal():

@@ -312,6 +312,63 @@ def test_lagrangian_check_names_first_failure(monkeypatch, fake, case):
     assert rep["first_failure"] == {"case": case, "index": 1}
 
 
+def _clean_map_fails_at_3(monkeypatch):
+    # the clean and the perturbed map are checked on the stored f_H of
+    # samples 0..9, each computed once, in index order
+    monkeypatch.setattr(verify, "f_H", failing_at(verify.f_H, 3, wrong_form))
+
+
+def _perturbed_map_passes(monkeypatch):
+    # the second identification report is that of the perturbed map
+    passing = failing_at(
+        verify._identification_report, 1, lambda: {"pass": True, "samples": 10}
+    )
+    monkeypatch.setattr(verify, "_identification_report", passing)
+
+
+def _gauge_accepted(monkeypatch):
+    monkeypatch.setattr(verify, "CotangentRep", lambda *args: None)
+
+
+def _gauge_invariant(monkeypatch):
+    monkeypatch.setattr(verify, "phi_components", lambda p, v, eta: [Fraction(0)] * 6)
+
+
+@pytest.mark.parametrize(
+    "breaking, case, index",
+    [
+        (_clean_map_fails_at_3, "clean", 3),
+        (_perturbed_map_passes, "perturbed_map", 0),
+        (_gauge_accepted, "gauge_rejected", 0),
+        (_gauge_invariant, "gauge_invariance", 0),
+    ],
+    ids=["clean", "perturbed_map", "gauge_rejected", "gauge_invariance"],
+)
+def test_falsifiability_check_names_first_failure(monkeypatch, breaking, case, index):
+    passing = run_falsifiability_check(P2, seed=3)
+    assert passing == {
+        "pass": True,
+        "clean_pass": True,
+        "perturbed_map_fails": True,
+        "gauge_violation_rejected": True,
+        "gauge_invariance_broken": True,
+    }
+    breaking(monkeypatch)
+    rep = run_falsifiability_check(P2, seed=3)
+    flag = {
+        "clean": "clean_pass",
+        "perturbed_map": "perturbed_map_fails",
+        "gauge_rejected": "gauge_violation_rejected",
+        "gauge_invariance": "gauge_invariance_broken",
+    }[case]
+    assert rep == {
+        **passing,
+        flag: False,
+        "pass": False,
+        "first_failure": {"case": case, "index": index},
+    }
+
+
 def _section_counts(g, budget):
     """The counts verify_all gives each section at this budget."""
 
