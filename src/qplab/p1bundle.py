@@ -134,8 +134,8 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
 def _verify_kernel(kb: KernelBasis):
     # M(t) = t*a - b with a = x and b = (lambda_k x_k), so the t^k coefficient
     # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k
-    p, v = kb.point.pencil, kb.point.coords
-    rows = [p.q1_row(v), p.q2_row(v)]
+    p = kb.point.pencil
+    rows = kb.point.rows()
     for col in kb.columns:
         # a list, not a generator expression: star-unpacking a generator
         # made the peak RSS of long runs creep up (measured on CPython 3.11)
@@ -192,8 +192,7 @@ def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool
     form of the constants followed by the frame give the first and the
     last of these; the frame's rows, sparsest first, give the second.
     """
-    p, v = kb.point.pencil, kb.point.coords
-    rows = [p.q1_row(v), p.q2_row(v)]
+    rows = kb.point.rows()
     if any(any(matvec(rows, s)) for s in frame.S_basis):
         return False
     constants = kb.S_coordinates(kb.constants())

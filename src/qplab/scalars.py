@@ -91,6 +91,9 @@ class BiquadContext:
         return Biquad(self, q, 0, 0, 0)
 
 
+_ZERO_N = (0, 0, 0, 0)
+
+
 def _raw(ctx, n, d) -> "Biquad":
     """Element from numerators ``n`` over ``d`` already in canonical form."""
     x = object.__new__(Biquad)
@@ -291,7 +294,8 @@ class Biquad:
         return hash((self.ctx, self._n, self._d))
 
     def __bool__(self):
-        return any(self._n)
+        # the numerators of zero are exactly _ZERO_N in canonical form
+        return self._n != _ZERO_N
 
     def to_complex(self) -> complex:
         ru, rw = self.ctx._ru, self.ctx._rw

@@ -2,8 +2,11 @@
 and the rank-two orthogonal decomposition.
 
 The characteristic coefficients and the Pfaffian run on Python ints, so they
-need rational entries: the matrix is scaled once by the lcm of its
-denominators, and each result becomes a ``Fraction`` once, at the end.  The
+need rational entries (``int`` or ``Fraction``): the matrix is scaled once by
+the lcm D of its denominators (D = 1 for an integer matrix), and each result
+becomes a ``Fraction`` once, at the end.  The characteristic coefficients
+come from the power sums tr(B^k) by Newton's identities, with every division
+checked to be exact and every odd-power coefficient checked to vanish.  The
 rank-two decomposition also works over the biquadratic algebra.
 
 The Pfaffian sign convention: the direct sum of standard 2x2 blocks with +1
@@ -85,28 +88,37 @@ class SkewMap:
 def char_coeffs(m: SkewMap):
     """(a_1, ..., a_n) with det(xI - A) = x^{2n} + a_1 x^{2n-2} + ... + a_n.
 
-    Runs the Faddeev-LeVerrier recursion on Python ints: with D the lcm of
-    the denominators of A, B = D*A is an integer matrix, so every M_k and c_k
-    of the recursion for B is an integer and a_j = c_{2j} / D^{2j}.
-    The division c_k = -tr(M_k)/k is checked to be exact, and the odd-power
-    coefficients are verified to vanish exactly.
+    Runs on Python ints: with D the lcm of the denominators of A, B = D*A is
+    an integer matrix, so det(xI - B) = x^{2n} + c_1 x^{2n-1} + ... + c_{2n}
+    has integer c_k and a_j = c_{2j} / D^{2j}.  The c_k come from the power
+    sums p_k = tr(B^k) by Newton's identities,
+    k c_k = -(p_k + c_1 p_{k-1} + ... + c_{k-1} p_1).  Only B^2, ..., B^n are
+    formed (n - 1 products); p_k is tr(B^i B^j) with i + j = k, and as B^j
+    is skew or symmetric that is +-sum_rc (B^i)_rc (B^j)_rc, so no power
+    beyond B^n is built and at most n matrices are held.
+    Each division by k is checked to be exact, and the odd-power
+    coefficients are verified to vanish exactly; either failure raises
+    ``ArithmeticError``.
     """
     size = m.size
     b, d = _scaled_to_integers(m.entries)
-    # Faddeev-LeVerrier: M_1 = B, c_k = -tr(M_k)/k, M_{k+1} = B (M_k + c_k I)
-    mk = [list(row) for row in b]
-    coeffs = []
+    powers = [b]  # B^1, ..., B^n
+    for _ in range(1, m.n):
+        powers.append(_matmul(b, powers[-1]))
+    traces = [sum(b[i][i] for i in range(size))]  # p_1
+    for k in range(2, size + 1):
+        # p_k = tr(B^i B^j) with 1 <= i <= j <= n; (B^j)_cr = (-1)^j (B^j)_rc
+        i = k // 2
+        j = k - i
+        t = sum([sum(map(mul, u, v)) for u, v in zip(powers[i - 1], powers[j - 1])])
+        traces.append(-t if j % 2 else t)
+    coeffs = []  # c_1, ..., c_{2n}
     for k in range(1, size + 1):
-        ck, rem = divmod(-sum(mk[i][i] for i in range(size)), k)
+        s = traces[k - 1] + sum(map(mul, coeffs, reversed(traces[: k - 1])))
+        ck, rem = divmod(-s, k)
         if rem:
-            raise ArithmeticError(f"trace of M_{k} is not divisible by {k}")
+            raise ArithmeticError(f"Newton's sum for c_{k} is not divisible by {k}")
         coeffs.append(ck)
-        if k == size:
-            break
-        for i in range(size):
-            mk[i][i] += ck
-        mk = _matmul(b, mk)
-    # det(xI - B) = x^{2n} + coeffs[0] x^{2n-1} + ...
     for k in range(0, size, 2):
         if coeffs[k] != 0:
             raise ArithmeticError("odd characteristic coefficient nonzero")

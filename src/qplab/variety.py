@@ -68,7 +68,7 @@ class PointOnX:
     """A homogeneous representative of a point of X, with exact coordinates
     (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "on_Y")
+    __slots__ = ("pencil", "coords", "on_Y", "_rows")
 
     def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
@@ -79,6 +79,15 @@ class PointOnX:
         self.coords = coords
         self._check_membership()
         self.on_Y = not coords[-1]
+        self._rows = None
+
+    def rows(self):
+        """[q1(v, .), q2(v, .)], built on the first call and then shared by
+        every caller, so none may modify them."""
+        if self._rows is None:
+            p, v = self.pencil, self.coords
+            self._rows = [p.q1_row(v), p.q2_row(v)]
+        return self._rows
 
     def _check_membership(self):
         q1 = self.pencil.q1(self.coords)
@@ -199,11 +208,10 @@ def _lifts(x: PointOnX):
     As v_k is invertible, S is the line of v plus the vectors of S with k-th
     coordinate 0, so these lift the quotient S/V one to one.
     """
-    p = x.pencil
     v = x.coords
     k, _ = _invertible_pivot(v)
     unit = [int(i == k) for i in range(len(v))]
-    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v)])
+    return nullspace_exact([unit] + x.rows())
 
 
 def _invertible_pivot(v):

@@ -176,6 +176,28 @@ def test_constant_columns_span_common_orthogonal():
     assert trivial_factor_matches_tangent(kb, frame)
 
 
+def test_chain_builds_the_point_rows_once(monkeypatch):
+    # the frame, the kernel check and the trivial-factor check share the
+    # rows q1(v, .) and q2(v, .) that the point keeps
+    calls = []
+    q2_row = PencilOfQuadrics.q2_row
+
+    def counted(self, v):
+        calls.append(1)
+        return q2_row(self, v)
+
+    monkeypatch.setattr(PencilOfQuadrics, "q2_row", counted)
+    for p in (P2, P3):
+        x = sample_point(p, 0, index=1)
+        calls.clear()
+        frame = tangent_frame(x)
+        kb = v_perp_kernel(p, x)
+        n_tilde_splitting(kb)
+        assert trivial_factor_matches_tangent(kb, frame)
+        assert len(calls) == 1
+        assert x.rows() == [p.q1_row(x.coords), q2_row(p, x.coords)]
+
+
 def test_splitting_type():
     for p in (P2, P3):
         x = sample_point(p, 47)

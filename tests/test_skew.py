@@ -136,6 +136,57 @@ def test_integer_kernels_match_fraction_oracles():
             assert coeffs[-1] == pf ** 2
 
 
+def test_char_coeffs_from_power_sums_match_fraction_oracle():
+    # rational maps of sizes 2..12 with denominators, the zero maps and
+    # integer rank-2 maps u v^T - v u^T, whose a_1 is the sum of the squares
+    # of the upper entries and whose other coefficients vanish
+    rng = random.Random(11)
+    cases = []
+    for size in range(2, 13, 2):
+        count = size * (size - 1) // 2
+        for _ in range(6):
+            upper = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(count)]
+            cases.append(SkewMap.from_upper(size, upper))
+        cases.append(SkewMap.from_upper(size, [0] * count))
+        for _ in range(4):
+            u = [rng.randint(-5, 5) for _ in range(size)]
+            v = [rng.randint(-5, 5) for _ in range(size)]
+            cases.append(
+                SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(size)]
+                         for a in range(size)])
+            )
+    for m in cases:
+        coeffs = char_coeffs(m)
+        assert all(type(x) is Fraction for x in coeffs)
+        assert coeffs == _char_coeffs_fraction(m.entries)
+        if rank_exact(m.entries) <= 2:
+            a = m.entries
+            squares = sum(a[i][j] ** 2 for i in range(m.size) for j in range(i + 1, m.size))
+            assert coeffs[0] == squares and not any(coeffs[1:])
+
+
+def test_char_coeffs_forms_powers_up_to_half_the_size(monkeypatch):
+    # the power sums need B^2, ..., B^n of a 2n x 2n map: n - 1 products
+    # (Faddeev-LeVerrier took 2n - 1)
+    import qplab.skew as skew
+
+    calls = []
+
+    def counted(a, b, matmul=skew._matmul):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(skew, "_matmul", counted)
+    rng = random.Random(12)
+    for size in range(2, 13, 2):
+        upper = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(size * (size - 1) // 2)]
+        m = SkewMap.from_upper(size, upper)
+        calls.clear()
+        assert char_coeffs(m) == _char_coeffs_fraction(m.entries)
+        assert len(calls) <= size // 2 - 1, size
+
+
 def test_block_diagonal_known_answers():
     # blocks b_k: det(xI - A) = prod (x^2 + b_k^2), so a_j = e_j(b_k^2) and
     # Pf = prod b_k; a permutation P of the basis keeps the coefficients and

@@ -4,9 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from qplab import BinaryForm, FibrationValue, canonical_pencil
+from qplab import (
+    BinaryForm,
+    DecompositionError,
+    FibrationValue,
+    SkewMap,
+    canonical_pencil,
+    char_coeffs,
+    det_exact,
+    pfaffian,
+    rank2_orthogonal_decomposition,
+)
 from qplab import fibration, verify
 from qplab.p1bundle import SplittingError
+from qplab.variety import derived_rng
 from qplab.verify import (
     run_diagram_check,
     run_even_check,
@@ -166,6 +177,141 @@ def test_skew_battery_names_first_rank2_failure(monkeypatch):
     rep = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
     assert not rep["pass"] and rep["pfaffian_pass"] and not rep["rank2_pass"]
     assert rep["first_failure"] == {"case": "rank2", "index": 2}
+
+
+def test_skew_battery_checks_a1_closed_form(monkeypatch):
+    # a_1 of a rank-2 map is the sum of the squares of its upper entries; a
+    # char_coeffs whose a_1 is off by 1 on its second call fails that case
+    real = verify.char_coeffs
+    calls = [0]
+
+    def off_by_one(m):
+        coeffs = real(m)
+        calls[0] += 1
+        return (coeffs[0] + 1,) + coeffs[1:] if calls[0] == 2 else coeffs
+
+    monkeypatch.setattr(verify, "char_coeffs", off_by_one)
+    rep = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
+    assert not rep["pass"] and rep["pfaffian_pass"] and not rep["rank2_pass"]
+    assert rep["first_failure"] == {"case": "rank2", "index": 1}
+
+
+def recording(log, name, kernel):
+    """kernel, logging (name, the matrix it got, what it returned)."""
+
+    def wrapped(arg):
+        out = kernel(arg)
+        entries = arg.entries if isinstance(arg, SkewMap) else arg
+        log.append((name, [list(row) for row in entries], out))
+        return out
+
+    return wrapped
+
+
+def fraction_skew_battery(seed, pf_cases, rank2_cases, log):
+    """Oracle for run_skew_battery: the battery built on Fractions, with one
+    scalar draw per upper entry, every entry a Fraction (so each kernel
+    scales its matrix back to integers) and a redraw of a rank-2 map whose
+    a_1 vanishes.  Logs every kernel call like `recording`."""
+    kernels = {
+        name: recording(log, name, kernel)
+        for name, kernel in (
+            ("pfaffian", pfaffian),
+            ("det_exact", det_exact),
+            ("char_coeffs", char_coeffs),
+            ("decomposition", rank2_orthogonal_decomposition),
+        )
+    }
+    sizes = [4, 6, 8, 10]
+
+    def pf_one(i):
+        rng = derived_rng(seed, (1 << 44) + i)
+        n = sizes[i % len(sizes)]
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                c = Fraction(int(rng.integers(-9, 10)))
+                m[a][b], m[b][a] = c, -c
+        return kernels["pfaffian"](SkewMap(m)) ** 2 == kernels["det_exact"](m)
+
+    def rank2_one(i):
+        rng = derived_rng(seed, (1 << 40) + i)
+        n = sizes[i % len(sizes)]
+        for _ in range(64):
+            u = [Fraction(int(c)) for c in rng.integers(-5, 6, size=n)]
+            v = [Fraction(int(c)) for c in rng.integers(-5, 6, size=n)]
+            m = [[u[a] * v[b] - v[a] * u[b] for b in range(n)] for a in range(n)]
+            if not any(any(row) for row in m):
+                continue
+            skew = SkewMap(m)
+            coeffs = kernels["char_coeffs"](skew)
+            if any(coeffs[1:]):
+                return False
+            if not coeffs[0]:
+                continue
+            try:
+                kernels["decomposition"](skew)
+            except DecompositionError:
+                return False
+            return True
+        return False
+
+    pf_results = [pf_one(i) for i in range(pf_cases)]
+    rank2_results = [rank2_one(i) for i in range(rank2_cases)]
+    report = {
+        "pass": all(pf_results) and all(rank2_results),
+        "pfaffian_cases": pf_cases,
+        "rank2_cases": rank2_cases,
+        "pfaffian_pass": all(pf_results),
+        "rank2_pass": all(rank2_results),
+    }
+    for case, results in (("pfaffian", pf_results), ("rank2", rank2_results)):
+        if not all(results):
+            report["first_failure"] = {"case": case, "index": results.index(False)}
+            break
+    return report
+
+
+@pytest.mark.parametrize("pf_cases, rank2_cases", [(25, 10), (60, 24)])
+def test_skew_battery_matches_fraction_battery(monkeypatch, pf_cases, rank2_cases):
+    # the same maps reach the same kernels, which return the same values,
+    # case by case; the battery's maps hold Python ints
+    log = []
+    for name, attr in (
+        ("pfaffian", "pfaffian"),
+        ("det_exact", "det_exact"),
+        ("char_coeffs", "char_coeffs"),
+        ("decomposition", "rank2_orthogonal_decomposition"),
+    ):
+        monkeypatch.setattr(verify, attr, recording(log, name, getattr(verify, attr)))
+    for seed in range(10):
+        expected_log = []
+        expected = fraction_skew_battery(seed, pf_cases, rank2_cases, expected_log)
+        log.clear()
+        assert run_skew_battery(seed, pf_cases, rank2_cases) == expected
+        assert log == expected_log
+        assert all(type(x) is int for _, m, _ in log for row in m for x in row)
+        calls = [name for name, _, _ in log]
+        assert calls.count("pfaffian") == calls.count("det_exact") == pf_cases
+        assert calls.count("char_coeffs") == calls.count("decomposition") == rank2_cases
+
+
+def test_skew_draw_matches_scalar_draws():
+    # one vector draw of the upper entries gives the numbers that one scalar
+    # draw per entry gave, so the battery's maps are the ones it always drew
+    for seed in range(20):
+        for n in (4, 6, 8, 10):
+            count = n * (n - 1) // 2
+            vector = derived_rng(seed, n).integers(-9, 10, size=count).tolist()
+            rng = derived_rng(seed, n)
+            assert vector == [int(rng.integers(-9, 10)) for _ in range(count)]
+            m = verify._random_skew(derived_rng(seed, n), n)
+            upper = iter(vector)
+            for a in range(n):
+                assert m[a][a] == 0 and type(m[a][a]) is int
+                for b in range(a + 1, n):
+                    c = next(upper)
+                    assert type(m[a][b]) is int and (m[a][b], m[b][a]) == (c, -c)
 
 
 def test_splitting_error_report_names_index(monkeypatch):
