@@ -16,11 +16,16 @@ from fractions import Fraction
 from . import __version__
 from .fibration import f_H, phi_X
 from .linalg import rank_exact
-from .p1bundle import n_tilde_splitting, v_perp_kernel, vandermonde_normalizer
+from .p1bundle import (
+    n_tilde_splitting,
+    trivial_factor_matches_tangent,
+    v_perp_kernel,
+    vandermonde_normalizer,
+)
 from .pencil import PencilError, PencilOfQuadrics, canonical_pencil
 from .scalars import rational_to_string, scalar_to_json
 from .skew import SkewMap, SkewnessError, char_coeffs, pfaffian
-from .variety import sample_pair, sample_point
+from .variety import PointOnX, sample_pair, sample_point, tangent_frame
 from .verify import (
     run_diagram_check,
     run_even_check,
@@ -129,9 +134,6 @@ def _cmd_fh(args) -> int:
 
 
 def _cmd_bundle_splitting(args) -> int:
-    from .variety import PointOnX, tangent_frame
-    from .p1bundle import trivial_factor_matches_tangent
-
     p = _pencil_from_args(args)
     if args.point:
         try:
@@ -185,23 +187,13 @@ def _cmd_vandermonde(args) -> int:
     return _report(args, "vandermonde", True, metrics, 0)
 
 
-def _check_holdout(args):
+def _cmd_verify_holdout(args) -> int:
+    """verify-diagram and verify-even: their section on --holdout samples."""
+    p = _pencil_from_args(args)
     if args.holdout < 1:
         raise InputError("need --holdout >= 1")
-
-
-def _cmd_verify_diagram(args) -> int:
-    p = _pencil_from_args(args)
-    _check_holdout(args)
-    rep = run_diagram_check(p, args.seed, args.holdout)
-    return _report(args, "verify-diagram", rep["pass"], rep, args.holdout)
-
-
-def _cmd_verify_even(args) -> int:
-    p = _pencil_from_args(args)
-    _check_holdout(args)
-    rep = run_even_check(p, args.seed, args.holdout)
-    return _report(args, "verify-even", rep["pass"], rep, args.holdout)
+    rep = args.section(p, args.seed, args.holdout)
+    return _report(args, args.command, rep["pass"], rep, args.holdout)
 
 
 def _cmd_verify_lagrangian(args) -> int:
@@ -303,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_seed(sp)
     sp.add_argument("--holdout", type=int, default=100)
-    sp.set_defaults(fn=_cmd_verify_diagram)
+    sp.set_defaults(fn=_cmd_verify_holdout, section=run_diagram_check)
 
     sp = sub.add_parser("verify-even", help="diagram check on T*Y + exact vanishing")
     _add_pencil_flags(sp)
     _add_common(sp)
     _add_seed(sp)
     sp.add_argument("--holdout", type=int, default=100)
-    sp.set_defaults(fn=_cmd_verify_even)
+    sp.set_defaults(fn=_cmd_verify_holdout, section=run_even_check)
 
     sp = sub.add_parser("verify-lagrangian", help="finite-difference isotropy check")
     _add_pencil_flags(sp)

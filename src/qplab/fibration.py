@@ -26,7 +26,7 @@ import numpy as np
 from .binary_forms import BinaryForm, interpolate_binary_form
 from .linalg import det_exact, dot
 from .pencil import PencilOfQuadrics
-from .variety import CotangentRep, PointOnX, _invertible_pair, _vanishes_on_S
+from .variety import CotangentRep, PointOnX, _vanishes_on_S
 
 __all__ = [
     "FibrationValue",
@@ -107,10 +107,9 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     """
     p = x.pencil
     v, eta = x.coords, xi.eta
-    pair = _invertible_pair(v)
-    if _vanishes_on_S(x, eta, pair):
+    if _vanishes_on_S(x, eta):
         raise DegenerateCovectorError("eta vanishes on S/V")
-    piv = pair[0]
+    piv = x.pair()[0]
     others = [k for k in range(len(v)) if k != piv]
     xx = [v[k] * v[k] for k in others]
     xe = [v[k] * eta[k] for k in others]
@@ -153,7 +152,7 @@ class IdentificationMap:
     """
 
     L: list
-    pencil_fingerprint: str
+    pencil: PencilOfQuadrics
 
     def apply(self, value: FibrationValue) -> list:
         """L*F, exactly."""
@@ -209,7 +208,7 @@ def _identification(p: PencilOfQuadrics) -> IdentificationMap:
             q.append(c + lam * q[-1])
         columns.append(q)
     L = [list(row) for row in zip(*columns)]
-    return IdentificationMap(L=L, pencil_fingerprint=p.fingerprint())
+    return IdentificationMap(L=L, pencil=p)
 
 
 def verify_identification(ident: IdentificationMap, pairs) -> dict:
@@ -218,7 +217,7 @@ def verify_identification(ident: IdentificationMap, pairs) -> dict:
     Raises ValueError for a sample of another pencil.  A failing report
     names the first failing sample and the identity it breaks.
     """
-    if any(x.pencil.fingerprint() != ident.pencil_fingerprint for x, _ in pairs):
+    if any(x.pencil != ident.pencil for x, _ in pairs):
         raise ValueError("sample from a different pencil")
     values = ((phi_X(x, xi), f_H(x, xi)) for x, xi in pairs)
     return _identification_report(ident, len(pairs), values)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .linalg import _pivot_columns, dot, matvec, nullspace_exact, rank_exact
 from .pencil import PencilOfQuadrics
-from .variety import PointOnX, TangentFrame, _invertible_pair
+from .variety import PointOnX, TangentFrame
 
 __all__ = [
     "KernelBasis",
@@ -42,17 +42,12 @@ class SplittingError(ArithmeticError):
 class KernelBasis:
     """Minimal kernel basis of the 1x(2g+2) row map M(t) = ((t-lambda_k) x_k).
 
-    `pair` is :func:`~qplab.variety._invertible_pair` of the point, looked
-    up when it is not given; the coordinates of S are taken off that pair.
+    The coordinates of S are taken off the point's pair
+    (:meth:`~qplab.variety.PointOnX.pair`).
     """
 
     point: PointOnX
     columns: list          # per column, its coefficient vectors [w0] or [w0, w1]
-    pair: tuple = None
-
-    def __post_init__(self):
-        if self.pair is None:
-            self.pair = _invertible_pair(self.point.coords)
 
     @property
     def degrees(self) -> list:
@@ -67,7 +62,7 @@ class KernelBasis:
     def S_coordinates(self, vectors) -> list:
         """Coordinates of vectors of S in the closed-form basis: their
         entries off the pair (i, j), as that basis is e_k there."""
-        i, _, j, _ = self.pair
+        i, _, j, _ = self.point.pair()
         return [[c for k, c in enumerate(w) if k != i and k != j] for w in vectors]
 
 
@@ -85,7 +80,8 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     """Minimal kernel basis of M(t): 2g closed-form constant columns and one
     Koszul column.
 
-    Let i < j be the first two invertible coordinates of x.  For each other
+    Let i < j be the pair of x (:meth:`~qplab.variety.PointOnX.pair`), its
+    first two invertible coordinates.  For each other
     k the constant column is w = e_k + a_k e_i + b_k e_j with
     a_k = x_k (lambda_k - lambda_j) / ((lambda_j - lambda_i) x_i) and
     b_k = x_k (lambda_i - lambda_k) / ((lambda_j - lambda_i) x_j), the one
@@ -107,8 +103,7 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
         raise ValueError("point does not belong to the pencil")
     v = x.coords
     lam = p.lambdas
-    pair = _invertible_pair(v)
-    i, inv_i, j, inv_j = pair
+    i, inv_i, j, inv_j = x.pair()
     d = lam[j] - lam[i]
     c_i, c_j = inv_i * (1 / d), inv_j * (1 / d)
     zero = v[i] - v[i]
@@ -126,7 +121,7 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     w0[i], w0[j] = v[j] * -lam[j], v[i] * lam[i]
     w1[i], w1[j] = v[j], -v[i]
     cols.append([w0, w1])
-    kb = KernelBasis(point=x, columns=cols, pair=pair)
+    kb = KernelBasis(point=x, columns=cols)
     _verify_kernel(kb)
     return kb
 

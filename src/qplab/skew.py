@@ -71,12 +71,14 @@ class SkewMap:
 
     @classmethod
     def from_upper(cls, size, upper):
-        """Build from the strictly-upper entries, row by row."""
+        """Build from the strictly-upper entries, row by row, kept as given:
+        ints stay ints, and an inexact entry is refused like in the
+        constructor."""
         it = iter(upper)
-        m = [[Fraction(0)] * size for _ in range(size)]
+        m = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                v = Fraction(next(it))
+                v = next(it)
                 m[i][j] = v
                 m[j][i] = -v
         return cls(m)

@@ -68,7 +68,7 @@ class PointOnX:
     """A homogeneous representative of a point of X, with exact coordinates
     (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "on_Y", "_rows")
+    __slots__ = ("pencil", "coords", "on_Y", "_rows", "_pair")
 
     def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
@@ -80,6 +80,7 @@ class PointOnX:
         self._check_membership()
         self.on_Y = not coords[-1]
         self._rows = None
+        self._pair = None
 
     def rows(self):
         """[q1(v, .), q2(v, .)], built on the first call and then shared by
@@ -88,6 +89,15 @@ class PointOnX:
             p, v = self.pencil, self.coords
             self._rows = [p.q1_row(v), p.q2_row(v)]
         return self._rows
+
+    def pair(self):
+        """(i, 1 / x_i, j, 1 / x_j) for the first two invertible coordinates
+        x_i and x_j, i < j (:func:`_invertible_pair`): the chart in which
+        the frame, the covector sampler, f_H and the closed-form basis of S
+        are taken.  Looked up on the first call and then shared."""
+        if self._pair is None:
+            self._pair = _invertible_pair(self.coords)
+        return self._pair
 
     def _check_membership(self):
         q1 = self.pencil.q1(self.coords)
@@ -189,8 +199,8 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
     """Exact frame of the common orthogonal S (dim 2g) and of S/V (dim 2g-1).
 
     S_basis is [v] followed by :func:`_lifts` of x, a basis of the vectors
-    of S that vanish at the first invertible coordinate of v, which lift a
-    basis of S/V one to one.
+    of S that vanish at the first coordinate of :meth:`PointOnX.pair`,
+    which lift a basis of S/V one to one.
     """
     lifts = _lifts(x)
     if len(lifts) != 2 * x.pencil.g - 1:
@@ -202,24 +212,15 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
 
 
 def _lifts(x: PointOnX):
-    """Basis of the vectors of S that vanish at the first invertible
-    coordinate v_k of v; only :func:`tangent_frame` uses it.
+    """Basis of the vectors of S that vanish at the first coordinate v_k of
+    the point's pair; only :func:`tangent_frame` uses it.
 
     As v_k is invertible, S is the line of v plus the vectors of S with k-th
     coordinate 0, so these lift the quotient S/V one to one.
     """
-    v = x.coords
-    k, _ = _invertible_pivot(v)
-    unit = [int(i == k) for i in range(len(v))]
+    k = x.pair()[0]
+    unit = [int(i == k) for i in range(len(x.coords))]
     return nullspace_exact([unit] + x.rows())
-
-
-def _invertible_pivot(v):
-    """(k, 1 / v[k]) for the first coordinate v[k] that has an inverse."""
-    found = _pivot_row([[c] for c in v], 0, 0)
-    if found is None:
-        raise ArithmeticError("no invertible coordinate in the point")
-    return found
 
 
 def _invertible_pair(v):
@@ -231,27 +232,30 @@ def _invertible_pair(v):
     make the algebra split, the nonzero coordinates after p may all be zero
     divisors; then this raises :class:`NonInvertibleError`.
     """
-    p, inv_p = _invertible_pivot(v)
+    column = [[c] for c in v]
+    first = _pivot_row(column, 0, 0)
+    if first is None:
+        raise ArithmeticError("no invertible coordinate in the point")
     try:
-        found = _pivot_row([[c] for c in v], p + 1, 0)
+        second = _pivot_row(column, first[0] + 1, 0)
     except NonInvertibleError:
-        found = None
-    if found is None:
+        second = None
+    if second is None:
         raise NonInvertibleError("no second invertible coordinate in the point")
-    return (p, inv_p) + found
+    return first + second
 
 
-def _vanishes_on_S(x: PointOnX, eta, pair) -> bool:
+def _vanishes_on_S(x: PointOnX, eta) -> bool:
     """True iff the covector eta vanishes on S = ker q1(v, .) ∩ ker q2(v, .).
 
     That holds iff eta = a q1(v, .) + b q2(v, .), that is
-    eta_k = (a + b lambda_k) v_k for every k.  `pair` is
-    :func:`_invertible_pair` of v: its coordinates p and j fix
-    a + b lambda_p = eta_p / v_p and a + b lambda_j = eta_j / v_j, so the
-    test takes no elimination and no inverse beyond those of `pair`.
+    eta_k = (a + b lambda_k) v_k for every k.  The coordinates p and j of
+    :meth:`PointOnX.pair` fix a + b lambda_p = eta_p / v_p and
+    a + b lambda_j = eta_j / v_j, so the test takes no elimination and no
+    inverse beyond those of the pair.
     """
     lam, v = x.pencil.lambdas, x.coords
-    p, inv_p, j, inv_j = pair
+    p, inv_p, j, inv_j = x.pair()
     c_p = inv_p * eta[p]
     b = (inv_j * eta[j] - c_p) * (1 / (lam[j] - lam[p]))
     a = c_p - b * lam[p]
@@ -313,8 +317,7 @@ def sample_covector(
     rng = derived_rng(seed, index + (1 << 32))
     n = x.pencil.dim_ambient
     v = x.coords
-    pair = _invertible_pair(v if not even_restricted else v[:-1])
-    pivot, inv_vp = pair[:2]
+    pivot, inv_vp = x.pair()[:2]
     for _ in range(RESAMPLE_BUDGET):
         eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
         if even_restricted:
@@ -322,7 +325,7 @@ def sample_covector(
         eta[pivot] = Fraction(0)
         s = dot(v, eta)
         eta[pivot] = -(s * inv_vp)
-        if not _vanishes_on_S(x, eta, pair):
+        if not _vanishes_on_S(x, eta):
             return CotangentRep(x, eta, even_restricted)
     raise SampleBudgetError("no covector nonzero on S drawn within budget")
 

@@ -287,21 +287,6 @@ def run_quotient_check(
     return report
 
 
-def _random_skew(rng, n: int):
-    """An n x n integer skew matrix: its n(n-1)/2 upper entries, row by row,
-    are one vector draw from [-9, 9], the same numbers as that many scalar
-    draws.  The entries are Python ints, which the exact kernels take as
-    they are."""
-    upper = iter(rng.integers(-9, 10, size=n * (n - 1) // 2).tolist())
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = next(upper)
-            m[i][j] = c
-            m[j][i] = -c
-    return m
-
-
 def run_skew_battery(
     seed: int, pf_cases: int = 500, rank2_cases: int = 200
 ) -> dict:
@@ -310,7 +295,9 @@ def run_skew_battery(
     verified orthogonal kernel/image decomposition.
 
     Every map has small integer entries and reaches the kernels as Python
-    ints, so each kernel scales it by D = 1.  A nonzero rational skew map is
+    ints, so each kernel scales it by D = 1.  The n(n-1)/2 upper entries of
+    a Pfaffian case are one vector draw from [-9, 9], the same numbers as
+    that many scalar draws.  A nonzero rational skew map is
     never nilpotent, as a_1 > 0, so every rank-2 case decomposes.  A failing
     report names its first failing case and that case's index.
     """
@@ -318,8 +305,10 @@ def run_skew_battery(
 
     def pf_one(i: int) -> bool:
         rng = derived_rng(seed, (1 << 44) + i)
-        m = _random_skew(rng, sizes[i % len(sizes)])
-        return pfaffian(SkewMap(m)) ** 2 == det_exact(m)
+        n = sizes[i % len(sizes)]
+        upper = rng.integers(-9, 10, size=n * (n - 1) // 2).tolist()
+        skew = SkewMap.from_upper(n, upper)
+        return pfaffian(skew) ** 2 == det_exact(skew.entries)
 
     def rank2_one(i: int) -> bool:
         rng = derived_rng(seed, (1 << 40) + i)
@@ -434,7 +423,7 @@ def run_falsifiability_check(
 
     bad_l = [row[:] for row in ident.L]
     bad_l[3][0] += Fraction(1, 7)  # a row compared with f_H
-    perturbed = type(ident)(L=bad_l, pencil_fingerprint=ident.pencil_fingerprint)
+    perturbed = type(ident)(L=bad_l, pencil=ident.pencil)
     broken_map = _identification_report(perturbed, 10, samples.values(10))
 
     x, xi = samples.pair(0)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from qplab import (
     Biquad,
     BiquadContext,
+    CotangentRep,
     NonInvertibleError,
+    PointOnX,
     canonical_pencil,
     det_exact,
     f_H,
@@ -552,9 +554,11 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 750 products and 43 inverses and no norm: every
-    # pivot search, _invertible_pivot included, inverts its candidates
-    # instead of testing their norm; tangent_frame takes one nullspace, f_H
+    # Per sample it takes 750 products and 38 inverses and no norm: every
+    # pivot search, _invertible_pair included, inverts its candidates
+    # instead of testing their norm; the point looks up its invertible pair
+    # once (43 inverses when the sampler, the frame, f_H and the kernel basis
+    # each looked it up); tangent_frame takes one nullspace, f_H
     # a closed-form degeneracy test and 3x3 determinants, the kernel columns
     # are closed forms, and the span questions of the splitting are ranks of
     # sparse rows in the coordinates of the closed-form basis of S.  The rows
@@ -571,20 +575,27 @@ def test_g4_chain_operation_counts(monkeypatch):
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
     assert counts["mul"] <= 3 * 780
-    assert counts["inverse"] <= 3 * 45
+    assert counts["inverse"] <= 3 * 40
     assert counts["norm"] == 0
 
 
 def test_f_H_cost_grows_polynomially(monkeypatch):
     # f_H takes a closed-form degeneracy test and 2g-1 determinants of size
-    # 3, so its products grow like g^2 (171 at g=3, 555 at g=6) and it takes
-    # 2 inverses at every g: those of two coordinates of the point
+    # 3, so its products grow like g^2 (171 at g=3, 533 at g=6).  Its only
+    # inverses are those of the point's invertible pair: none once
+    # sample_pair has looked the pair up, 2 at every g on a point whose pair
+    # was never looked up
     muls = {}
     for g in range(2, 7):
         x, xi = sample_pair(canonical_pencil(g), 0)
+        fresh = PointOnX(x.pencil, x.coords)
+        fresh_xi = CotangentRep(fresh, xi.eta)
         counts = count_biquad_ops(monkeypatch)
         f_H(x, xi)
         muls[g] = counts["mul"]
+        assert counts["inverse"] == 0, g
+        f_H(fresh, fresh_xi)
+        assert counts["mul"] == 2 * muls[g], g
         assert counts["inverse"] <= 2, g
         monkeypatch.undo()
     assert muls[6] <= 5 * muls[3]
@@ -593,11 +604,14 @@ def test_f_H_cost_grows_polynomially(monkeypatch):
 def test_splitting_chain_cost_grows_linearly(monkeypatch):
     # tangent_frame, v_perp_kernel, n_tilde_splitting and the trivial-factor
     # check take 130 / 206 / 290 / 382 / 482 / 590 / 706 products and
-    # 8g + 7 inverses at g = 2..8: one nullspace, closed-form columns, the
-    # rows q1(v, .) and q2(v, .) built once, and ranks of rows with one or
-    # two nonzero entries, each pivot inverted once
+    # 8g + 4 inverses at g = 2..8: one nullspace, closed-form columns, the
+    # rows q1(v, .) and q2(v, .) built once, the invertible pair that
+    # sample_pair looked up, and ranks of rows with one or two nonzero
+    # entries, each pivot inverted once
     # (with a nullspace for the constant columns and ranks of ambient vectors
-    # it took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses)
+    # it took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses;
+    # with the pair looked up again by the frame and the kernel basis,
+    # 8g + 7)
     muls = {}
     for g in range(2, 9):
         x, _ = sample_pair(canonical_pencil(g), 0)
@@ -607,7 +621,7 @@ def test_splitting_chain_cost_grows_linearly(monkeypatch):
         assert n_tilde_splitting(kb).degrees == (0,) * (2 * g - 1) + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
         muls[g] = counts["mul"]
-        assert counts["inverse"] <= 8 * g + 7, g
+        assert counts["inverse"] <= 8 * g + 4, g
         monkeypatch.undo()
     assert muls[8] <= 4 * muls[3]
 

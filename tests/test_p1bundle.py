@@ -22,7 +22,7 @@ from qplab import (
 )
 from qplab.linalg import in_span
 from qplab.p1bundle import KernelBasis, SplittingError, _verify_kernel
-from qplab.variety import TangentFrame, _invertible_pivot
+from qplab.variety import TangentFrame, _invertible_pair
 from test_fibration import SPLIT_PAIRS, one_invertible_point
 
 P2 = canonical_pencil(2)
@@ -101,7 +101,7 @@ def test_closed_form_constants_are_the_nullspace(p, seed, index, on_Y):
     assert same_span(constants, nullspace)
     # the rows have pivot columns 0 and 1 on a sampled point, which is the
     # pair the closed form is taken on, so the two bases coincide
-    assert kb.pair[0] == 0 and kb.pair[2] == 1
+    assert x.pair()[0] == 0 and x.pair()[2] == 1
     assert constants == nullspace
 
 
@@ -118,7 +118,7 @@ def test_kernel_needs_two_invertible_coordinates():
 def test_verify_kernel_rejects_perturbed_closed_form():
     x = sample_point(P3, 41)
     kb = v_perp_kernel(P3, x)
-    p, _, q, _ = kb.pair
+    p, _, q, _ = x.pair()
     for c, col in enumerate(kb.columns):
         if len(col) != 1:
             continue
@@ -209,7 +209,7 @@ def test_splitting_type():
 def greedy_constant_count(kb):
     """Oracle: degree-0 summands counted by the greedy in_span loop."""
     v = kb.point.coords
-    pivot, inv_vp = _invertible_pivot(v)
+    pivot, inv_vp = _invertible_pair(v)[:2]
     kept = []
     for col, d in zip(kb.columns, kb.degrees):
         if d == 0:

@@ -246,6 +246,15 @@ def test_pfaffian_4x4_symbolic_identity():
     assert pfaffian(m) == a * f - b * e + c * d
 
 
+def test_from_upper_keeps_entries_and_refuses_floats():
+    m = SkewMap.from_upper(4, [1, -2, 3, 0, 5, -6])
+    assert all(type(x) is int for row in m.entries for x in row)
+    assert m.entries[0][1] == 1 and m.entries[1][0] == -1
+    # 0.1 is not 1/10; like the constructor, from_upper does not round it
+    with pytest.raises(ModeMismatchError, match="float"):
+        SkewMap.from_upper(4, [0.1] * 6)
+
+
 @given(skew_matrices(6))
 @settings(max_examples=60, deadline=None)
 def test_pfaffian_squares_to_determinant(m):

@@ -298,14 +298,15 @@ def test_skew_battery_matches_fraction_battery(monkeypatch, pf_cases, rank2_case
 
 def test_skew_draw_matches_scalar_draws():
     # one vector draw of the upper entries gives the numbers that one scalar
-    # draw per entry gave, so the battery's maps are the ones it always drew
+    # draw per entry gave, so the battery's maps are the ones it always drew;
+    # from_upper keeps them as Python ints
     for seed in range(20):
         for n in (4, 6, 8, 10):
             count = n * (n - 1) // 2
             vector = derived_rng(seed, n).integers(-9, 10, size=count).tolist()
             rng = derived_rng(seed, n)
             assert vector == [int(rng.integers(-9, 10)) for _ in range(count)]
-            m = verify._random_skew(derived_rng(seed, n), n)
+            m = SkewMap.from_upper(n, vector).entries
             upper = iter(vector)
             for a in range(n):
                 assert m[a][a] == 0 and type(m[a][a]) is int
