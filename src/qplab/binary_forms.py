@@ -1,9 +1,16 @@
-"""Homogeneous binary forms: evaluation and exact interpolation."""
+"""Homogeneous binary forms: evaluation and exact interpolation.
+
+Interpolation through fixed parameters is a fixed rational map of the
+values, the Lagrange basis matrix (:func:`_lagrange_matrix`); f_H keeps that
+matrix for its parameters on the pencil and applies it to each sample.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
+from .linalg import _integer_rows, scaled_matvec
 from .scalars import _require_exact
 
 __all__ = [
@@ -55,9 +62,9 @@ def interpolate_binary_form(samples, degree: int) -> BinaryForm:
     """Unique form of degree <= d through exactly d+1 samples [(t_i, value_i)].
 
     Parameters are rational, distinct and affine (the point [t:1]); values
-    are exact.  Newton divided differences give f(t,1) = c_0 + (t - t_0)(c_1
-    + (t - t_1)(c_2 + ...)), dividing only by the rational differences of
-    the parameters, and that nested form is multiplied out from the inside.
+    are exact.  The coefficients are the values times the rational matrix of
+    the Lagrange basis on the parameters (:func:`_lagrange_matrix`), applied
+    on integer numerators by :func:`~qplab.linalg.scaled_matvec`.
     """
     _require_exact([x for sample in samples for x in sample], "interpolation samples")
     params = [Fraction(t) for t, _ in samples]
@@ -65,14 +72,35 @@ def interpolate_binary_form(samples, degree: int) -> BinaryForm:
         raise InterpolationError("repeated interpolation parameters")
     if len(samples) != degree + 1:
         raise InterpolationError(f"need exactly {degree + 1} samples")
-    newton = [v for _, v in samples]
-    for j in range(1, degree + 1):
-        for i in range(degree, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) * (1 / (params[i] - params[i - j]))
-    # coefficients of f(t,1) = sum c_k t^(d-k), highest power first
-    coeffs = [newton[degree]]
-    for i in range(degree - 1, -1, -1):
-        t = params[i]
-        coeffs = ([coeffs[0]] + [a - b * t for a, b in zip(coeffs[1:], coeffs)]
-                  + [newton[i] - coeffs[-1] * t])
-    return BinaryForm(degree, coeffs)
+    rows, scales = _integer_rows(_lagrange_matrix(params, [1] * len(params)))
+    return BinaryForm(degree, scaled_matvec(rows, scales, [v for _, v in samples]))
+
+
+def _root_quotients(roots) -> list:
+    """For each r in roots, the coefficients of prod_k (t - r_k) / (t - r),
+    highest power first: the product is expanded once and divided by each
+    t - r by synthetic division, O(n^2) rational operations in all."""
+    full = [Fraction(1)]
+    for r in roots:
+        full = [a - r * b for a, b in zip(full + [0], [0] + full)]
+    quotients = []
+    for r in roots:
+        q = [full[0]]
+        for c in full[1:-1]:
+            q.append(c + r * q[-1])
+        quotients.append(q)
+    return quotients
+
+
+def _lagrange_matrix(params, weights) -> list:
+    """The (d+1) x (d+1) rational matrix M, for d+1 distinct parameters t_m,
+    whose column m holds the coefficients (highest power first) of
+    weights[m] times the Lagrange basis polynomial of t_m,
+    prod_{j != m}(t - t_j) / (t_m - t_j).  So M times the values v_m is the
+    polynomial of degree <= d with value weights[m] * v_m at t_m.  Built in
+    O(d^2) rational operations from :func:`_root_quotients`."""
+    columns = []
+    for t, w, q in zip(params, weights, _root_quotients(params)):
+        scale = w / prod([t - s for s in params if s != t], start=Fraction(1))
+        columns.append([c * scale for c in q])
+    return [list(row) for row in zip(*columns)]

@@ -17,14 +17,13 @@ finite differences in a local symplectic chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
-from .binary_forms import BinaryForm, interpolate_binary_form
-from .linalg import det_exact, dot
+from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
+from .linalg import _integer_rows, det_exact, scaled_matvec
 from .pencil import PencilOfQuadrics
 from .variety import CotangentRep, PointOnX, _vanishes_on_S
 
@@ -99,11 +98,16 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     degree 2g-2: f_H up to a nonzero scale.  The 3x3 is not expanded
     further: up to a constant its expansion is sum_{i<j} w_ij^2
     prod_{k != i,j} d_k with w_ij = x_i eta_j - x_j eta_i, which is exactly
-    -L(F)(t), so the diagram check would compare phi with itself.  The
-    rational factors at each parameter are constants of the pencil and p
-    (:func:`_f_H_table`).  Raises DegenerateCovectorError when eta vanishes
-    on S/V, which the closed form of :func:`_vanishes_on_S` tells without
-    an elimination.
+    -L(F)(t), so the diagram check would compare phi with itself.
+    Everything rational here is a fixed map of the pencil and p
+    (:func:`_f_H_table`): A, B and C at all 2g-1 parameters are the weight
+    rows 1/(t - lambda_k) applied to the vectors x_k^2, x_k eta_k and
+    eta_k^2, and the interpolation, with prod_{k != p} d_k folded in, is a
+    Lagrange matrix applied to the 2g-1 determinants; each is one
+    :func:`~qplab.linalg.scaled_matvec` on integer numerators, reduced once
+    per output.  Raises DegenerateCovectorError when eta vanishes on S/V,
+    which the closed form of :func:`_vanishes_on_S` tells without an
+    elimination.
     """
     p = x.pencil
     v, eta = x.coords, xi.eta
@@ -115,28 +119,34 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     xe = [v[k] * eta[k] for k in others]
     ee = [eta[k] * eta[k] for k in others]
     a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
-    samples = []
-    table = p.derived(("f_H", piv), lambda p: _f_H_table(p, piv))
-    for t, w, d_prod, lam_p_minus_t in table:
-        a, b, c = dot(xx, w), dot(xe, w), dot(ee, w)
-        det = det_exact([[a, a_p, b], [a_p, a_p * lam_p_minus_t, b_p], [b, b_p, c]])
-        samples.append((t, det * d_prod))
-    return interpolate_binary_form(samples, 2 * p.g - 2)
+    weights, shifts, lagrange = p.derived(("f_H", piv), lambda p: _f_H_table(p, piv))
+    dets = [
+        det_exact([[a, a_p, b], [a_p, a_p * shift, b_p], [b, b_p, c]])
+        for a, b, c, shift in zip(scaled_matvec(*weights, xx),
+                                  scaled_matvec(*weights, xe),
+                                  scaled_matvec(*weights, ee), shifts)
+    ]
+    return BinaryForm(2 * p.g - 2, scaled_matvec(*lagrange, dets))
 
 
-def _f_H_table(p: PencilOfQuadrics, piv: int) -> list:
-    """For each parameter t = max(lambda) + m (m = 1..2g-1) at which f_H is
-    sampled: t, the weights 1/(t - lambda_k) for k != piv, the product
-    prod_{k != piv}(t - lambda_k) and lambda_piv - t."""
+def _f_H_table(p: PencilOfQuadrics, piv: int) -> tuple:
+    """The rational maps of f_H for the pencil p and the coordinate piv, at
+    the parameters t_m = max(lambda) + m (m = 1..2g-1): the weights
+    1/(t_m - lambda_k) for k != piv, one row per parameter; lambda_piv - t_m;
+    and the Lagrange basis on the t_m with prod_{k != piv}(t_m - lambda_k)
+    folded into column m, which takes the 3x3 determinants to the
+    coefficients of f_H.  Both maps are kept as integer rows and scales
+    (:func:`~qplab.linalg._integer_rows`)."""
     lam = p.lambdas
     others = [lam[k] for k in range(len(lam)) if k != piv]
-    t_max = max(lam)
-    table = []
-    for m in range(1, 2 * p.g):
-        t = t_max + m
-        d = [t - lk for lk in others]
-        table.append((t, [1 / dk for dk in d], prod(d), lam[piv] - t))
-    return table
+    params = [max(lam) + m for m in range(1, 2 * p.g)]
+    weights = [[1 / (t - lk) for lk in others] for t in params]
+    d_prods = [prod([t - lk for lk in others]) for t in params]
+    return (
+        _integer_rows(weights),
+        [lam[piv] - t for t in params],
+        _integer_rows(_lagrange_matrix(params, d_prods)),
+    )
 
 
 @dataclass
@@ -148,15 +158,21 @@ class IdentificationMap:
     coefficients of L(F)(t) = sum_j F_j prod_{k != j}(t - lambda_k), highest
     power first.  Its first three entries are invertible triangular
     combinations of the moments sum_j lambda_j^m F_j (m = 0, 1, 2) and vanish;
-    the remaining 2g-1 are proportional to the coefficients of f_H.
+    the remaining 2g-1 are proportional to the coefficients of f_H.  The map
+    keeps the pencil's lambdas, not the pencil, whose table of derived values
+    holds the map.
     """
 
     L: list
-    pencil: PencilOfQuadrics
+    lambdas: tuple
+    _rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = _integer_rows(self.L)
 
     def apply(self, value: FibrationValue) -> list:
-        """L*F, exactly."""
-        return [dot(value.components, row) for row in self.L]
+        """L*F, exactly, on the integer rows of L built with the map."""
+        return scaled_matvec(*self._rows, value.components)
 
 
 def _mismatch(ident: IdentificationMap, value: FibrationValue, form: BinaryForm):
@@ -196,19 +212,9 @@ def fit_identification(p: PencilOfQuadrics) -> IdentificationMap:
 
 
 def _identification(p: PencilOfQuadrics) -> IdentificationMap:
-    """Column j of L is prod_k (t - lambda_k) divided by (t - lambda_j),
-    by synthetic division."""
-    full = [Fraction(1)]
-    for lam in p.lambdas:
-        full = [a - lam * b for a, b in zip(full + [0], [0] + full)]
-    columns = []
-    for lam in p.lambdas:
-        q = [full[0]]
-        for c in full[1:-1]:
-            q.append(c + lam * q[-1])
-        columns.append(q)
-    L = [list(row) for row in zip(*columns)]
-    return IdentificationMap(L=L, pencil=p)
+    """Column j of L is prod_k (t - lambda_k) divided by (t - lambda_j)."""
+    L = [list(row) for row in zip(*_root_quotients(p.lambdas))]
+    return IdentificationMap(L=L, lambdas=p.lambdas)
 
 
 def verify_identification(ident: IdentificationMap, pairs) -> dict:
@@ -217,7 +223,7 @@ def verify_identification(ident: IdentificationMap, pairs) -> dict:
     Raises ValueError for a sample of another pencil.  A failing report
     names the first failing sample and the identity it breaks.
     """
-    if any(x.pencil != ident.pencil for x, _ in pairs):
+    if any(x.pencil.lambdas != ident.lambdas for x, _ in pairs):
         raise ValueError("sample from a different pencil")
     values = ((phi_X(x, xi), f_H(x, xi)) for x, xi in pairs)
     return _identification_report(ident, len(pairs), values)

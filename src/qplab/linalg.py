@@ -22,14 +22,27 @@ back substitution, :func:`_back_substitute`, divides by each pivot, so a
 nullspace basis is fixed by its pivot columns and every ``Biquad`` is kept
 reduced.  :func:`solve_exact` is a nullspace vector of [m | -rhs], and
 :func:`in_span` asks whether v is a pivot column of [vectors | v].
+
+A rational matrix that is fixed while the vectors change (a table of a
+pencil) is kept in the integer form of :func:`_integer_rows` and applied by
+:func:`scaled_matvec`: integer dot products on the vector's numerators over
+one common denominator, and one reduction per output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
-from .scalars import _EXACT_TYPES, Biquad, ModeMismatchError, NonInvertibleError
+from .scalars import (
+    _EXACT_TYPES,
+    RATIONAL_TYPES,
+    Biquad,
+    ModeMismatchError,
+    NonInvertibleError,
+    _make,
+)
 
 __all__ = [
     "nullspace_exact",
@@ -39,6 +52,7 @@ __all__ = [
     "in_span",
     "matvec",
     "dot",
+    "scaled_matvec",
     "check_exact_matrix",
 ]
 
@@ -348,7 +362,9 @@ def dot(a, b):
     The sum keeps the type of the entries: it starts at the first such
     product, and with none it is a[0] * b[0], a typed zero.  Put the
     ``Biquad`` factor first where there is one, so that each product runs
-    ``Biquad.__mul__`` directly.
+    ``Biquad.__mul__`` directly.  A rational matrix that is applied to many
+    vectors is cheaper through :func:`scaled_matvec`, which reduces each
+    output once instead of each term.
     """
     s = None
     for x, y in zip(a, b):
@@ -359,6 +375,70 @@ def dot(a, b):
 
 def matvec(m, v):
     return [dot(row, v) for row in m]
+
+
+def scaled_matvec(rows, scales, v):
+    """The rational matrix with rows rows[i] / scales[i] applied to the exact
+    vector v: integer rows and one positive scale per row, the form
+    :func:`_integer_rows` makes once for a matrix that is applied many times.
+
+    v is put on one common denominator d as four integer columns of
+    numerators, so output i is four integer dot products over scales[i] * d,
+    reduced once (one ``Biquad`` built by ``_make``, or one ``Fraction`` when
+    v is rational) instead of once per term as in :func:`dot`.  Each output
+    equals dot(v, row) for the rational row, field for field and typed zero
+    included: it is a ``Biquad`` when a nonzero ``Biquad`` entry of v meets a
+    nonzero entry of the row or, when no term has two nonzero factors, when
+    v[0] is a ``Biquad``.  Raises :class:`ModeMismatchError` for an entry
+    that is not an exact scalar and for ``Biquad`` entries of two contexts.
+    """
+    ctx = None
+    nums, dens = [], []
+    has_rational = False
+    for x in v:
+        if type(x) is Biquad:
+            if x.ctx is not ctx:
+                if ctx is None:
+                    ctx = x.ctx
+                elif x.ctx != ctx:
+                    raise ModeMismatchError("mixed biquadratic contexts in vector")
+            nums.append(x._n)
+            dens.append(x._d)
+        elif isinstance(x, RATIONAL_TYPES):
+            nums.append((x.numerator, 0, 0, 0))
+            dens.append(x.denominator)
+            has_rational = True
+        else:
+            raise ModeMismatchError(
+                f"vector entry: {type(x).__name__} is not an exact scalar"
+            )
+    d = lcm(*dens)
+    lift = [d // e for e in dens]
+    if ctx is None:
+        col = [n[0] * k for n, k in zip(nums, lift)]
+        return [Fraction(sum(map(mul, row, col)), s * d)
+                for row, s in zip(rows, scales)]
+    c0, c1, c2, c3 = [[n[c] * k for n, k in zip(nums, lift)] for c in range(4)]
+    out = []
+    for row, s in zip(rows, scales):
+        n0 = sum(map(mul, row, c0))
+        if has_rational and not _biquad_sum(row, v):
+            out.append(Fraction(n0, s * d))
+        else:
+            out.append(_make(ctx, n0, sum(map(mul, row, c1)), sum(map(mul, row, c2)),
+                             sum(map(mul, row, c3)), s * d))
+    return out
+
+
+def _biquad_sum(row, v) -> bool:
+    """Whether dot(v, row) is a ``Biquad``, for a rational row and a vector
+    v with rational and ``Biquad`` entries: some term with two nonzero
+    factors has a ``Biquad`` one, or there is no such term and v[0], the
+    factor of the typed zero, is a ``Biquad``."""
+    live = [x for x, r in zip(v, row) if r and x]
+    if not live:
+        return type(v[0]) is Biquad
+    return any(type(x) is Biquad for x in live)
 
 
 def in_span(vectors, v) -> bool:

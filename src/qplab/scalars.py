@@ -243,6 +243,18 @@ class Biquad:
         return Fraction(den, k0 * k0 * self._d ** 4)
 
     def inverse(self) -> "Biquad":
+        n0, n1, n2, n3 = self._n
+        if n1 or n2 or n3:
+            return self._inverse_by_norm()
+        # a rational element n0/d: its inverse d/n0 is already reduced
+        if not n0:
+            raise NonInvertibleError(f"norm form vanishes for {self!r}")
+        if n0 < 0:
+            return _raw(self.ctx, (-self._d, 0, 0, 0), -n0)
+        return _raw(self.ctx, (self._d, 0, 0, 0), n0)
+
+    def _inverse_by_norm(self) -> "Biquad":
+        """The inverse by the general formula, for any element."""
         m0, m1, den = self._norm_parts()
         if not den:
             raise NonInvertibleError(f"norm form vanishes for {self!r}")

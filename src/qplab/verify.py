@@ -273,7 +273,7 @@ def run_quotient_check(
     def one(i: int) -> bool:
         x = samples.point(i)
         ys = quotient_even(x)
-        lin1 = sum(ys[:-1], start=Fraction(0))
+        lin1 = sum(ys[1:-1], start=ys[0])
         lin2 = dot(ys[:-1], p.lambdas)
         prod = ys[0]
         for y in ys[1:-1]:
@@ -376,14 +376,14 @@ def run_invariance_check(
         alpha = Fraction(int(rng.integers(-9, 10)))
         beta = Fraction(int(rng.integers(-9, 10)))
         r1, r2 = x.rows()
-        eta2 = [e0 + alpha * a + beta * b for e0, a, b in zip(xi.eta, r1, r2)]
+        eta2 = [a * alpha + b * beta + e0 for e0, a, b in zip(xi.eta, r1, r2)]
         gauge_ok = all(
             (a - b) == 0 for a, b in zip(base, phi_components(p, x.coords, eta2))
         )
         # quadratic homogeneity in the covector
         s = Fraction(int(rng.integers(2, 7)))
-        scaled = phi_components(p, x.coords, [s * c for c in xi.eta])
-        scale_ok = all((s * s * a - b) == 0 for a, b in zip(base, scaled))
+        scaled = phi_components(p, x.coords, [c * s for c in xi.eta])
+        scale_ok = all((a * (s * s) - b) == 0 for a, b in zip(base, scaled))
         coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]
         checks = (("sign", sign_ok), ("gauge", gauge_ok), ("scaling", scale_ok))
         broken = [case for case, ok in checks if not ok]
@@ -423,7 +423,7 @@ def run_falsifiability_check(
 
     bad_l = [row[:] for row in ident.L]
     bad_l[3][0] += Fraction(1, 7)  # a row compared with f_H
-    perturbed = type(ident)(L=bad_l, pencil=ident.pencil)
+    perturbed = type(ident)(L=bad_l, lambdas=ident.lambdas)
     broken_map = _identification_report(perturbed, 10, samples.values(10))
 
     x, xi = samples.pair(0)
@@ -439,7 +439,7 @@ def run_falsifiability_check(
     base = phi_components(p, x.coords, bad_eta)
     r2 = x.rows()[1]
     shifted = phi_components(
-        p, x.coords, [e + a for e, a in zip(bad_eta, r2)]
+        p, x.coords, [a + e for e, a in zip(bad_eta, r2)]
     )
     gauge_broken = any((a - b) != 0 for a, b in zip(base, shifted))
 

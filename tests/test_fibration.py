@@ -1,7 +1,8 @@
 """The fibration map, its geometric twin, the identification, isotropy."""
 
+import gc
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -31,8 +32,10 @@ from qplab import (
     verify_lagrangian,
 )
 from qplab.linalg import dot
+from qplab.scalars import scalar_to_json
 import qplab.variety as variety
 from qplab.variety import CotangentRep, _invertible_pair, _vanishes_on_S
+from test_linalg import _fields
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -346,7 +349,7 @@ def test_identification_known_answer(p):
     for j in range(len(lam)):
         column = [row[j] for row in ident.L]
         assert column == _expand(lam[:j] + lam[j + 1:])
-    assert ident.pencil == p
+    assert ident.lambdas == p.lambdas
 
 
 def test_fit_and_verify_identification():
@@ -377,11 +380,101 @@ def test_every_single_entry_perturbation_is_caught():
         for c in range(size):
             bad = [row[:] for row in ident.L]
             bad[r][c] += Fraction(1, 7)
-            perturbed = type(ident)(L=bad, pencil=ident.pencil)
+            perturbed = type(ident)(L=bad, lambdas=ident.lambdas)
             rep = verify_identification(perturbed, pairs)
             assert not rep["pass"], (r, c)
             case = "moments" if r < 3 else "proportional"
             assert rep["first_failure"] == {"case": case, "index": 0}, (r, c)
+
+
+def test_perturbed_map_builds_its_own_rows():
+    # the falsifiability control: a map built from a changed L applies that
+    # L, not the integer rows of the map it was copied from
+    ident = fit_identification(P2)
+    pairs = _pairs(P2, 107, 3)
+    bad = [row[:] for row in ident.L]
+    bad[3][0] += Fraction(1, 7)
+    perturbed = type(ident)(L=bad, lambdas=ident.lambdas)
+    value = phi_X(*pairs[0])
+    assert perturbed.apply(value) == [dot(value.components, row) for row in bad]
+    assert perturbed.apply(value) != ident.apply(value)
+    assert not verify_identification(perturbed, pairs)["pass"]
+    assert verify_identification(ident, pairs)["pass"]
+
+
+def test_identification_map_does_not_hold_its_pencil():
+    # the pencil's derived table holds the map, so a map holding the pencil
+    # would make a cycle that only the cyclic collector frees
+    p = canonical_pencil(2)
+    ident = fit_identification(p)
+    assert p._derived["identification"] is ident
+    referents = gc.get_referents(ident)
+    assert all(r is not p for r in referents)
+    assert all(r is not p for r in gc.get_referents(*referents))
+
+
+@pytest.mark.parametrize("p", [P2, P3, canonical_pencil(4), NON_INTEGER],
+                         ids=["g2", "g3", "g4", "non_integer"])
+def test_apply_equals_dot_rows(p):
+    ident = fit_identification(p)
+    for on_Y in (False, True):
+        for x, xi in _pairs(p, 127, 3, on_Y=on_Y):
+            value = phi_X(x, xi)
+            assert [_fields(c) for c in ident.apply(value)] == [
+                _fields(dot(value.components, row)) for row in ident.L]
+
+
+def _newton_coefficients(samples, degree):
+    """Newton divided differences through (t_i, value_i), multiplied out
+    from the inside: the coefficients of the interpolating polynomial,
+    highest power first, one Biquad product per term."""
+    params = [t for t, _ in samples]
+    newton = [v for _, v in samples]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) * (1 / (params[i] - params[i - j]))
+    coeffs = [newton[degree]]
+    for i in range(degree - 1, -1, -1):
+        t = params[i]
+        coeffs = ([coeffs[0]] + [a - b * t for a, b in zip(coeffs[1:], coeffs)]
+                  + [newton[i] - coeffs[-1] * t])
+    return coeffs
+
+
+def _f_H_by_terms(x, xi):
+    """f_H term by term: the weighted sums with dot, the bordered 3x3
+    determinant times prod_{k != p}(t - lambda_k) at each parameter, and a
+    Newton interpolation of those values."""
+    p = x.pencil
+    lam, v, eta = p.lambdas, x.coords, xi.eta
+    piv = x.pair()[0]
+    others = [k for k in range(len(v)) if k != piv]
+    xx = [v[k] * v[k] for k in others]
+    xe = [v[k] * eta[k] for k in others]
+    ee = [eta[k] * eta[k] for k in others]
+    a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
+    samples = []
+    for m in range(1, 2 * p.g):
+        t = max(lam) + m
+        d = [t - lam[k] for k in others]
+        w = [1 / dk for dk in d]
+        a, b, c = dot(xx, w), dot(xe, w), dot(ee, w)
+        det = det_exact([[a, a_p, b], [a_p, a_p * (lam[piv] - t), b_p], [b, b_p, c]])
+        samples.append((t, det * prod(d)))
+    return _newton_coefficients(samples, 2 * p.g - 2)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_f_H_equals_term_by_term_route(g):
+    # the fixed rational maps give the coefficients of the term-by-term
+    # route exactly, type and canonical fields included
+    p = canonical_pencil(g)
+    for on_Y in (False, True):
+        for x, xi in _pairs(p, 131, 3, on_Y=on_Y):
+            got = f_H(x, xi).coeffs
+            want = _f_H_by_terms(x, xi)
+            assert [scalar_to_json(c) for c in got] == [scalar_to_json(c) for c in want]
+            assert [_fields(c) for c in got] == [_fields(c) for c in want]
 
 
 def test_verify_rejects_foreign_pencil():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplab import (
@@ -101,6 +101,25 @@ def test_inverse_or_zero_norm(ca):
         else:
             with pytest.raises(NonInvertibleError):
                 a.inverse()
+
+
+@given(small_rats)
+@example(Fraction(0))
+@example(Fraction(-3, 7))
+@settings(max_examples=60, deadline=None)
+def test_rational_inverse_matches_general_formula(q):
+    # the fast path for rational-valued elements gives the fields of the
+    # general formula, for both signs; zero is still refused
+    for ctx in CONTEXTS:
+        for a in (ctx.embed(q), ctx.embed(-q)):
+            if not q:
+                with pytest.raises(NonInvertibleError):
+                    a.inverse()
+                continue
+            inv = a.inverse()
+            general = a._inverse_by_norm()
+            assert (inv._n, inv._d) == (general._n, general._d)
+            assert inv._d > 0 and inv * a == ctx.embed(1)
 
 
 @given(coords, coords, small_rats.filter(bool))
