@@ -140,7 +140,7 @@ def _cmd_bundle_splitting(args) -> int:
             with open(args.point) as fh:
                 payload = json.load(fh)
             x = PointOnX.from_json(p, payload)
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"bad point file: {exc}") from exc
     else:
         x = sample_point(p, args.seed, index=args.index)
@@ -160,7 +160,7 @@ def _cmd_skew_invariants(args) -> int:
         with open(args.matrix) as fh:
             rows = json.load(fh)
         m = [[Fraction(str(c)) for c in row] for row in rows]
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad matrix file: {exc}") from exc
     if not m:
         raise InputError("bad matrix file: empty matrix")

@@ -18,10 +18,16 @@ Both leave an unnormalised echelon form and report its pivot columns and the
 parity of its row swaps.  :func:`det_exact` keeps its own branch, as it needs
 the row scales, that parity and, over the biquadratic algebra, cofactor
 expansion for sizes up to 3 and when no invertible pivot exists.  The one
-back substitution, :func:`_back_substitute`, divides by each pivot, so a
-nullspace basis is fixed by its pivot columns and every ``Biquad`` is kept
-reduced.  :func:`solve_exact` is a nullspace vector of [m | -rhs], and
-:func:`in_span` asks whether v is a pivot column of [vectors | v].
+back substitution, :func:`_back_substitute`, gives the basis vector of each
+free column a 1 there and 0 in the other free columns, so a nullspace basis
+is fixed by its pivot columns.  On integer Bareiss rows it runs on ints:
+the last pivot D times each basis vector is integral (Cramer's rule), so it
+substitutes from D at the free column, checks each division by a pivot to
+be exact and builds one ``Fraction`` over D per entry.  Over the
+biquadratic algebra it multiplies by the inverse of each pivot, so every
+``Biquad`` is kept reduced.  :func:`solve_exact` is a nullspace vector of
+[m | -rhs], and :func:`in_span` asks whether v is a pivot column of
+[vectors | v].
 
 A rational matrix that is fixed while the vectors change (a table of a
 pencil) is kept in the integer form of :func:`_integer_rows` and applied by
@@ -224,16 +230,20 @@ def _echelon(m):
 def _back_substitute(a, pivots, ctx):
     """Nullspace basis from an echelon form with non-unit pivots.
 
-    Each pivot is inverted once and shared by every basis vector.
+    For integer Bareiss rows (ctx None) the last pivot D is, up to sign, the
+    minor of the pivot rows and columns, so by Cramer's rule D times each
+    basis vector is integral: the substitution runs on ints from D at the
+    free column, each division by a pivot checked to be exact, and each
+    entry becomes one ``Fraction`` over D at the end.  Over the biquadratic
+    algebra each pivot is inverted once and shared by every basis vector.
     """
     ncols = len(a[0])
     free_cols = [c for c in range(ncols) if c not in pivots]
     if not free_cols:
         return []
     if ctx is None:
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        one, zero = ctx.embed(1), ctx.embed(0)
+        return _back_substitute_integer(a, pivots, free_cols)
+    one, zero = ctx.embed(1), ctx.embed(0)
     neg_inv = [-_invert(a[r][pc]) for r, pc in enumerate(pivots)]
     basis = []
     for fc in free_cols:
@@ -249,6 +259,30 @@ def _back_substitute(a, pivots, ctx):
                     s = s + row[c] * v[c]
             v[pc] = s * neg_inv[r]
         basis.append(v)
+    return basis
+
+
+def _back_substitute_integer(a, pivots, free_cols):
+    """:func:`_back_substitute` on integer Bareiss rows: D v on ints, one
+    ``Fraction`` per entry.  Raises ``ArithmeticError`` if a division by a
+    pivot leaves a remainder, which Cramer's rule rules out."""
+    ncols = len(a[0])
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    steps = list(zip(a, pivots))[::-1]
+    one, zero = Fraction(1), Fraction(0)
+    basis = []
+    for fc in free_cols:
+        w = [0] * ncols
+        w[fc] = d
+        for row, pc in steps:
+            # row is 0 left of pc and w is still 0 at pc and at the pivots
+            # above, so the whole row's dot product is the sum right of pc
+            q, rem = divmod(-sum(map(mul, row, w)), row[pc])
+            if rem:
+                raise ArithmeticError(f"back substitution: pivot {pc} does not divide")
+            w[pc] = q
+        basis.append([one if c == fc else Fraction(x, d) if x else zero
+                      for c, x in enumerate(w)])
     return basis
 
 

@@ -6,8 +6,12 @@ need rational entries (``int`` or ``Fraction``): the matrix is scaled once by
 the lcm D of its denominators (D = 1 for an integer matrix), and each result
 becomes a ``Fraction`` once, at the end.  The characteristic coefficients
 come from the power sums tr(B^k) by Newton's identities, with every division
-checked to be exact and every odd-power coefficient checked to vanish.  The
-rank-two decomposition also works over the biquadratic algebra.
+checked to be exact and every odd-power coefficient checked to vanish; each
+power of B is symmetric or skew, so only its upper triangle is computed.
+The rank-two decomposition also works over the biquadratic algebra: one
+echelon form gives the rank, the image and the kernel, and a 2x2 Gram
+determinant of the image columns certifies ker ⊕ im (on Python ints for a
+rational map).
 
 The Pfaffian sign convention: the direct sum of standard 2x2 blocks with +1
 above the diagonal has Pfaffian +1.
@@ -19,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import _back_substitute, _echelon, rank_exact
+from .linalg import _back_substitute, _echelon, _integer_rows, _invert, dot
 from .scalars import RATIONAL_TYPES, ModeMismatchError, _require_exact
 
 __all__ = [
@@ -95,9 +99,11 @@ def char_coeffs(m: SkewMap):
     has integer c_k and a_j = c_{2j} / D^{2j}.  The c_k come from the power
     sums p_k = tr(B^k) by Newton's identities,
     k c_k = -(p_k + c_1 p_{k-1} + ... + c_{k-1} p_1).  Only B^2, ..., B^n are
-    formed (n - 1 products); p_k is tr(B^i B^j) with i + j = k, and as B^j
-    is skew or symmetric that is +-sum_rc (B^i)_rc (B^j)_rc, so no power
-    beyond B^n is built and at most n matrices are held.
+    formed, by n - 1 steps of :func:`_power_step`; as each power is skew or
+    symmetric a step takes the size (size + 1) / 2 dot products on and above
+    the diagonal.  p_k is tr(B^i B^j) with i + j = k, which for the same
+    reason is +-sum_rc (B^i)_rc (B^j)_rc, so no power beyond B^n is built
+    and at most n matrices are held.
     Each division by k is checked to be exact, and the odd-power
     coefficients are verified to vanish exactly; either failure raises
     ``ArithmeticError``.
@@ -105,8 +111,8 @@ def char_coeffs(m: SkewMap):
     size = m.size
     b, d = _scaled_to_integers(m.entries)
     powers = [b]  # B^1, ..., B^n
-    for _ in range(1, m.n):
-        powers.append(_matmul(b, powers[-1]))
+    for j in range(1, m.n):
+        powers.append(_power_step(b, powers[-1], -1 if j % 2 else 1))
     traces = [sum(b[i][i] for i in range(size))]  # p_1
     for k in range(2, size + 1):
         # p_k = tr(B^i B^j) with 1 <= i <= j <= n; (B^j)_cr = (-1)^j (B^j)_rc
@@ -139,9 +145,22 @@ def _scaled_to_integers(entries):
     return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
 
 
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _power_step(b, p, sign):
+    """B P for a skew integer B and a power P of B with P^T = sign * P.
+
+    Entry (r, c) is row r of B dot column c of P, which is sign * (row c of
+    P).  B and P commute, so (B P)^T = -sign * B P: only the entries on and
+    above the diagonal are dot products, size (size + 1) / 2 of them, and
+    entry (c, r) is minus the dot product of (r, c) for either sign.
+    """
+    size = len(b)
+    q = [[0] * size for _ in range(size)]
+    for r, br in enumerate(b):
+        dots = [sum(map(mul, br, pc)) for pc in p[r:]]
+        for c, x in enumerate(dots, r):
+            q[c][r] = -x
+        q[r][r:] = dots if sign > 0 else [-x for x in dots]
+    return q
 
 
 def pfaffian(m: SkewMap):
@@ -204,11 +223,14 @@ def rank2_orthogonal_decomposition(m: SkewMap):
     """Bases (ker_basis, im_basis) with ker ⊕ im = C^{2n} and q(ker, im) = 0.
 
     Requires rank(A) = 2 and A non-nilpotent; the two violations are reported
-    distinctly.  For a skew map ker = im^perp, and the Gram determinant of two
-    image columns is a_1 (Lagrange's identity), so ker ∩ im != 0, which the
-    spanning test detects, exactly when the rank-2 map is nilpotent.  One
-    echelon form of A gives the rank, the image columns (its pivot columns)
-    and the kernel; the spanning test is the second elimination.
+    distinctly.  One echelon form of A gives the rank, the image columns (its
+    pivot columns) and the kernel.  For a skew map ker = im^perp, so
+    ker ⊕ im is the whole space exactly when the Gram matrix of the two image
+    columns u, v is invertible: the spanning test is the 2x2 Gram determinant
+    G = (u.u)(v.v) - (u.v)^2, on the integer columns for a rational map.  By
+    Lagrange's identity G is a nonzero multiple of a_1, so G = 0 exactly when
+    the rank-2 map is nilpotent.  A nonzero G that is a zero divisor (only in
+    a split algebra) raises :class:`NonInvertibleError`.
     """
     a = m.entries
     size = m.size
@@ -217,7 +239,16 @@ def rank2_orthogonal_decomposition(m: SkewMap):
         raise DecompositionError(f"rank is {len(pivots)}, expected 2")
     ker = _back_substitute(echelon, pivots, ctx)
     im = [[a[i][j] for i in range(size)] for j in pivots]
-    stacked = ker + im
-    if rank_exact([[v[c] for v in stacked] for c in range(size)]) != size:
+    if ctx is None:
+        (u, v), _ = _integer_rows(im)
+        gram = (sum(map(mul, u, u)) * sum(map(mul, v, v))
+                - sum(map(mul, u, v)) ** 2)
+    else:
+        u, v = im
+        uv = dot(u, v)
+        gram = dot(u, u) * dot(v, v) - uv * uv
+    if not gram:
         raise DecompositionError("map is nilpotent; no orthogonal decomposition")
+    if ctx is not None:
+        _invert(gram)  # raises NonInvertibleError for a zero divisor
     return ker, im

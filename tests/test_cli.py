@@ -188,6 +188,12 @@ def _bad_point_payloads():
         "not_an_object": [1, 2],
         "coords_not_a_list": {"mode": "exact", "coords": 5},
         "one_radicand": dict(good, radicands=good["radicands"][:1]),
+        # a zero denominator as a coordinate, inside a biquadratic
+        # coordinate and as a radicand
+        "zero_denominator_coordinate": dict(good, coords=["1/0"] + good["coords"][1:]),
+        "zero_denominator_biquad_coordinate": dict(
+            good, coords=[["1/0", "0", "0", "0"]] + good["coords"][1:]),
+        "zero_denominator_radicand": dict(good, radicands=["1/0", good["radicands"][1]]),
     }
 
 
@@ -215,6 +221,11 @@ def test_skew_invariants_file(tmp_path):
     r = run_cli("skew-invariants", "--matrix", str(empty))
     assert r.returncode == 2 and r.stdout == ""
     assert json.loads(r.stderr)["error"] == "bad matrix file: empty matrix"
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text('[["0", "1/0"], ["-1", "0"]]')
+    r = run_cli("skew-invariants", "--matrix", str(zero_den))
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["error"].startswith("bad matrix file: ")
 
 
 # stdout of `qplab skew-invariants`, pinned byte for byte; the outputs are

@@ -14,7 +14,9 @@ from qplab import (
     BiquadContext,
     CotangentRep,
     NonInvertibleError,
+    PencilOfQuadrics,
     PointOnX,
+    SkewMap,
     canonical_pencil,
     det_exact,
     f_H,
@@ -23,12 +25,14 @@ from qplab import (
     n_tilde_splitting,
     nullspace_exact,
     phi_X,
+    rank2_orthogonal_decomposition,
     rank_exact,
     sample_pair,
     solve_exact,
     tangent_frame,
     trivial_factor_matches_tangent,
     v_perp_kernel,
+    vandermonde_normalizer,
 )
 from qplab.linalg import (
     _det_cofactor,
@@ -238,6 +242,127 @@ def test_rational_results_are_fractions():
         for v in nullspace_exact(m):
             assert all(type(x) is Fraction for x in v)
             assert not any(matvec(m, v))
+
+
+def _back_substitute_fraction(a, pivots):
+    """Oracle for the rational back substitution: each pivot inverted once
+    and the sums taken on Fractions."""
+    ncols = len(a[0])
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    one, zero = Fraction(1), Fraction(0)
+    neg_inv = [-1 / Fraction(a[r][pc]) for r, pc in enumerate(pivots)]
+    basis = []
+    for fc in free_cols:
+        v = [zero] * ncols
+        v[fc] = one
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = zero
+            for c in range(pc + 1, ncols):
+                if v[c]:
+                    s = s + a[r][c] * v[c]
+            v[pc] = s * neg_inv[r]
+        basis.append(v)
+    return basis
+
+
+def _nullspace_fraction(m):
+    if not m or not m[0]:
+        return []
+    a, pivots, _ = _echelon(m)
+    return _back_substitute_fraction(a, pivots)
+
+
+def _solve_fraction(m, rhs):
+    basis = _nullspace_fraction([list(row) + [-b] for row, b in zip(m, rhs)])
+    if basis and basis[-1][-1]:
+        return basis[-1][:-1]
+    return None
+
+
+def _rank_cases(seed):
+    """Rational matrices of 1..8 rows and columns at every rank, a product
+    of random factors with denominators, then with a zero column, a zero
+    row, and the rows shuffled so that swaps can make the last pivot
+    negative."""
+    rng = random.Random(seed)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            for rank in range(min(rows, cols) + 1):
+                left = random_rational_matrix(rng, rows, rank)
+                right = random_rational_matrix(rng, rank, cols)
+                m = [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                      for col in zip(*right)] if rank else [Fraction(0)] * cols
+                     for row in left]
+                if rng.random() < 0.3:
+                    c = rng.randrange(cols)
+                    for row in m:
+                        row[c] = Fraction(0)
+                if rng.random() < 0.3:
+                    m[rng.randrange(rows)] = [Fraction(0)] * cols
+                rng.shuffle(m)
+                yield m
+
+
+def _field_for_field(x):
+    assert all(type(c) is Fraction for v in x for c in v)
+    return [[(c.numerator, c.denominator) for c in v] for v in x]
+
+
+def test_integer_back_substitution_matches_fraction_route(monkeypatch):
+    negative_last_pivot = 0
+    for m in _rank_cases(seed=20):
+        a, pivots, _ = _echelon(m)
+        if pivots and a[len(pivots) - 1][pivots[-1]] < 0:
+            negative_last_pivot += 1
+        basis = nullspace_exact(m)
+        assert _field_for_field(basis) == _field_for_field(_nullspace_fraction(m))
+        rhs = [row[0] - 2 * row[-1] + Fraction(1, 3) * (i % 2)
+               for i, row in enumerate(m)]
+        sol, expected = solve_exact(m, rhs), _solve_fraction(m, rhs)
+        assert (sol is None) == (expected is None)
+        if sol is not None:
+            assert _field_for_field([sol]) == _field_for_field([expected])
+    assert negative_last_pivot > 20
+    import qplab.p1bundle as p1bundle
+
+    rng = random.Random(21)
+    pencils = []
+    for g in range(2, 6):
+        for _ in range(6):
+            lams = set()
+            while len(lams) < 2 * g + 2:
+                lams.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+            pencils.append(PencilOfQuadrics(sorted(lams)))
+    got = [vandermonde_normalizer(p) for p in pencils]
+    monkeypatch.setattr(p1bundle, "nullspace_exact", _nullspace_fraction)
+    expected = [vandermonde_normalizer(p) for p in pencils]
+    assert _field_for_field(got) == _field_for_field(expected)
+
+
+def test_rational_kernels_take_no_fraction_arithmetic(monkeypatch):
+    # the rational nullspace runs on ints and builds one Fraction per entry;
+    # the rank-2 decomposition adds a Gram determinant on integer columns
+    rng = random.Random(22)
+    m = random_rational_matrix(rng, 9, 12)
+    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
+    v = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
+    wedge = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(12)] for a in range(12)])
+    calls = []
+    for name in ("add", "sub", "mul", "truediv"):
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            op = getattr(Fraction, dunder)
+
+            def counted(*args, op=op):
+                calls.append(1)
+                return op(*args)
+
+            monkeypatch.setattr(Fraction, dunder, counted)
+    basis = nullspace_exact(m)
+    ker, im = rank2_orthogonal_decomposition(wedge)
+    monkeypatch.undo()
+    assert len(basis) == 3 and len(ker) == 10 and len(im) == 2
+    assert calls == []
 
 
 @given(rational_matrices(3, 5))

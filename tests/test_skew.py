@@ -14,6 +14,7 @@ from qplab import (
     BiquadContext,
     DecompositionError,
     ModeMismatchError,
+    NonInvertibleError,
     SkewMap,
     SkewnessError,
     char_coeffs,
@@ -21,7 +22,7 @@ from qplab import (
     pfaffian,
     rank2_orthogonal_decomposition,
 )
-from qplab.linalg import in_span, rank_exact
+from qplab.linalg import _back_substitute, _echelon, in_span, rank_exact
 
 
 def skew_matrices(size):
@@ -166,25 +167,38 @@ def test_char_coeffs_from_power_sums_match_fraction_oracle():
 
 
 def test_char_coeffs_forms_powers_up_to_half_the_size(monkeypatch):
-    # the power sums need B^2, ..., B^n of a 2n x 2n map: n - 1 products
-    # (Faddeev-LeVerrier took 2n - 1)
+    # the power sums need B^2, ..., B^n of a 2n x 2n map: n - 1 power steps
+    # (Faddeev-LeVerrier took 2n - 1 products); each power is symmetric or
+    # skew, so a step takes size (size + 1) / 2 dot products, not size^2
     import qplab.skew as skew
 
-    calls = []
+    steps, dots, inside = [], [], []
 
-    def counted(a, b, matmul=skew._matmul):
-        calls.append(1)
-        return matmul(a, b)
+    def counted_sum(*args):
+        if inside:
+            dots.append(1)
+        return sum(*args)
 
-    monkeypatch.setattr(skew, "_matmul", counted)
+    def counted_step(*args, step=skew._power_step):
+        steps.append(1)
+        inside.append(1)
+        try:
+            return step(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(skew, "sum", counted_sum, raising=False)
+    monkeypatch.setattr(skew, "_power_step", counted_step)
     rng = random.Random(12)
     for size in range(2, 13, 2):
         upper = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for _ in range(size * (size - 1) // 2)]
         m = SkewMap.from_upper(size, upper)
-        calls.clear()
+        steps.clear()
+        dots.clear()
         assert char_coeffs(m) == _char_coeffs_fraction(m.entries)
-        assert len(calls) <= size // 2 - 1, size
+        assert len(steps) == size // 2 - 1, size
+        assert len(dots) == len(steps) * size * (size + 1) // 2, size
 
 
 def test_block_diagonal_known_answers():
@@ -373,16 +387,18 @@ def greedy_image_columns(a):
     return im
 
 
+# column j of u v^T - v u^T is v_j u - u_j v: zero when u_j = v_j = 0 and
+# repeated or a multiple when (u_j, v_j) repeats or is a multiple
+REPEATED_AND_ZERO_COLUMN_FAMILIES = [
+    ([0, 1, 1, 2, 0, 1], [0, 1, 1, 2, 1, 3]),
+    ([0, 0, 1, 2, 3, 1], [0, 0, 1, 2, 3, -1]),
+    ([0, 2, 1, 1, 0, 0, 5, 1], [0, 2, 1, 1, 0, 1, 2, 1]),
+    ([1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 2, 1]),
+]
+
+
 def test_rank2_image_columns_match_greedy_span_loop():
-    # column j of u v^T - v u^T is v_j u - u_j v: zero when u_j = v_j = 0 and
-    # repeated or a multiple when (u_j, v_j) repeats or is a multiple
-    families = [
-        ([0, 1, 1, 2, 0, 1], [0, 1, 1, 2, 1, 3]),
-        ([0, 0, 1, 2, 3, 1], [0, 0, 1, 2, 3, -1]),
-        ([0, 2, 1, 1, 0, 0, 5, 1], [0, 2, 1, 1, 0, 1, 2, 1]),
-        ([1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 2, 1]),
-    ]
-    for u, v in families:
+    for u, v in REPEATED_AND_ZERO_COLUMN_FAMILIES:
         u = [Fraction(x, 3) for x in u]
         n = len(u)
         a = [[u[i] * v[j] - v[i] * u[j] for j in range(n)] for i in range(n)]
@@ -391,9 +407,9 @@ def test_rank2_image_columns_match_greedy_span_loop():
         assert len(ker) == n - 2
 
 
-def test_rank2_decomposition_takes_two_eliminations(monkeypatch):
+def test_rank2_decomposition_takes_one_elimination(monkeypatch):
     # one echelon form of A gives the rank, the image and the kernel, and
-    # the spanning test is the second; a map of another rank stops after one
+    # the spanning test is the 2x2 Gram determinant of the image columns
     import qplab.linalg as linalg
 
     calls = []
@@ -407,19 +423,14 @@ def test_rank2_decomposition_takes_two_eliminations(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     ctx = BiquadContext(-1, 2)
     one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
-
-    def wedge(u, v):
-        n = len(u)
-        return SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(n)] for a in range(n)])
-
     rational = [Fraction(x, 3) for x in (1, 2, 0, 1, -1, 3)]
     cases = [
-        (wedge(rational, [Fraction(x) for x in (0, 1, 1, -2, 2, 1)]), None, 2),
-        (wedge([one, i, one, zero], [zero, zero, one, one]), None, 2),
-        (wedge([one, i, zero, zero], [zero, zero, one, one]), "nilpotent", 2),
-        (SkewMap.from_upper(4, [Fraction(v) for v in (1, 0, 0, 0, 0, 1)]), "rank", 1),
+        (_wedge(rational, [Fraction(x) for x in (0, 1, 1, -2, 2, 1)]), None),
+        (_wedge([one, i, one, zero], [zero, zero, one, one]), None),
+        (_wedge([one, i, zero, zero], [zero, zero, one, one]), "nilpotent"),
+        (SkewMap.from_upper(4, [Fraction(v) for v in (1, 0, 0, 0, 0, 1)]), "rank"),
     ]
-    for m, error, expected in cases:
+    for m, error in cases:
         calls.clear()
         if error:
             with pytest.raises(DecompositionError, match=error):
@@ -427,4 +438,104 @@ def test_rank2_decomposition_takes_two_eliminations(monkeypatch):
         else:
             ker, im = rank2_orthogonal_decomposition(m)
             assert len(ker) == m.size - 2 and len(im) == 2
-        assert len(calls) == expected
+        assert len(calls) == 1
+
+
+def _rank2_by_second_elimination(m):
+    """Oracle for rank2_orthogonal_decomposition: the spanning test as the
+    rank of the stacked columns [ker | im], one more elimination."""
+    a = m.entries
+    size = m.size
+    echelon, pivots, ctx = _echelon(a)
+    if len(pivots) != 2:
+        raise DecompositionError(f"rank is {len(pivots)}, expected 2")
+    ker = _back_substitute(echelon, pivots, ctx)
+    im = [[a[i][j] for i in range(size)] for j in pivots]
+    stacked = ker + im
+    if rank_exact([[v[c] for v in stacked] for c in range(size)]) != size:
+        raise DecompositionError("map is nilpotent; no orthogonal decomposition")
+    return ker, im
+
+
+def _decomposition_outcome(route, m):
+    """What a route gives: its bases with the type of every entry, the
+    message of its DecompositionError, or NonInvertibleError (whose message
+    names the zero divisor each route met)."""
+    try:
+        ker, im = route(m)
+    except DecompositionError as exc:
+        return "DecompositionError", str(exc)
+    except NonInvertibleError:
+        return ("NonInvertibleError",)
+    return ker, im, [[type(x) for x in w] for w in ker + im]
+
+
+def _wedge(u, v):
+    n = len(u)
+    return SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(n)] for a in range(n)])
+
+
+# u^v over Q(1, 4), the split algebra Q(sqrt 1, sqrt 4): the Gram
+# determinant of its image columns is invertible, so ker ⊕ im is the whole
+# space, yet the elimination of [ker | im] meets a nonzero column of zero
+# divisors and raises NonInvertibleError
+SPLIT_GRAM_INVERTIBLE = (
+    [(-2, 2, -1, 0), (-1, -1, 2, 0), (1, -1, 2, 1), (-2, -2, 0, -2)],
+    [(-1, -2, 2, 1), (-1, 1, 1, 0), (0, -2, -2, 0), (-1, -1, 2, 2)],
+)
+
+
+def test_rank2_gram_certificate_matches_second_elimination():
+    rng = random.Random(20)
+    maps = []
+    for u, v in REPEATED_AND_ZERO_COLUMN_FAMILIES:
+        maps.append(_wedge([Fraction(x, 3) for x in u], [Fraction(x) for x in v]))
+    for size in range(2, 13, 2):
+        for _ in range(6):
+            u = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
+            v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
+            maps.append(_wedge(u, v))
+    maps.append(_wedge([Fraction(1)] * 4, [Fraction(2)] * 4))  # the zero map
+    maps.append(SkewMap.from_upper(4, [Fraction(v) for v in (1, 0, 0, 0, 0, 1)]))
+    for u, w in ((-1, 2), (1, 2), (1, 4), (4, 3)):
+        ctx = BiquadContext(u, w)
+
+        def entry():
+            if rng.random() < 0.3:
+                return ctx.embed(0)
+            return ctx.element(*[rng.randint(-2, 2) for _ in range(4)])
+
+        for size in (4, 4, 6) * 50:
+            maps.append(_wedge([entry() for _ in range(size)],
+                               [entry() for _ in range(size)]))
+    # over the field Q(i, sqrt 2), G = 0 and the map is nilpotent: for an
+    # isotropic u orthogonal to v, and for v = u + n with n = (1, i, 1, i)
+    # isotropic and orthogonal to u, where the image columns u - n and i u
+    # have a nonzero product (u - n).(i u) = 2i
+    ctx = BiquadContext(-1, 2)
+    one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
+    maps.append(_wedge([one, i, zero, zero], [zero, zero, one, one]))
+    maps.append(_wedge([one, zero, -one, zero], [one + one, i, zero, i]))
+    # over Q(sqrt 1, sqrt -1), u = (1, e sqrt(-1), 0, 0) with the idempotent
+    # e = (1 + sqrt 1) / 2 is isotropic in one factor only: both pivots are
+    # invertible, and G = u.u = 1 - e is a nonzero zero divisor
+    ctx = BiquadContext(1, -1)
+    one, zero = ctx.embed(1), ctx.embed(0)
+    e = (one + ctx.sqrt_u()) * Fraction(1, 2)
+    maps.append(_wedge([one, e * ctx.sqrt_w(), zero, zero], [zero, zero, one, zero]))
+    seen = set()
+    for m in maps:
+        expected = _decomposition_outcome(_rank2_by_second_elimination, m)
+        assert _decomposition_outcome(rank2_orthogonal_decomposition, m) == expected
+        seen.add(expected[0] if isinstance(expected[0], str) else "decomposed")
+    assert seen == {"decomposed", "DecompositionError", "NonInvertibleError"}
+    ctx = BiquadContext(1, 4)
+    u, v = ([ctx.element(*c) for c in w] for w in SPLIT_GRAM_INVERTIBLE)
+    m = _wedge(u, v)
+    with pytest.raises(NonInvertibleError):
+        _rank2_by_second_elimination(m)
+    ker, im = rank2_orthogonal_decomposition(m)
+    assert len(ker) == 2 and len(im) == 2
+    assert all(not sum((x * y for x, y in zip(a, b)), ctx.embed(0))
+               for a in ker for b in im)
+    det_exact([[w[c] for w in ker + im] for c in range(4)]).inverse()
