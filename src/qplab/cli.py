@@ -26,12 +26,7 @@ from .pencil import PencilError, PencilOfQuadrics, canonical_pencil
 from .scalars import rational_to_string, scalar_to_json
 from .skew import SkewMap, SkewnessError, char_coeffs, pfaffian
 from .variety import PointOnX, sample_pair, sample_point, tangent_frame
-from .verify import (
-    run_diagram_check,
-    run_even_check,
-    run_lagrangian_check,
-    verify_all,
-)
+from .verify import run_diagram_check, run_even_check, run_lagrangian_check, verify_all
 
 REPORT_VERSION = "2"
 RNG_NAME = "philox4x64 with per-sample counter substreams key=[seed, index]"
@@ -63,9 +58,9 @@ def _pencil_from_args(args) -> PencilOfQuadrics:
     raise InputError("provide --lambdas or --g")
 
 
-def _report(args, command: str, passed: bool, metrics: dict, samples_used: int) -> int:
+def _report(args, passed: bool, metrics: dict, samples_used: int) -> int:
     payload = {
-        "command": command,
+        "command": args.command,
         "metrics": metrics,
         "pass": bool(passed),
         "rng": RNG_NAME,
@@ -100,13 +95,13 @@ def _cmd_pencil_info(args) -> int:
         "even_sign_group_order": 2 ** (p.dim_ambient - 2),
         "fingerprint": p.fingerprint(),
     }
-    return _report(args, "pencil-info", True, metrics, 0)
+    return _report(args, True, metrics, 0)
 
 
 def _cmd_sample(args) -> int:
     p = _pencil_from_args(args)
     x = sample_point(p, args.seed, index=args.index, on_Y=args.on_y)
-    return _report(args, "sample", True, {"point": x.to_json()}, 1)
+    return _report(args, True, {"point": x.to_json()}, 1)
 
 
 def _cmd_phi(args) -> int:
@@ -118,7 +113,7 @@ def _cmd_phi(args) -> int:
         "eta": [scalar_to_json(c) for c in xi.eta],
         "components": [scalar_to_json(c) for c in val.components],
     }
-    return _report(args, "phi", True, metrics, 1)
+    return _report(args, True, metrics, 1)
 
 
 def _cmd_fh(args) -> int:
@@ -130,7 +125,7 @@ def _cmd_fh(args) -> int:
         "degree": form.degree,
         "coefficients": [scalar_to_json(c) for c in form.coeffs],
     }
-    return _report(args, "fh", True, metrics, 1)
+    return _report(args, True, metrics, 1)
 
 
 def _cmd_bundle_splitting(args) -> int:
@@ -140,7 +135,9 @@ def _cmd_bundle_splitting(args) -> int:
             with open(args.point) as fh:
                 payload = json.load(fh)
             x = PointOnX.from_json(p, payload)
-        except (OSError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+            x.pair()  # NonInvertibleError: fewer than two invertible coordinates
+        except (OSError, KeyError, ValueError, TypeError,
+                ZeroDivisionError, OverflowError) as exc:  # Fraction(Infinity) overflows
             raise InputError(f"bad point file: {exc}") from exc
     else:
         x = sample_point(p, args.seed, index=args.index)
@@ -152,7 +149,7 @@ def _cmd_bundle_splitting(args) -> int:
         "kernel_column_degrees": kb.degrees,
         "trivial_matches_tangent": bool(matches),
     }
-    return _report(args, "bundle-splitting", bool(matches), metrics, 1)
+    return _report(args, bool(matches), metrics, 1)
 
 
 def _cmd_skew_invariants(args) -> int:
@@ -177,31 +174,25 @@ def _cmd_skew_invariants(args) -> int:
         # nilpotent iff every invariant vanishes
         "nilpotent": not any(coeffs) and not pf,
     }
-    return _report(args, "skew-invariants", True, metrics, 0)
+    return _report(args, True, metrics, 0)
 
 
 def _cmd_vandermonde(args) -> int:
     p = _pencil_from_args(args)
     a = vandermonde_normalizer(p)
     metrics = {"normalizer": [rational_to_string(c) for c in a]}
-    return _report(args, "vandermonde", True, metrics, 0)
+    return _report(args, True, metrics, 0)
 
 
-def _cmd_verify_holdout(args) -> int:
-    """verify-diagram and verify-even: their section on --holdout samples."""
+def _cmd_verify_section(args) -> int:
+    """verify-diagram, verify-even and verify-lagrangian: the command's
+    section on samples 0..n-1, n the value of its count flag."""
     p = _pencil_from_args(args)
-    if args.holdout < 1:
-        raise InputError("need --holdout >= 1")
-    rep = args.section(p, args.seed, args.holdout)
-    return _report(args, args.command, rep["pass"], rep, args.holdout)
-
-
-def _cmd_verify_lagrangian(args) -> int:
-    p = _pencil_from_args(args)
-    if args.count < 1:
-        raise InputError("need --count >= 1")
-    rep = run_lagrangian_check(p, args.seed, args.count)
-    return _report(args, "verify-lagrangian", rep["pass"], rep, args.count)
+    count = getattr(args, args.count_flag)
+    if count < 1:
+        raise InputError(f"need --{args.count_flag} >= 1")
+    rep = args.section(p, args.seed, count)
+    return _report(args, rep["pass"], rep, count)
 
 
 def _cmd_verify_all(args) -> int:
@@ -213,7 +204,7 @@ def _cmd_verify_all(args) -> int:
         s.get("samples", s.get("pencils", s.get("pfaffian_cases", 0)))
         for s in rep["sections"].values()
     )
-    return _report(args, "verify-all", rep["pass"], rep, total)
+    return _report(args, rep["pass"], rep, total)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +212,13 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_pencil_flags(sp):
-    sp.add_argument("--lambdas", help="comma-separated rationals, e.g. 0,1,2,3,4,5")
-    sp.add_argument("--g", type=int, help="use the canonical pencil 0..2g+1")
-
-
-def _add_common(sp):
-    sp.add_argument("--json-out", dest="json_out", metavar="PATH")
-
-
-def _add_seed(sp):
-    sp.add_argument("--seed", type=int, default=0)
+def _flags(**flags) -> argparse.ArgumentParser:
+    """A parser to pass in parents=: --NAME for each keyword NAME (an
+    underscore becomes a dash), with its add_argument options."""
+    ap = argparse.ArgumentParser(add_help=False)
+    for name, options in flags.items():
+        ap.add_argument("--" + name.replace("_", "-"), **options)
+    return ap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,81 +230,45 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"qplab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("pencil-info", help="pencil summary and group orders")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_pencil_info)
+    # the shared flags, each declared once; every usage line lists them in
+    # this order, before the command's own flags
+    out = _flags(json_out={"metavar": "PATH"})
+    lambdas_g = _flags(
+        lambdas={"help": "comma-separated rationals, e.g. 0,1,2,3,4,5"},
+        g={"type": int, "help": "use the canonical pencil 0..2g+1"},
+    )
+    pencil = [lambdas_g, out]
+    seeded = pencil + [_flags(seed={"type": int, "default": 0})]
+    one_sample = seeded + [_flags(index={"type": int, "default": 0})]
+    on_y = one_sample + [_flags(on_y={"action": "store_true"})]
+    holdout = seeded + [_flags(holdout={"type": int, "default": 100})]
 
-    sp = sub.add_parser("sample", help="draw a point of X (or Y)")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--on-y", action="store_true")
-    sp.set_defaults(fn=_cmd_sample)
+    def command(name, summary, parents, fn, **defaults):
+        sp = sub.add_parser(name, help=summary, parents=parents)
+        sp.set_defaults(fn=fn, **defaults)
+        return sp
 
-    sp = sub.add_parser("phi", help="fibration components at a sampled pair")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--on-y", action="store_true")
-    sp.set_defaults(fn=_cmd_phi)
-
-    sp = sub.add_parser("fh", help="degenerate-member form of the restricted pencil")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--on-y", action="store_true")
-    sp.set_defaults(fn=_cmd_fh)
-
-    sp = sub.add_parser("bundle-splitting", help="kernel-basis splitting type")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--index", type=int, default=0)
-    sp.add_argument("--point", metavar="FILE", help="point JSON (default: sample)")
-    sp.set_defaults(fn=_cmd_bundle_splitting)
-
-    sp = sub.add_parser("skew-invariants", help="char coefficients, Pfaffian, rank")
-    _add_common(sp)
-    sp.add_argument("--matrix", metavar="FILE", required=True)
-    sp.set_defaults(fn=_cmd_skew_invariants)
-
-    sp = sub.add_parser("vandermonde", help="kernel line of the power matrix")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_vandermonde)
-
-    sp = sub.add_parser("verify-diagram", help="exact identification of phi with f_H")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--holdout", type=int, default=100)
-    sp.set_defaults(fn=_cmd_verify_holdout, section=run_diagram_check)
-
-    sp = sub.add_parser("verify-even", help="diagram check on T*Y + exact vanishing")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--holdout", type=int, default=100)
-    sp.set_defaults(fn=_cmd_verify_holdout, section=run_even_check)
-
-    sp = sub.add_parser("verify-lagrangian", help="finite-difference isotropy check")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--count", type=int, default=20)
-    sp.set_defaults(fn=_cmd_verify_lagrangian)
-
-    sp = sub.add_parser("verify-all", help="every verification section in one run")
-    _add_pencil_flags(sp)
-    _add_common(sp)
-    _add_seed(sp)
-    sp.add_argument("--budget", type=float, default=1.0, help="sample-count scale")
-    sp.set_defaults(fn=_cmd_verify_all)
-
+    command("pencil-info", "pencil summary and group orders", pencil, _cmd_pencil_info)
+    command("sample", "draw a point of X (or Y)", on_y, _cmd_sample)
+    command("phi", "fibration components at a sampled pair", on_y, _cmd_phi)
+    command("fh", "degenerate-member form of the restricted pencil", on_y, _cmd_fh)
+    command(
+        "bundle-splitting", "kernel-basis splitting type", one_sample, _cmd_bundle_splitting
+    ).add_argument("--point", metavar="FILE", help="point JSON (default: sample)")
+    command(
+        "skew-invariants", "char coefficients, Pfaffian, rank", [out], _cmd_skew_invariants
+    ).add_argument("--matrix", metavar="FILE", required=True)
+    command("vandermonde", "kernel line of the power matrix", pencil, _cmd_vandermonde)
+    command("verify-diagram", "exact identification of phi with f_H", holdout,
+            _cmd_verify_section, section=run_diagram_check, count_flag="holdout")
+    command("verify-even", "diagram check on T*Y + exact vanishing", holdout,
+            _cmd_verify_section, section=run_even_check, count_flag="holdout")
+    command("verify-lagrangian", "finite-difference isotropy check", seeded,
+            _cmd_verify_section, section=run_lagrangian_check, count_flag="count"
+            ).add_argument("--count", type=int, default=20)
+    command(
+        "verify-all", "every verification section in one run", seeded, _cmd_verify_all
+    ).add_argument("--budget", type=float, default=1.0, help="sample-count scale")
     return ap
 
 
@@ -327,16 +278,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InputError, PencilError) as exc:
-        print(json.dumps({"error": str(exc), "version": REPORT_VERSION}), file=sys.stderr)
-        return EXIT_INPUT
+        code, error = EXIT_INPUT, {"error": str(exc)}
     except Exception as exc:  # internal invariant violation
-        print(
-            json.dumps(
-                {"internal_error": f"{type(exc).__name__}: {exc}", "version": REPORT_VERSION}
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
+        code, error = EXIT_INTERNAL, {"internal_error": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps({**error, "version": REPORT_VERSION}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -233,12 +233,19 @@ def _identification_report(ident: IdentificationMap, count: int, values) -> dict
     """The report of :func:`verify_identification` on `count` samples whose
     (phi_X, f_H) values `values` yields in index order; it stops at the
     first failing sample."""
-    report = {"pass": True, "samples": count}
-    for i, (value, form) in enumerate(values):
-        case = _mismatch(ident, value, form)
-        if case:
+    cases = (_mismatch(ident, value, form) for value, form in values)
+    return _first_failure({"pass": True, "samples": count}, enumerate(cases))
+
+
+def _first_failure(report: dict, cases) -> dict:
+    """`report`, failed at the first (index, case) pair of `cases` whose case
+    is not None: "pass" becomes False and "first_failure" names that case and
+    index.  `cases` is consumed only up to that pair, so a generator stops
+    there; every section's report names its first failure here."""
+    for index, case in cases:
+        if case is not None:
             report["pass"] = False
-            report["first_failure"] = {"case": case, "index": i}
+            report["first_failure"] = {"case": case, "index": index}
             break
     return report
 

@@ -12,15 +12,23 @@ and its phi_X and f_H once a section asks for them, are computed once and
 shared by every section that uses them.  A section called on its own makes
 its own store, and nothing is kept after the call.  The Y-samples of the
 even section are other draws and are not stored.
+
+A failing section names its first failure, {case, index}, through one
+function, fibration._first_failure.  A section whose report holds a field
+over all samples (exact_vanishing, max_isotropy_defect, matches,
+image_rank) checks every sample first; the others stop at the first
+failing one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fibration import (
     FD_STEP,
     ISOTROPY_TOL,
+    _first_failure,
     _identification_report,
     _mismatch,
     f_H,
@@ -144,20 +152,22 @@ def run_even_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
     """
     ident = fit_identification(p)
     lam_last = p.lambdas[-1]
-    report = {"pass": True, "exact_vanishing": True, "samples": holdout}
-    for i in range(holdout):
+
+    def one(i: int):
         y, xi = sample_pair(p, seed, index=i, on_Y=True)
         value = phi_X(y, xi)
         form = f_H(y, xi)
         if value.components[-1] or form.eval_affine(lam_last):
-            report["exact_vanishing"] = False
-            case = "vanishing"
-        else:
-            case = _mismatch(ident, value, form)
-        if case and report["pass"]:
-            report["pass"] = False
-            report["first_failure"] = {"case": case, "index": i}
-    return report
+            return "vanishing"
+        return _mismatch(ident, value, form)
+
+    cases = [one(i) for i in range(holdout)]
+    report = {
+        "pass": True,
+        "exact_vanishing": "vanishing" not in cases,
+        "samples": holdout,
+    }
+    return _first_failure(report, enumerate(cases))
 
 
 def run_lagrangian_check(
@@ -172,23 +182,21 @@ def run_lagrangian_check(
     samples = _store(samples, p, seed)
     reports = [verify_lagrangian(*samples.pair(i)) for i in range(count)]
     generic = [r for r in reports if r["generic"]]
-    defect = max((r["isotropy_defect"] for r in generic), default=0.0)
-    ranks = sorted({r["jacobian_rank"] for r in reports})
-    ok = all(r["pass"] for r in generic) and len(generic) == len(reports)
     report = {
-        "pass": ok,
+        "pass": True,
         "samples": count,
         "generic_samples": len(generic),
-        "jacobian_ranks": ranks,
-        "max_isotropy_defect": defect,
+        "jacobian_ranks": sorted({r["jacobian_rank"] for r in reports}),
+        "max_isotropy_defect": max((r["isotropy_defect"] for r in generic), default=0.0),
         "fd_step": FD_STEP,
         "tol": ISOTROPY_TOL,
     }
-    if not ok:
-        index = next(i for i, r in enumerate(reports) if not r["pass"])
-        case = "isotropy" if reports[index]["generic"] else "nongeneric"
-        report["first_failure"] = {"case": case, "index": index}
-    return report
+    # a sample passes only when it is generic
+    cases = (
+        None if r["pass"] else "isotropy" if r["generic"] else "nongeneric"
+        for r in reports
+    )
+    return _first_failure(report, enumerate(cases))
 
 
 def run_splitting_check(
@@ -211,19 +219,11 @@ def run_splitting_check(
         try:
             results.append(one(i))
         except SplittingError as exc:
-            return {
-                "pass": False,
-                "samples": count,
-                "error": str(exc),
-                "first_failure": {"case": "splitting_error", "index": i},
-            }
-    report = {"pass": all(results), "samples": count, "matches": sum(results)}
-    if not report["pass"]:
-        report["first_failure"] = {
-            "case": "splitting_type",
-            "index": results.index(False),
-        }
-    return report
+            report = {"pass": False, "samples": count, "error": str(exc)}
+            return _first_failure(report, [(i, "splitting_error")])
+    report = {"pass": True, "samples": count, "matches": sum(results)}
+    cases = (None if ok else "splitting_type" for ok in results)
+    return _first_failure(report, enumerate(cases))
 
 
 def _random_distinct_lambdas(rng, n: int):
@@ -255,11 +255,8 @@ def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
                 return False
         return True
 
-    results = [one(i) for i in range(count)]
-    report = {"pass": all(results), "pencils": count, "g": g}
-    if not report["pass"]:
-        report["first_failure"] = {"case": "vandermonde", "index": results.index(False)}
-    return report
+    cases = (None if one(i) else "vandermonde" for i in range(count))
+    return _first_failure({"pass": True, "pencils": count, "g": g}, enumerate(cases))
 
 
 def run_quotient_check(
@@ -280,11 +277,8 @@ def run_quotient_check(
             prod = prod * y
         return (not lin1) and (not lin2) and (ys[-1] * ys[-1] - prod == 0)
 
-    results = [one(i) for i in range(count)]
-    report = {"pass": all(results), "samples": count}
-    if not report["pass"]:
-        report["first_failure"] = {"case": "quotient", "index": results.index(False)}
-    return report
+    cases = (None if one(i) else "quotient" for i in range(count))
+    return _first_failure({"pass": True, "samples": count}, enumerate(cases))
 
 
 def run_skew_battery(
@@ -333,19 +327,20 @@ def run_skew_battery(
 
     pf_results = [pf_one(i) for i in range(pf_cases)]
     rank2_results = [rank2_one(i) for i in range(rank2_cases)]
-    pf_ok, rank2_ok = all(pf_results), all(rank2_results)
     report = {
-        "pass": pf_ok and rank2_ok,
+        "pass": True,
         "pfaffian_cases": pf_cases,
         "rank2_cases": rank2_cases,
-        "pfaffian_pass": pf_ok,
-        "rank2_pass": rank2_ok,
+        "pfaffian_pass": all(pf_results),
+        "rank2_pass": all(rank2_results),
     }
-    for case, results in (("pfaffian", pf_results), ("rank2", rank2_results)):
-        if not all(results):
-            report["first_failure"] = {"case": case, "index": results.index(False)}
-            break
-    return report
+    failures = (
+        (i, case)
+        for case, results in (("pfaffian", pf_results), ("rank2", rank2_results))
+        for i, ok in enumerate(results)
+        if not ok
+    )
+    return _first_failure(report, failures)
 
 
 def run_invariance_check(
@@ -386,25 +381,21 @@ def run_invariance_check(
         scale_ok = all((a * (s * s) - b) == 0 for a, b in zip(base, scaled))
         coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]
         checks = (("sign", sign_ok), ("gauge", gauge_ok), ("scaling", scale_ok))
-        broken = [case for case, ok in checks if not ok]
-        return broken, [list(r) for r in zip(*coords)]
+        case = next((case for case, ok in checks if not ok), None)
+        return case, [list(r) for r in zip(*coords)]
 
     results = [one(i) for i in range(count)]
-    broken = [r[0] for r in results]
+    cases = [case for case, _ in results]
     rank = rank_exact([row for _, rows in results for row in rows])
     expected = 2 * p.g - 1
-    invariant = not any(broken)
     report = {
-        "pass": invariant and rank == expected,
+        "pass": rank == expected,
         "samples": count,
-        "exact_invariance": invariant,
+        "exact_invariance": cases.count(None) == count,
         "image_rank": rank,
         "expected_rank": expected,
     }
-    if not invariant:
-        index = next(i for i, cases in enumerate(broken) if cases)
-        report["first_failure"] = {"case": broken[index][0], "index": index}
-    return report
+    return _first_failure(report, enumerate(cases))
 
 
 def run_falsifiability_check(
@@ -450,28 +441,33 @@ def run_falsifiability_check(
         ("gauge_invariance", gauge_broken),
     )
     report = {
-        "pass": all(ok for _, ok in checks),
+        "pass": True,
         "clean_pass": bool(clean["pass"]),
         "perturbed_map_fails": not broken_map["pass"],
         "gauge_violation_rejected": gauge_rejected,
         "gauge_invariance_broken": gauge_broken,
     }
-    failed = [case for case, ok in checks if not ok]
-    if failed:
-        # the clean map names its failing sample; the other controls are
-        # either no sample's verdict or that of sample 0
-        index = clean["first_failure"]["index"] if failed[0] == "clean" else 0
-        report["first_failure"] = {"case": failed[0], "index": index}
-    return report
+    # the clean map names its failing sample; the other controls are
+    # either no sample's verdict or that of sample 0
+    failures = (
+        (clean["first_failure"]["index"] if case == "clean" else 0, case)
+        for case, ok in checks
+        if not ok
+    )
+    return _first_failure(report, failures)
 
 
 def verify_all(p: PencilOfQuadrics, seed: int, budget: float = 1.0) -> dict:
-    """Run every section at desk scale; counts scale with `budget` (>= 0.05).
+    """Run every section at desk scale; counts scale with `budget`.
 
-    The sections share one sample store for the run.
+    Any finite budget > 0 is accepted: a section of n samples at budget 1
+    gets max(floor, round(n * budget)), where the floor is 1, or 2g - 1 for
+    the invariance section, whose image rank needs that many samples.  So a
+    budget of 1e-300 runs every section at its floor.  The sections share
+    one sample store for the run.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be finite and positive")
 
     def scaled(n: int, floor: int = 1) -> int:
         return max(floor, int(round(n * budget)))

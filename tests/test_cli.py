@@ -98,6 +98,14 @@ def test_genus_below_two_exit_2(g):
     assert json.loads(r.stderr)["error"] == "need g >= 2"
 
 
+# the message of each count flag's input error, in full
+COUNT_ERRORS = {
+    "--budget": "need a finite --budget > 0",
+    "--holdout": "need --holdout >= 1",
+    "--count": "need --count >= 1",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -114,7 +122,7 @@ def test_bad_counts_exit_2(args):
     r = run_cli(*args)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert json.loads(r.stderr)["error"].startswith("need ")
+    assert json.loads(r.stderr)["error"] == COUNT_ERRORS[args[3]]
 
 
 @pytest.mark.parametrize(
@@ -194,6 +202,10 @@ def _bad_point_payloads():
         "zero_denominator_biquad_coordinate": dict(
             good, coords=[["1/0", "0", "0", "0"]] + good["coords"][1:]),
         "zero_denominator_radicand": dict(good, radicands=["1/0", good["radicands"][1]]),
+        # JSON's Infinity, which no Fraction holds
+        "infinite_biquad_coordinate": dict(
+            good, coords=[[float("inf"), "0", "0", "0"]] + good["coords"][1:]),
+        "infinite_radicand": dict(good, radicands=[float("inf"), good["radicands"][1]]),
     }
 
 
@@ -205,6 +217,21 @@ def test_bad_point_file_exit_2(tmp_path, name):
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"].startswith("bad point file: ")
+
+
+def test_point_with_one_invertible_coordinate_exit_2(tmp_path):
+    # a point of a split algebra whose coordinates are all zero divisors but
+    # one: there is no chart, so the point file is refused
+    from test_fibration import one_invertible_point
+
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps(one_invertible_point().to_json()))
+    r = run_cli("bundle-splitting", "--lambdas=0,16,-9,32,-18,1", "--point", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == (
+        "bad point file: no second invertible coordinate in the point"
+    )
 
 
 def test_skew_invariants_file(tmp_path):

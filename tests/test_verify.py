@@ -91,6 +91,25 @@ def test_diagram_check_names_wrong_f_H(monkeypatch):
     }
 
 
+def test_only_sections_with_all_sample_fields_read_past_a_failure(monkeypatch):
+    # the diagram section stops at its first failing sample; the even
+    # section reads every sample, as exact_vanishing is about all of them
+    real, calls = verify.f_H, []
+
+    def wrong_at_1(*args):
+        calls.append(args)
+        return wrong_form() if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(verify, "f_H", wrong_at_1)
+    rep = run_diagram_check(P2, seed=3, holdout=5)
+    assert rep["first_failure"] == {"case": "proportional", "index": 1}
+    assert len(calls) == 2
+    calls.clear()
+    rep = run_even_check(P2, seed=3, holdout=5)
+    assert rep["first_failure"] == {"case": "vanishing", "index": 1}
+    assert rep["exact_vanishing"] is False and len(calls) == 5
+
+
 @pytest.mark.parametrize(
     "components, case",
     [
@@ -514,6 +533,12 @@ def test_falsifiability_check_names_first_failure(monkeypatch, breaking, case, i
         "pass": False,
         "first_failure": {"case": case, "index": index},
     }
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+def test_verify_all_refuses_a_budget_that_is_not_finite_and_positive(budget):
+    with pytest.raises(ValueError, match="budget must be finite and positive"):
+        verify_all(P2, 0, budget)
 
 
 def _section_counts(g, budget):
