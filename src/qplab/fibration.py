@@ -2,6 +2,8 @@
 
 phi_X evaluates the quadratic generator fields on a cotangent representative:
 component j is sum_{k != j} (x_j eta_k - x_k eta_j)^2 / (lambda_k - lambda_j).
+They are computed on integer numerators, with the weights 1/(lambda_k -
+lambda_j) kept as a table of the pencil, and each component is reduced once.
 f_H computes the same data geometrically: the binary form (degree 2g-2) cutting
 out the degenerate members of the pencil restricted to the hyperplane
 H = ker(eta) of the tangent space S/V.  The determinant of q_t on H is a
@@ -18,6 +20,7 @@ finite differences in a local symplectic chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
 from .linalg import _integer_rows, det_exact, scaled_matvec
 from .pencil import PencilOfQuadrics
+from .scalars import _common_numerators, _make, _mul_numerators
 from .variety import CotangentRep, PointOnX, _vanishes_on_S
 
 __all__ = [
@@ -51,29 +55,83 @@ class FibrationValue:
     components: list
 
 
-def _differences(p: PencilOfQuadrics) -> list:
-    """Row j holds lambda_k - lambda_j for every k."""
-    return [[lk - lj for lk in p.lambdas] for lj in p.lambdas]
+def _phi_table(p: PencilOfQuadrics) -> tuple:
+    """The matrix a_jk = 1/(lambda_k - lambda_j), 0 on the diagonal, as
+    integer rows and one scale per row (:func:`~qplab.linalg._integer_rows`):
+    row j holds the weights of the terms of F_j."""
+    lam = p.lambdas
+    return _integer_rows(
+        [[1 / (lk - lj) if lk != lj else 0 for lk in lam] for lj in lam]
+    )
 
 
 def phi_components(p: PencilOfQuadrics, v, eta) -> list:
     """Raw generator-field values; only gauge/covector checks are skipped.
 
-    Each pair j < k is computed once: its term w_jk^2 / (lambda_k - lambda_j)
-    enters F_j, and F_k (where w_kj^2 = w_jk^2 over lambda_j - lambda_k)
-    with the opposite sign.  The differences are constants of the pencil.
+    F_j = sum_{k != j} a_jk w_jk^2 with w_jk = v_j eta_k - v_k eta_j and
+    a_jk = 1/(lambda_k - lambda_j), on integer numerators: v and eta are put
+    on one common denominator d, each pair j < k forms w_jk^2 once and adds
+    it into F_j and F_k (w_kj^2 = w_jk^2) with the integer rows of
+    :func:`_phi_table`, and each component is reduced once, to a ``Biquad``
+    when some entry of v or eta is one and to a ``Fraction`` otherwise.  A
+    pair of four rational entries is an integer product; otherwise a
+    rational factor scales the numerators of the other, and two ``Biquad``
+    factors take the product formula of
+    :func:`~qplab.scalars._mul_numerators`, which scales by k0 = qu*qw.
+    Every w^2 is kept over k0^3 d^4.  Raises
+    :class:`~qplab.scalars.ModeMismatchError` for an entry that is not an
+    exact scalar and for two contexts.
     """
-    diff = p.derived("differences", _differences)
+    rows, scales = p.derived("phi_table", _phi_table)
     n = len(v)
-    comps = [None] * n
+    ctx, nums, d = _common_numerators(list(v) + list(eta))
+    xs, es = nums[:n], nums[n:]
+    k0 = 1 if ctx is None else ctx._k[0]
+    k3 = k0 * k0 * k0
+    rational = [type(a) is int and type(b) is int for a, b in zip(xs, es)]
+    c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
     for j in range(n):
-        dj = diff[j]
+        xj, ej, rj, rat_j = xs[j], es[j], rows[j], rational[j]
         for k in range(j + 1, n):
-            w = v[j] * eta[k] - v[k] * eta[j]
-            term = (w * w) / dj[k]
-            comps[j] = term if comps[j] is None else comps[j] + term
-            comps[k] = -term if comps[k] is None else comps[k] - term
-    return comps
+            ajk, akj = rj[k], rows[k][j]
+            if rat_j and rational[k]:
+                w = xj * es[k] - xs[k] * ej
+                w2 = k3 * w * w
+                c0[j] += ajk * w2
+                c0[k] += akj * w2
+                continue
+            a0, a1, a2, a3 = _scaled_product(ctx, k0, xj, es[k])
+            b0, b1, b2, b3 = _scaled_product(ctx, k0, xs[k], ej)
+            w = (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+            w0, w1, w2, w3 = _mul_numerators(ctx, w, w)
+            c0[j] += ajk * w0
+            c1[j] += ajk * w1
+            c2[j] += ajk * w2
+            c3[j] += ajk * w3
+            c0[k] += akj * w0
+            c1[k] += akj * w1
+            c2[k] += akj * w2
+            c3[k] += akj * w3
+    d = k3 * d ** 4
+    if ctx is None:
+        return [Fraction(a, s * d) for a, s in zip(c0, scales)]
+    return [_make(ctx, c0[j], c1[j], c2[j], c3[j], scales[j] * d) for j in range(n)]
+
+
+def _scaled_product(ctx, k0: int, a, b) -> tuple:
+    """k0 times the numerators of a*b, a 4-tuple, for entries a and b of
+    :func:`~qplab.scalars._common_numerators`: a rational factor scales the
+    other's numerators, and two 4-tuples take the product formula, which
+    carries k0 already."""
+    if type(b) is int:
+        if type(a) is int:
+            return (k0 * a * b, 0, 0, 0)
+        b *= k0
+        return (a[0] * b, a[1] * b, a[2] * b, a[3] * b)
+    if type(a) is int:
+        a *= k0
+        return (a * b[0], a * b[1], a * b[2], a * b[3])
+    return _mul_numerators(ctx, a, b)
 
 
 def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:

@@ -43,10 +43,10 @@ from operator import mul
 
 from .scalars import (
     _EXACT_TYPES,
-    RATIONAL_TYPES,
     Biquad,
     ModeMismatchError,
     NonInvertibleError,
+    _common_numerators,
     _make,
 )
 
@@ -426,33 +426,12 @@ def scaled_matvec(rows, scales, v):
     v[0] is a ``Biquad``.  Raises :class:`ModeMismatchError` for an entry
     that is not an exact scalar and for ``Biquad`` entries of two contexts.
     """
-    ctx = None
-    nums, dens = [], []
-    has_rational = False
-    for x in v:
-        if type(x) is Biquad:
-            if x.ctx is not ctx:
-                if ctx is None:
-                    ctx = x.ctx
-                elif x.ctx != ctx:
-                    raise ModeMismatchError("mixed biquadratic contexts in vector")
-            nums.append(x._n)
-            dens.append(x._d)
-        elif isinstance(x, RATIONAL_TYPES):
-            nums.append((x.numerator, 0, 0, 0))
-            dens.append(x.denominator)
-            has_rational = True
-        else:
-            raise ModeMismatchError(
-                f"vector entry: {type(x).__name__} is not an exact scalar"
-            )
-    d = lcm(*dens)
-    lift = [d // e for e in dens]
+    ctx, nums, d = _common_numerators(v)
     if ctx is None:
-        col = [n[0] * k for n, k in zip(nums, lift)]
-        return [Fraction(sum(map(mul, row, col)), s * d)
+        return [Fraction(sum(map(mul, row, nums)), s * d)
                 for row, s in zip(rows, scales)]
-    c0, c1, c2, c3 = [[n[c] * k for n, k in zip(nums, lift)] for c in range(4)]
+    has_rational = any(type(n) is int for n in nums)
+    c0, c1, c2, c3 = zip(*[(n, 0, 0, 0) if type(n) is int else n for n in nums])
     out = []
     for row, s in zip(rows, scales):
         n0 = sum(map(mul, row, c0))

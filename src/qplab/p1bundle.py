@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import _pivot_columns, dot, matvec, nullspace_exact, rank_exact
 from .pencil import PencilOfQuadrics
@@ -202,11 +203,16 @@ def vandermonde_normalizer(p: PencilOfQuadrics):
     """The kernel line of the (2g+1) x (2g+2) power matrix of the lambdas.
 
     Normalized to the closed form a_j = 1 / prod_{k != j} (lambda_j - lambda_k);
-    every entry is nonzero.
+    every entry is nonzero.  Row k scaled by L^k, for L the lcm of the
+    lambdas' denominators, is the row of k-th powers of the integers
+    m_j = L * lambda_j; row scaling keeps the kernel, so the matrix is built
+    from integer powers.
     """
     lam = p.lambdas
     n = p.dim_ambient
-    rows = [[lam[j] ** k for j in range(n)] for k in range(n - 1)]
+    den = lcm(*[x.denominator for x in lam])
+    ms = [x.numerator * (den // x.denominator) for x in lam]
+    rows = [[m ** k for m in ms] for k in range(n - 1)]
     basis = nullspace_exact(rows)
     if len(basis) != 1:
         raise ArithmeticError(f"kernel dimension {len(basis)}, expected 1")

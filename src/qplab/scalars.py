@@ -111,6 +111,26 @@ def _make(ctx, n0, n1, n2, n3, d) -> "Biquad":
     return _raw(ctx, (n0, n1, n2, n3), d)
 
 
+def _mul_numerators(ctx, a, b) -> tuple:
+    """The integer numerators of the product of the elements with numerator
+    4-tuples a and b of ctx, over the product of their denominators times
+    k0 = qu*qw: the product formula of the algebra, kept in integers.
+    ``Biquad.__mul__`` reduces its result once; kernels that multiply
+    numerators on a common denominator sum such products and reduce once
+    per output."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    k0, k1, k2, k3 = ctx._k
+    # basis: 1, r=sqrt(u), s=sqrt(w), rs; r^2=u, s^2=w, (rs)^2=uw,
+    # with every coordinate scaled by k0 = qu*qw
+    return (
+        k0 * a0 * b0 + k1 * a1 * b1 + k2 * a2 * b2 + k3 * a3 * b3,
+        ctx._qu * (ctx._qw * (a0 * b1 + a1 * b0) + ctx._pw * (a2 * b3 + a3 * b2)),
+        ctx._qw * (ctx._qu * (a0 * b2 + a2 * b0) + ctx._pu * (a1 * b3 + a3 * b1)),
+        k0 * (a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1),
+    )
+
+
 class Biquad:
     """Element of Q(sqrt(u), sqrt(w)) in coordinates (c0, c1, c2, c3).
 
@@ -192,23 +212,14 @@ class Biquad:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self._n
         (b0, b1, b2, b3), db = o
         ctx = self.ctx
         if not (b1 or b2 or b3):
             # rational factor: scale the coordinates
+            a0, a1, a2, a3 = self._n
             return _make(ctx, a0 * b0, a1 * b0, a2 * b0, a3 * b0, self._d * db)
-        k0, k1, k2, k3 = ctx._k
-        # basis: 1, r=sqrt(u), s=sqrt(w), rs; r^2=u, s^2=w, (rs)^2=uw,
-        # with every coordinate scaled by k0 = qu*qw
-        return _make(
-            ctx,
-            k0 * a0 * b0 + k1 * a1 * b1 + k2 * a2 * b2 + k3 * a3 * b3,
-            ctx._qu * (ctx._qw * (a0 * b1 + a1 * b0) + ctx._pw * (a2 * b3 + a3 * b2)),
-            ctx._qw * (ctx._qu * (a0 * b2 + a2 * b0) + ctx._pu * (a1 * b3 + a3 * b1)),
-            k0 * (a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1),
-            k0 * self._d * db,
-        )
+        n0, n1, n2, n3 = _mul_numerators(ctx, self._n, o[0])
+        return _make(ctx, n0, n1, n2, n3, ctx._k[0] * self._d * db)
 
     __rmul__ = __mul__
 
@@ -328,6 +339,40 @@ def _require_exact(values, what: str):
     for x in values:
         if not isinstance(x, _EXACT_TYPES):
             raise ModeMismatchError(f"{what}: {type(x).__name__} is not an exact scalar")
+
+
+def _common_numerators(v) -> tuple:
+    """(ctx, nums, d) for the exact vector v on one common denominator d > 0:
+    nums[k] = v[k] * d, an int for a rational entry and an integer numerator
+    4-tuple for a ``Biquad`` one, and ctx is the context of the ``Biquad``
+    entries, None when there is none.  Raises :class:`ModeMismatchError` for
+    an entry that is not an exact scalar and for entries of two contexts."""
+    ctx = None
+    dens = []
+    for x in v:
+        if type(x) is Biquad:
+            if x.ctx is not ctx:
+                if ctx is None:
+                    ctx = x.ctx
+                elif x.ctx != ctx:
+                    raise ModeMismatchError("mixed biquadratic contexts in vector")
+            dens.append(x._d)
+        elif isinstance(x, RATIONAL_TYPES):
+            dens.append(x.denominator)
+        else:
+            raise ModeMismatchError(
+                f"vector entry: {type(x).__name__} is not an exact scalar"
+            )
+    d = lcm(*dens)
+    nums = []
+    for x, e in zip(v, dens):
+        s = d // e
+        if type(x) is Biquad:
+            n0, n1, n2, n3 = x._n
+            nums.append((n0 * s, n1 * s, n2 * s, n3 * s))
+        else:
+            nums.append(x.numerator * s)
+    return ctx, nums, d
 
 
 def to_complex(x) -> complex:

@@ -62,11 +62,20 @@ class SkewMap:
         self._check_skew()
 
     def _check_skew(self):
+        """Raise SkewnessError naming the first entry (i, j), i <= j, with
+        m[i][j] != -m[j][i].  Two rational entries are compared by their
+        reduced numerators and denominators, without building -m[j][i]."""
         m = self.entries
         size = 2 * self.n
         for i in range(size):
+            row = m[i]
             for j in range(i, size):
-                if m[i][j] != -m[j][i]:
+                a, b = row[j], m[j][i]
+                if isinstance(a, RATIONAL_TYPES) and isinstance(b, RATIONAL_TYPES):
+                    skew = a.numerator == -b.numerator and a.denominator == b.denominator
+                else:
+                    skew = a == -b
+                if not skew:
                     raise SkewnessError(f"entry ({i},{j}) breaks skew symmetry")
 
     @property

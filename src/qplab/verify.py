@@ -355,6 +355,14 @@ def run_invariance_check(
     four coordinates, so the rank of those rows is the rank of the image.
     A report whose invariance fails names the first failing sample and the
     first of "sign", "gauge" and "scaling" that it breaks.
+
+    The sign and scaling checks are identities of any code that squares
+    w_jk = x_j eta_k - x_k eta_j, as phi_components does: flipping the sign
+    of coordinate k of x and eta changes at most the sign of each w_jk, and
+    scaling eta by s scales every w_jk by s.  The gauge shift and the exact
+    rank of the image are the substantive checks: the shift by
+    beta q2(v, .) changes each w_jk by beta (lambda_k - lambda_j) x_j x_k,
+    and phi stays fixed only because eta(x) = q1(x) = q2(x) = 0.
     """
     n = p.dim_ambient
     samples = _store(samples, p, seed)

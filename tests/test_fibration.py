@@ -7,6 +7,7 @@ from math import isqrt, prod
 import pytest
 
 from qplab import (
+    Biquad,
     BiquadContext,
     DegenerateCovectorError,
     NonInvertibleError,
@@ -32,7 +33,7 @@ from qplab import (
     verify_lagrangian,
 )
 from qplab.linalg import dot
-from qplab.scalars import scalar_to_json
+from qplab.scalars import ModeMismatchError, scalar_to_json
 import qplab.variety as variety
 from qplab.variety import CotangentRep, _invertible_pair, _vanishes_on_S
 from test_linalg import _fields
@@ -309,20 +310,55 @@ def phi_components_double_loop(p, v, eta):
     return comps
 
 
-def test_phi_components_matches_double_loop():
-    pairs = [(2, 61, i, False) for i in range(3)] + [
-        (3, 5, 0, False), (2, 7, 1, True), (3, 2, 2, True),
-    ] + SPLIT_PAIRS
-    for g, seed, index, on_Y in pairs:
-        p = canonical_pencil(g)
+def _typed_fields(values):
+    """Type and fields of each value: a Biquad equal to a rational compares
+    equal to a Fraction, so == alone would not tell them apart."""
+    return [(type(c), _fields(c)) for c in values]
+
+
+def _phi_cases():
+    """(pencil, v, eta) on X and Y samples at g = 2..8, on SPLIT_PAIRS and
+    on a pencil with non-integer lambdas (radicands with denominators), each
+    with a zero eta entry, with the Biquad entries of v replaced by
+    rationals and with an all-rational covector; and all-rational vectors."""
+    pairs = [(canonical_pencil(g), 61, i, on_Y) for g in range(2, 9)
+             for i in range(3) for on_Y in (False, True)]
+    pairs += [(canonical_pencil(g), seed, i, on_Y) for g, seed, i, on_Y in
+              [(3, 5, 0, False), (2, 7, 1, True), (3, 2, 2, True)] + SPLIT_PAIRS]
+    pairs += [(NON_INTEGER, 61, i, on_Y) for i in range(3) for on_Y in (False, True)]
+    cases = []
+    for p, seed, index, on_Y in pairs:
         x, xi = sample_pair(p, seed, index=index, on_Y=on_Y)
-        assert phi_components(p, x.coords, xi.eta) == phi_components_double_loop(
-            p, x.coords, xi.eta
-        )
-    # rational vectors off X: the raw formula, with rational values
-    v = [Fraction(k * k - 3, k + 1) for k in range(6)]
-    eta = [Fraction(2 - k, 3) for k in range(6)]
-    assert phi_components(P2, v, eta) == phi_components_double_loop(P2, v, eta)
+        v, eta = list(x.coords), list(xi.eta)
+        n = len(v)
+        rational_v = [Fraction(k * k - 3, k + 1) for k in range(n)]
+        rational_eta = [Fraction(2 - k, 3) for k in range(n)]
+        cases += [
+            (p, v, eta),
+            (p, v, eta[:2] + [Fraction(0)] + eta[3:]),
+            (p, rational_v[:2] + v[2:], eta),
+            (p, v, rational_eta),
+            (p, rational_v, rational_eta),
+        ]
+    lambdas = [Fraction(s) for s in ("1/3", "2", "7/2", "5", "-4/5", "11/7")]
+    cases.append((PencilOfQuadrics(lambdas), [3, Fraction(-1, 2), 0, 4, 1, 2],
+                  [Fraction(5, 6), 1, -2, 0, Fraction(7, 3), 1]))
+    return cases
+
+
+def test_phi_components_matches_double_loop():
+    for p, v, eta in _phi_cases():
+        got = phi_components(p, v, eta)
+        assert _typed_fields(got) == _typed_fields(phi_components_double_loop(p, v, eta))
+        if any(isinstance(c, Biquad) for c in v + eta):
+            assert all(isinstance(c, Biquad) for c in got)
+        else:
+            assert all(type(c) is Fraction for c in got)
+    # entries of two contexts are refused, as the Biquad operators refuse them
+    x, xi = sample_pair(P2, 61)
+    other = BiquadContext(2, 3).sqrt_u()
+    with pytest.raises(ModeMismatchError):
+        phi_components(P2, x.coords, list(xi.eta[:-1]) + [other])
 
 
 def _expand(roots):

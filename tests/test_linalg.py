@@ -24,6 +24,7 @@ from qplab import (
     matvec,
     n_tilde_splitting,
     nullspace_exact,
+    phi_components,
     phi_X,
     rank2_orthogonal_decomposition,
     rank_exact,
@@ -44,7 +45,8 @@ from qplab.linalg import (
     dot,
     scaled_matvec,
 )
-from qplab.scalars import ModeMismatchError
+from qplab.scalars import ModeMismatchError, _make
+import qplab.fibration as fibration
 
 
 def rational_matrices(rows, cols):
@@ -683,9 +685,11 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 582 products and 38 inverses and no norm (750
-    # products when f_H reduced every term of its weighted sums and of its
-    # interpolation instead of every output of its fixed rational maps): every
+    # Per sample it takes 447 products and 38 inverses and no norm (582
+    # products when phi_components ran the Biquad operators on each pair
+    # j < k, 135 of them, and 750 when f_H also reduced every term of its
+    # weighted sums and of its interpolation instead of every output of its
+    # fixed rational maps): every
     # pivot search, _invertible_pair included, inverts its candidates
     # instead of testing their norm; the point looks up its invertible pair
     # once (43 inverses when the sampler, the frame, f_H and the kernel basis
@@ -705,7 +709,7 @@ def test_g4_chain_operation_counts(monkeypatch):
         kb = v_perp_kernel(p, x)
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
-    assert counts["mul"] <= 3 * 605
+    assert counts["mul"] <= 3 * 447
     assert counts["inverse"] <= 3 * 40
     assert counts["norm"] == 0
 
@@ -734,6 +738,30 @@ def test_f_H_cost_grows_polynomially(monkeypatch):
         assert counts["inverse"] <= 2, g
         monkeypatch.undo()
     assert muls[6] - muls[5] == muls[3] - muls[2]
+
+
+def test_phi_components_takes_no_biquad_product(monkeypatch):
+    # phi_components forms each w_jk^2 on integer numerators and reduces
+    # each of its 2g + 2 components once, so it takes no Biquad product and
+    # exactly 2g + 2 reductions at every g, on X and on Y (with the Biquad
+    # operators on each pair j < k it took 45 / 135 / 273 products at
+    # g = 2 / 4 / 6)
+    for g in range(2, 9):
+        p = canonical_pencil(g)
+        for on_Y in (False, True):
+            x, xi = sample_pair(p, 0, on_Y=on_Y)
+            phi_components(p, x.coords, xi.eta)  # the pencil's table
+            counts = count_biquad_ops(monkeypatch)
+            reductions = []
+            monkeypatch.setattr(
+                fibration, "_make",
+                lambda *args: reductions.append(1) or _make(*args),
+            )
+            phi_components(p, x.coords, xi.eta)
+            assert counts["mul"] == 0, (g, on_Y)
+            assert counts["inverse"] == 0, (g, on_Y)
+            assert len(reductions) == 2 * g + 2, (g, on_Y)
+            monkeypatch.undo()
 
 
 def test_splitting_chain_cost_grows_linearly(monkeypatch):

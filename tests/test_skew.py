@@ -240,6 +240,40 @@ def test_skewness_enforced():
         SkewMap([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         SkewMap([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])  # odd size
+    third = Fraction(1, 3)
+    rational = [[0, third, 2, Fraction(-1, 2)],
+                [-third, 0, Fraction(5, 4), 1],
+                [-2, Fraction(-5, 4), 0, 7],
+                [Fraction(1, 2), -1, -7, 0]]
+    SkewMap(rational)
+    # int 0 and Fraction(0) are both zero, on and off the diagonal
+    mixed_zeros = [row[:] for row in rational]
+    mixed_zeros[0][0] = Fraction(0)
+    mixed_zeros[1][3], mixed_zeros[3][1] = 0, Fraction(0)
+    SkewMap(mixed_zeros)
+    # equal denominators with the wrong sign, a wrong denominator and a
+    # nonzero diagonal entry: the first (i, j) with i <= j is named
+    for (i, j), value, first in [
+        ((1, 2), Fraction(-5, 4), (1, 2)),
+        ((0, 1), Fraction(1, 6), (0, 1)),
+        ((2, 2), Fraction(1, 9), (2, 2)),
+        ((3, 0), Fraction(-1, 2), (0, 3)),
+    ]:
+        broken = [row[:] for row in rational]
+        broken[i][j] = value
+        with pytest.raises(SkewnessError, match=rf"entry \({first[0]},{first[1]}\) "):
+            SkewMap(broken)
+    ctx = BiquadContext(2, 3)
+    a, b = ctx.element(1, 2, 0, -1), ctx.element(0, third, 5, 0)
+    biquad = [[0, a, b, 1], [-a, 0, 2, b], [-b, -2, 0, a], [-1, -b, -a, 0]]
+    SkewMap(biquad)
+    biquad[3][2] = a
+    with pytest.raises(SkewnessError, match=r"entry \(2,3\) "):
+        SkewMap(biquad)
+    # a Biquad equal to a rational against that rational's negative
+    biquad[3][2] = -a
+    biquad[1][2], biquad[2][1] = ctx.embed(2), Fraction(-2)
+    SkewMap(biquad)
 
 
 def test_pfaffian_sign_convention():

@@ -613,7 +613,7 @@ def test_verify_all_computes_each_sample_once(monkeypatch):
         (verify, "phi_X"),
         (verify, "f_H"),
         (fibration, "_identification"),
-        (fibration, "_differences"),
+        (fibration, "_phi_table"),
         (fibration, "_f_H_table"),
     ]:
         calls[name] = []
@@ -641,5 +641,5 @@ def test_verify_all_computes_each_sample_once(monkeypatch):
     # the pencil's constants are built once: sampled points have an
     # invertible first coordinate, so f_H uses one pivot
     assert calls["_identification"] == [(p,)]
-    assert calls["_differences"] == [(p,)]
+    assert calls["_phi_table"] == [(p,)]
     assert calls["_f_H_table"] == [(p, 0)]
