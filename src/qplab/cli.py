@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import __version__
 from .fibration import f_H, phi_X
-from .linalg import rank_exact
 from .p1bundle import (
     n_tilde_splitting,
     trivial_factor_matches_tangent,
@@ -170,7 +169,7 @@ def _cmd_skew_invariants(args) -> int:
     metrics = {
         "a": [rational_to_string(c) for c in coeffs],
         "pf": rational_to_string(pf),
-        "rank": rank_exact(m),
+        "rank": skew.rank,
         # nilpotent iff every invariant vanishes
         "nilpotent": not any(coeffs) and not pf,
     }

@@ -264,13 +264,26 @@ def _back_substitute(a, pivots, ctx):
 
 def _back_substitute_integer(a, pivots, free_cols):
     """:func:`_back_substitute` on integer Bareiss rows: D v on ints, one
-    ``Fraction`` per entry.  Raises ``ArithmeticError`` if a division by a
-    pivot leaves a remainder, which Cramer's rule rules out."""
+    ``Fraction`` per entry."""
+    d, vectors = _integer_null_vectors(a, pivots, free_cols)
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if c == fc else Fraction(x, d) if x else zero for c, x in enumerate(w)]
+            for fc, w in zip(free_cols, vectors)]
+
+
+def _integer_null_vectors(a, pivots, free_cols):
+    """(D, [D v for each free column]): the nullspace vectors of integer
+    echelon rows a with pivot columns pivots, scaled by the last pivot D.
+
+    Each v has a 1 at its free column and 0 in the other free columns, as in
+    :func:`_back_substitute`.  On Bareiss rows D is, up to sign, the minor of
+    the pivot rows and columns, so D v is integral by Cramer's rule; a
+    division by a pivot that leaves a remainder raises ``ArithmeticError``.
+    """
     ncols = len(a[0])
     d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     steps = list(zip(a, pivots))[::-1]
-    one, zero = Fraction(1), Fraction(0)
-    basis = []
+    vectors = []
     for fc in free_cols:
         w = [0] * ncols
         w[fc] = d
@@ -281,9 +294,8 @@ def _back_substitute_integer(a, pivots, free_cols):
             if rem:
                 raise ArithmeticError(f"back substitution: pivot {pc} does not divide")
             w[pc] = q
-        basis.append([one if c == fc else Fraction(x, d) if x else zero
-                      for c, x in enumerate(w)])
-    return basis
+        vectors.append(w)
+    return d, vectors
 
 
 def nullspace_exact(m):

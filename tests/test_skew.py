@@ -201,6 +201,50 @@ def test_char_coeffs_forms_powers_up_to_half_the_size(monkeypatch):
         assert len(dots) == len(steps) * size * (size + 1) // 2, size
 
 
+def rank_sweep_cases(seed):
+    """(map, rank) for sizes 2..12 and every even rank r from 0 to the size:
+    sums of r/2 rational wedges u v^T - v u^T with denominators, and the
+    zero map of each size."""
+    rng = random.Random(seed)
+    for size in range(2, 13, 2):
+        yield SkewMap.from_upper(size, [Fraction(0)] * (size * (size - 1) // 2)), 0
+        for r in range(2, size + 1, 2):
+            a = None
+            while a is None or rank_exact(a) < r:  # redraw a degenerate sum
+                a = [[Fraction(0)] * size for _ in range(size)]
+                for _ in range(r // 2):
+                    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+                    v = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+                    for x in range(size):
+                        for y in range(size):
+                            a[x][y] += u[x] * v[y] - v[x] * u[y]
+            yield SkewMap(a), r
+
+
+def test_char_coeffs_rank_sweep_match_fraction_oracle(monkeypatch):
+    # below full rank the coefficients come from the rank-r core and no
+    # power of B is formed; at full rank the power steps run as before
+    import qplab.skew as skew
+
+    steps = []
+
+    def counted_step(*args, step=skew._power_step):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(skew, "_power_step", counted_step)
+    for m, r in rank_sweep_cases(seed=23):
+        assert m.rank == r, (m.size, r)
+        steps.clear()
+        coeffs = char_coeffs(m)
+        assert all(type(x) is Fraction for x in coeffs)
+        assert coeffs == _char_coeffs_fraction(m.entries), (m.size, r)
+        assert not any(coeffs[r // 2:]), (m.size, r)
+        if r:
+            assert coeffs[r // 2 - 1], (m.size, r)
+        assert len(steps) == (m.n - 1 if r == m.size else 0), (m.size, r)
+
+
 def test_block_diagonal_known_answers():
     # blocks b_k: det(xI - A) = prod (x^2 + b_k^2), so a_j = e_j(b_k^2) and
     # Pf = prod b_k; a permutation P of the basis keeps the coefficients and
@@ -274,6 +318,40 @@ def test_skewness_enforced():
     biquad[3][2] = -a
     biquad[1][2], biquad[2][1] = ctx.embed(2), Fraction(-2)
     SkewMap(biquad)
+
+
+def _first_asymmetry_fraction(a):
+    """Oracle for the skewness check: the first (i, j), i <= j, with
+    a[i][j] != -a[j][i], compared as Fractions."""
+    size = len(a)
+    for i in range(size):
+        for j in range(i, size):
+            if Fraction(a[i][j]) != -Fraction(a[j][i]):
+                return i, j
+    return None
+
+
+def test_skewness_error_names_first_entry_like_fraction_scan():
+    # a rational map is checked on its integer image D*A; one or two broken
+    # entries, ints and Fractions mixed, name the entry a scan of the
+    # Fractions names
+    rng = random.Random(24)
+    for size in range(2, 13, 2):
+        for _ in range(20):
+            upper = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(size * (size - 1) // 2)]
+            a = SkewMap.from_upper(size, upper).entries
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.randrange(size), rng.randrange(size)
+                a[i][j] = rng.choice([a[i][j] + Fraction(1, rng.randint(1, 7)),
+                                      -a[i][j] if a[i][j] else Fraction(1, 5),
+                                      rng.randint(-3, 3)])
+            first = _first_asymmetry_fraction(a)
+            if first is None:
+                SkewMap(a)
+                continue
+            with pytest.raises(SkewnessError, match=rf"entry \({first[0]},{first[1]}\) "):
+                SkewMap(a)
 
 
 def test_pfaffian_sign_convention():
@@ -443,18 +521,26 @@ def test_rank2_image_columns_match_greedy_span_loop():
 
 def test_rank2_decomposition_takes_one_elimination(monkeypatch):
     # one echelon form of A gives the rank, the image and the kernel, and
-    # the spanning test is the 2x2 Gram determinant of the image columns
+    # the spanning test is the 2x2 Gram determinant of the image columns;
+    # the map keeps that echelon, so char_coeffs, the decomposition and the
+    # rank share it.  char_coeffs refuses a Biquad map before eliminating.
+    # The routines are counted under every name they are looked up by: in
+    # qplab.linalg, and in qplab.skew where it binds them.
     import qplab.linalg as linalg
+    import qplab.skew as skew
 
     calls = []
-    for name in ("_eliminate", "_bareiss"):
-        routine = getattr(linalg, name)
+    for module in (linalg, skew):
+        for name in ("_eliminate", "_bareiss"):
+            routine = getattr(module, name, None)
+            if routine is None:
+                continue
 
-        def counted(*args, routine=routine):
-            calls.append(1)
-            return routine(*args)
+            def counted(*args, routine=routine):
+                calls.append(1)
+                return routine(*args)
 
-        monkeypatch.setattr(linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
     ctx = BiquadContext(-1, 2)
     one, zero, i = ctx.embed(1), ctx.embed(0), ctx.sqrt_u()
     rational = [Fraction(x, 3) for x in (1, 2, 0, 1, -1, 3)]
@@ -465,14 +551,23 @@ def test_rank2_decomposition_takes_one_elimination(monkeypatch):
         (SkewMap.from_upper(4, [Fraction(v) for v in (1, 0, 0, 0, 0, 1)]), "rank"),
     ]
     for m, error in cases:
-        calls.clear()
-        if error:
-            with pytest.raises(DecompositionError, match=error):
-                rank2_orthogonal_decomposition(m)
-        else:
-            ker, im = rank2_orthogonal_decomposition(m)
-            assert len(ker) == m.size - 2 and len(im) == 2
-        assert len(calls) == 1
+        for first_char_coeffs in (False, True):
+            m = SkewMap(m.entries)  # a fresh map, with no echelon yet
+            calls.clear()
+            rational_map = all(isinstance(x, (int, Fraction)) for row in m.entries for x in row)
+            if first_char_coeffs and rational_map:
+                assert char_coeffs(m) == _char_coeffs_fraction(m.entries)
+            elif first_char_coeffs:
+                with pytest.raises(ModeMismatchError, match="rational entries"):
+                    char_coeffs(m)
+            if error:
+                with pytest.raises(DecompositionError, match=error):
+                    rank2_orthogonal_decomposition(m)
+            else:
+                ker, im = rank2_orthogonal_decomposition(m)
+                assert len(ker) == m.size - 2 and len(im) == 2
+            assert m.rank == (4 if error == "rank" else 2)
+            assert len(calls) == 1
 
 
 def _rank2_by_second_elimination(m):
