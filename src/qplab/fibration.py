@@ -26,9 +26,15 @@ from math import prod
 import numpy as np
 
 from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
-from .linalg import _integer_rows, det_exact, scaled_matvec
+from .linalg import _integer_rows, _scaled_matvec_numerators, det_exact, scaled_matvec
 from .pencil import PencilOfQuadrics
-from .scalars import _common_numerators, _make, _mul_numerators
+from .scalars import (
+    _common_numerators,
+    _make,
+    _mul_numerators,
+    _scaled_product,
+    _shared_context,
+)
 from .variety import CotangentRep, PointOnX, _vanishes_on_S
 
 __all__ = [
@@ -118,22 +124,6 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
     return [_make(ctx, c0[j], c1[j], c2[j], c3[j], scales[j] * d) for j in range(n)]
 
 
-def _scaled_product(ctx, k0: int, a, b) -> tuple:
-    """k0 times the numerators of a*b, a 4-tuple, for entries a and b of
-    :func:`~qplab.scalars._common_numerators`: a rational factor scales the
-    other's numerators, and two 4-tuples take the product formula, which
-    carries k0 already."""
-    if type(b) is int:
-        if type(a) is int:
-            return (k0 * a * b, 0, 0, 0)
-        b *= k0
-        return (a[0] * b, a[1] * b, a[2] * b, a[3] * b)
-    if type(a) is int:
-        a *= k0
-        return (a * b[0], a * b[1], a * b[2], a * b[3])
-    return _mul_numerators(ctx, a, b)
-
-
 def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:
     """Evaluate every generator field on (eta, eta) at x, exactly."""
     if xi.point is not x and xi.point.coords != x.coords:
@@ -163,28 +153,48 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     eta_k^2, and the interpolation, with prod_{k != p} d_k folded in, is a
     Lagrange matrix applied to the 2g-1 determinants; each is one
     :func:`~qplab.linalg.scaled_matvec` on integer numerators, reduced once
-    per output.  Raises DegenerateCovectorError when eta vanishes on S/V,
-    which the closed form of :func:`_vanishes_on_S` tells without an
-    elimination.
+    per output.  The three vectors of products are taken straight from the
+    numerators of x (:meth:`~qplab.variety.PointOnX.numerators`) and eta,
+    so they take no ``Biquad`` product and no reduction of their own.
+    Raises DegenerateCovectorError when eta vanishes on S/V, which the
+    closed form of :func:`_vanishes_on_S` tells without an elimination.
     """
     p = x.pencil
     v, eta = x.coords, xi.eta
     if _vanishes_on_S(x, eta):
         raise DegenerateCovectorError("eta vanishes on S/V")
     piv = x.pair()[0]
-    others = [k for k in range(len(v)) if k != piv]
-    xx = [v[k] * v[k] for k in others]
-    xe = [v[k] * eta[k] for k in others]
-    ee = [eta[k] * eta[k] for k in others]
+    ctx, xs, dx = x.numerators()
+    ectx, es, de = _common_numerators(eta)
+    ctx = _shared_context(ctx, ectx)
+    k0 = 1 if ctx is None else ctx._k[0]
+    xs = [n for k, n in enumerate(xs) if k != piv]
+    es = [n for k, n in enumerate(es) if k != piv]
     a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
     weights, shifts, lagrange = p.derived(("f_H", piv), lambda p: _f_H_table(p, piv))
+    # A, B and C at every parameter, from x_k^2, x_k eta_k and eta_k^2
+    sums = [
+        _scaled_matvec_numerators(
+            *weights, (ctx, _typed_products(ctx, k0, a, b), k0 * da * db))
+        for a, b, da, db in ((xs, xs, dx, dx), (xs, es, dx, de), (es, es, de, de))
+    ]
     dets = [
         det_exact([[a, a_p, b], [a_p, a_p * shift, b_p], [b, b_p, c]])
-        for a, b, c, shift in zip(scaled_matvec(*weights, xx),
-                                  scaled_matvec(*weights, xe),
-                                  scaled_matvec(*weights, ee), shifts)
+        for a, b, c, shift in zip(*sums, shifts)
     ]
     return BinaryForm(2 * p.g - 2, scaled_matvec(*lagrange, dets))
+
+
+def _typed_products(ctx, k0: int, a, b) -> list:
+    """k0 times the numerators of a_k * b_k for the entries of two numerator
+    views (:func:`~qplab.scalars._common_numerators`), typed as those views
+    type their entries: an int when both factors are rational, so the
+    product of two rationals is rational, and a 4-tuple otherwise, as the
+    product of a ``Biquad`` with anything is a ``Biquad``."""
+    return [
+        k0 * m * n if type(m) is int and type(n) is int else _scaled_product(ctx, k0, m, n)
+        for m, n in zip(a, b)
+    ]
 
 
 def _f_H_table(p: PencilOfQuadrics, piv: int) -> tuple:

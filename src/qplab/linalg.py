@@ -438,7 +438,17 @@ def scaled_matvec(rows, scales, v):
     v[0] is a ``Biquad``.  Raises :class:`ModeMismatchError` for an entry
     that is not an exact scalar and for ``Biquad`` entries of two contexts.
     """
-    ctx, nums, d = _common_numerators(v)
+    return _scaled_matvec_numerators(rows, scales, _common_numerators(v))
+
+
+def _scaled_matvec_numerators(rows, scales, view):
+    """:func:`scaled_matvec` on a vector already on one common denominator:
+    view = (ctx, nums, d) as :func:`~qplab.scalars._common_numerators`
+    gives it, where an int entry stands for a rational entry of the vector
+    and a 4-tuple for a ``Biquad`` one, so the outputs are typed as there.
+    A point keeps such a view of its coordinates, and f_H builds one for
+    each vector of products it weighs."""
+    ctx, nums, d = view
     if ctx is None:
         return [Fraction(sum(map(mul, row, nums)), s * d)
                 for row, s in zip(rows, scales)]
@@ -447,7 +457,7 @@ def scaled_matvec(rows, scales, v):
     out = []
     for row, s in zip(rows, scales):
         n0 = sum(map(mul, row, c0))
-        if has_rational and not _biquad_sum(row, v):
+        if has_rational and not _biquad_sum(row, nums):
             out.append(Fraction(n0, s * d))
         else:
             out.append(_make(ctx, n0, sum(map(mul, row, c1)), sum(map(mul, row, c2)),
@@ -455,15 +465,16 @@ def scaled_matvec(rows, scales, v):
     return out
 
 
-def _biquad_sum(row, v) -> bool:
-    """Whether dot(v, row) is a ``Biquad``, for a rational row and a vector
-    v with rational and ``Biquad`` entries: some term with two nonzero
-    factors has a ``Biquad`` one, or there is no such term and v[0], the
-    factor of the typed zero, is a ``Biquad``."""
-    live = [x for x, r in zip(v, row) if r and x]
+def _biquad_sum(row, nums) -> bool:
+    """Whether dot(v, row) is a ``Biquad``, for a rational row and the
+    numerators of a vector v with rational (int) and ``Biquad`` (4-tuple)
+    entries: some term with two nonzero factors has a ``Biquad`` one, or
+    there is no such term and v[0], the factor of the typed zero, is a
+    ``Biquad``."""
+    live = [n for n, r in zip(nums, row) if r and (n if type(n) is int else any(n))]
     if not live:
-        return type(v[0]) is Biquad
-    return any(type(x) is Biquad for x in live)
+        return type(nums[0]) is not int
+    return any(type(n) is not int for n in live)
 
 
 def in_span(vectors, v) -> bool:

@@ -8,17 +8,18 @@ and are its closed-form basis: for the first two invertible coordinates i < j
 of x and each other k, the vector of S that is e_k off {i, j}.  The degree-1
 column is the Koszul syzygy of x_i and x_j.  Every span question about
 vectors of S is answered in the coordinates of that basis, which are just
-their entries off {i, j}; no nullspace is taken.  Quotienting by the line of
-x realizes the splitting O^{2g-1} ⊕ O(-1) whose trivial part is the tangent
-space: the constant columns and x span a space of dimension one more than the
-number of O summands.
+their entries off {i, j}; no nullspace is taken.  Whether a vector lies in
+S at all is asked of the point (:meth:`~qplab.variety.PointOnX.in_S`), on
+its numerators.  Quotienting by the line of x realizes the splitting
+O^{2g-1} ⊕ O(-1) whose trivial part is the tangent space: the constant
+columns and x span a space of dimension one more than the number of O
+summands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import _pivot_columns, dot, matvec, nullspace_exact, rank_exact
 from .pencil import PencilOfQuadrics
@@ -129,10 +130,16 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
 
 def _verify_kernel(kb: KernelBasis):
     # M(t) = t*a - b with a = x and b = (lambda_k x_k), so the t^k coefficient
-    # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k
-    p = kb.point.pencil
-    rows = kb.point.rows()
+    # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k; for a constant column w
+    # that says a.w = b.w = 0, that is w lies in S
+    x = kb.point
+    p = x.pencil
+    rows = x.rows()
     for col in kb.columns:
+        if len(col) == 1:
+            if not x.in_S(col[0]):
+                raise SplittingError("column fails M(t) * column = 0")
+            continue
         # a list, not a generator expression: star-unpacking a generator
         # made the peak RSS of long runs creep up (measured on CPython 3.11)
         aw, bw = zip(*[matvec(rows, w) for w in col])
@@ -182,14 +189,14 @@ def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool
     """True iff the constant kernel columns span exactly S of the frame.
 
     Every vector of the frame must lie in S: both rows q1(v, .) and
-    q2(v, .) vanish on it.  The constant columns lie in S, so the two spans
+    q2(v, .) vanish on it (:meth:`~qplab.variety.PointOnX.in_S`, on the
+    point's numerators).  The constant columns lie in S, so the two spans
     agree iff rank(constants) = rank(frame) = rank(constants + frame) in the
     coordinates of the closed-form basis.  The pivot columns of one echelon
     form of the constants followed by the frame give the first and the
     last of these; the frame's rows, sparsest first, give the second.
     """
-    rows = kb.point.rows()
-    if any(any(matvec(rows, s)) for s in frame.S_basis):
+    if not all(kb.point.in_S(s) for s in frame.S_basis):
         return False
     constants = kb.S_coordinates(kb.constants())
     tangent = kb.S_coordinates(frame.S_basis)
@@ -205,13 +212,13 @@ def vandermonde_normalizer(p: PencilOfQuadrics):
     Normalized to the closed form a_j = 1 / prod_{k != j} (lambda_j - lambda_k);
     every entry is nonzero.  Row k scaled by L^k, for L the lcm of the
     lambdas' denominators, is the row of k-th powers of the integers
-    m_j = L * lambda_j; row scaling keeps the kernel, so the matrix is built
-    from integer powers.
+    m_j = L * lambda_j (the pencil's
+    :meth:`~qplab.pencil.PencilOfQuadrics.integer_form`); row scaling keeps
+    the kernel, so the matrix is built from integer powers.
     """
     lam = p.lambdas
     n = p.dim_ambient
-    den = lcm(*[x.denominator for x in lam])
-    ms = [x.numerator * (den // x.denominator) for x in lam]
+    ms = p.integer_form()[1]
     rows = [[m ** k for m in ms] for k in range(n - 1)]
     basis = nullspace_exact(rows)
     if len(basis) != 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import dot
 from .scalars import rational_to_string
@@ -60,6 +61,11 @@ class PencilOfQuadrics:
         if value is None:
             value = self._derived[key] = build(self)
         return value
+
+    def integer_form(self) -> tuple:
+        """(L, ms): L the lcm of the lambdas' denominators and the integers
+        m_k = L * lambda_k, so L * q2 = sum m_k x_k^2.  Built once per pencil."""
+        return self.derived("integer_form", _integer_form)
 
     @property
     def dim_ambient(self) -> int:
@@ -111,6 +117,12 @@ class PencilOfQuadrics:
 
     def __repr__(self):
         return f"PencilOfQuadrics(g={self.g}, lambdas={list(self.lambdas)})"
+
+
+def _integer_form(p: PencilOfQuadrics) -> tuple:
+    lam = p.lambdas
+    L = lcm(*[x.denominator for x in lam])
+    return L, tuple([x.numerator * (L // x.denominator) for x in lam])
 
 
 def canonical_pencil(g: int) -> PencilOfQuadrics:

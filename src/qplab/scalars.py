@@ -375,6 +375,40 @@ def _common_numerators(v) -> tuple:
     return ctx, nums, d
 
 
+def _shared_context(a, b):
+    """The context of two numerator views (:func:`_common_numerators`)
+    taken together: the one that is not None, or None for two rational
+    views.  Raises :class:`ModeMismatchError` for two different contexts."""
+    if a is None or a is b:
+        return b
+    if b is not None and a != b:
+        raise ModeMismatchError("mixed biquadratic contexts in vector")
+    return a
+
+
+def _scaled_product(ctx, k0: int, a, b) -> tuple:
+    """k0 times the numerators of a*b, a 4-tuple, for entries a and b of
+    :func:`_common_numerators` (an int or a numerator 4-tuple) and k0 the
+    ctx's qu*qw (1 without a context): a rational factor, or a 4-tuple with
+    rational value, scales the other's numerators, and two irrational
+    4-tuples take :func:`_mul_numerators`, which carries k0 already.  Such
+    products of entries on common denominators d_a and d_b all lie over
+    k0*d_a*d_b, so they add as integers."""
+    if type(a) is not int and not (a[1] or a[2] or a[3]):
+        a = a[0]
+    if type(b) is not int and not (b[1] or b[2] or b[3]):
+        b = b[0]
+    if type(b) is int:
+        if type(a) is int:
+            return (k0 * a * b, 0, 0, 0)
+        b *= k0
+        return (a[0] * b, a[1] * b, a[2] * b, a[3] * b)
+    if type(a) is int:
+        a *= k0
+        return (a * b[0], a * b[1], a * b[2], a * b[3])
+    return _mul_numerators(ctx, a, b)
+
+
 def to_complex(x) -> complex:
     if isinstance(x, Biquad):
         return x.to_complex()

@@ -5,23 +5,35 @@ Exact points carry coordinates in a biquadratic extension with exactly two
 radicands (u0, u1) coming from the sampling construction: tail coordinates are
 drawn as small integers, the head coordinates are x0 = sqrt(u0) and
 x1 = sqrt(u1) with (u0, u1) the unique solution of the 2x2 linear system that
-puts the point on both quadrics.  Sampled points lie off the coordinate
-hyperplanes, apart from x_{2g+1} = 0 on Y.
+puts the point on both quadrics, solved on Python ints with the pencil's
+integer form.  Sampled points lie off the coordinate hyperplanes, apart from
+x_{2g+1} = 0 on Y.
+
+A point keeps its coordinates on one common denominator
+(:meth:`PointOnX.numerators`).  Its exact zero tests, q1 = q2 = 0,
+eta(v) = 0 and q1(v, w) = q2(v, w) = 0 (:meth:`PointOnX.in_S`), read these
+numerators: each product is formed once on integers, and a sum is zero iff
+its four integer numerator sums are, so no sum is reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .linalg import _pivot_row, dot, nullspace_exact
+from .linalg import _pivot_row, _scaled_matvec_numerators, dot, nullspace_exact
 from .pencil import PencilOfQuadrics
 from .scalars import (
     Biquad,
     BiquadContext,
     NonInvertibleError,
+    _common_numerators,
+    _raw,
     _require_exact,
+    _scaled_product,
+    _shared_context,
     rational_to_string,
     scalar_to_json,
     to_complex,
@@ -68,7 +80,7 @@ class PointOnX:
     """A homogeneous representative of a point of X, with exact coordinates
     (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "on_Y", "_rows", "_pair")
+    __slots__ = ("pencil", "coords", "on_Y", "_rows", "_pair", "_nums")
 
     def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
@@ -77,10 +89,42 @@ class PointOnX:
         _require_exact(coords, "point coordinates")
         self.pencil = pencil
         self.coords = coords
+        self._nums = None
         self._check_membership()
         self.on_Y = not coords[-1]
         self._rows = None
         self._pair = None
+
+    def numerators(self):
+        """(ctx, nums, d): the coordinates on one common denominator d, as
+        :func:`~qplab.scalars._common_numerators` gives them (an int for a
+        rational coordinate, an integer 4-tuple for a ``Biquad`` one).  Made
+        by the membership check and then shared by every zero test of the
+        point, the covector sampler and f_H, so none may modify it."""
+        if self._nums is None:
+            self._nums = _common_numerators(self.coords)
+        return self._nums
+
+    def _products(self, w):
+        """(live, products): the indices k of the nonzero entries of w and,
+        for each, k0 times the numerators of v_k * w_k
+        (:func:`~qplab.scalars._scaled_product`), all on one common
+        denominator.  Raises ModeMismatchError for a second context."""
+        live = [k for k, c in enumerate(w) if c]
+        wctx, wn, _ = _common_numerators([w[k] for k in live])
+        ctx, xs, _ = self.numerators()
+        ctx = _shared_context(ctx, wctx)
+        k0 = 1 if ctx is None else ctx._k[0]
+        return live, [_scaled_product(ctx, k0, xs[k], n) for k, n in zip(live, wn)]
+
+    def in_S(self, w) -> bool:
+        """True iff q1(v, w) = q2(v, w) = 0, that is w lies in
+        S = V^perp(q1) ∩ V^perp(q2).  Each product v_k w_k is formed once
+        for both sums, over the nonzero entries of w only, and neither sum is
+        reduced (:func:`_sums_vanish`)."""
+        live, products = self._products(w)
+        ms = self.pencil.integer_form()[1]
+        return _sums_vanish(products, [ms[k] for k in live])
 
     def rows(self):
         """[q1(v, .), q2(v, .)], built on the first call and then shared by
@@ -100,9 +144,12 @@ class PointOnX:
         return self._pair
 
     def _check_membership(self):
-        q1 = self.pencil.q1(self.coords)
-        q2 = self.pencil.q2(self.coords)
-        if q1 or q2:
+        ctx, xs, _ = self.numerators()
+        k0 = 1 if ctx is None else ctx._k[0]
+        squares = [_scaled_product(ctx, k0, n, n) for n in xs]
+        if not _sums_vanish(squares, self.pencil.integer_form()[1]):
+            q1 = self.pencil.q1(self.coords)
+            q2 = self.pencil.q2(self.coords)
             raise MembershipError(f"q1={q1}, q2={q2} not both zero")
         if not any(self.coords):
             raise MembershipError("zero vector is not a point")
@@ -159,27 +206,36 @@ def sample_point(
     Tail coordinates x2..x_{2g+1} are small random integers (x_{2g+1} = 0 when
     on_Y); the head is solved from the 2x2 system for u0 = x0^2, u1 = x1^2 and
     the two square roots are adjoined as biquadratic radicands.  A draw with
-    a zero coordinate (other than x_{2g+1} on Y) is redrawn.
+    a zero coordinate (other than x_{2g+1} on Y) is redrawn.  The system is
+    solved on Python ints with the pencil's integer form m_k = L * lambda_k
+    (:meth:`~qplab.pencil.PencilOfQuadrics.integer_form`): with
+    a = sum t_k^2 and b = sum m_k t_k^2 over the tail,
+    u0 = (b - a m_1) / (m_1 - m_0) and u1 = (a m_0 - b) / (m_1 - m_0).  The
+    coordinates are built in canonical form, sqrt(u0), sqrt(u1) and the
+    tail over the denominator 1, so the point takes no ``Biquad`` product;
+    its membership check reads their numerators.
     """
     rng = derived_rng(seed, index)
     n = pencil.dim_ambient
-    lam0, lam1 = pencil.lambdas[0], pencil.lambdas[1]
+    ms = pencil.integer_form()[1]
+    m0, m1 = ms[0], ms[1]
     for _ in range(RESAMPLE_BUDGET):
-        tail = [Fraction(int(v)) for v in rng.integers(-9, 10, size=n - 2)]
+        tail = rng.integers(-9, 10, size=n - 2).tolist()
         if on_Y:
-            tail[-1] = Fraction(0)
-        if any(not t for t in (tail[:-1] if on_Y else tail)):
+            tail[-1] = 0
+        if not all(tail[:-1] if on_Y else tail):
             continue
-        a = sum(t * t for t in tail)
-        b = sum(lam * t * t for lam, t in zip(pencil.lambdas[2:], tail))
-        # u0 + u1 = -a ; lam0*u0 + lam1*u1 = -b
-        det = lam1 - lam0
-        u0 = (-a * lam1 + b) / det
-        u1 = (-b + lam0 * a) / det
-        if u0 == 0 or u1 == 0:
+        squares = [t * t for t in tail]
+        a = sum(squares)
+        b = sum(map(mul, ms[2:], squares))
+        # u0 + u1 = -a ; m0*u0 + m1*u1 = -b
+        u0 = Fraction(b - a * m1, m1 - m0)
+        u1 = Fraction(a * m0 - b, m1 - m0)
+        if not u0 or not u1:
             continue
         ctx = BiquadContext(u0, u1)
-        coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(t) for t in tail]
+        coords = [_raw(ctx, (0, 1, 0, 0), 1), _raw(ctx, (0, 0, 1, 0), 1)]
+        coords += [_raw(ctx, (t, 0, 0, 0), 1) for t in tail]
         return PointOnX(pencil, coords)
     raise SampleBudgetError(f"no valid point after {RESAMPLE_BUDGET} draws")
 
@@ -262,6 +318,14 @@ def _vanishes_on_S(x: PointOnX, eta) -> bool:
     return all(e == (a + b * l) * c for e, l, c in zip(eta, lam, v))
 
 
+def _sums_vanish(products, ms) -> bool:
+    """True iff sum_k P_k and sum_k m_k P_k are both 0, for numerator
+    4-tuples P_k on one common denominator and integers m_k: a sum is zero
+    iff its four integer numerator sums are, so nothing is reduced.  With
+    m_k = L * lambda_k the two sums are those of q1 and L times those of q2."""
+    return not any(sum(c) or sum(map(mul, ms, c)) for c in zip(*products))
+
+
 def quotient_even(x: PointOnX):
     """Image in the weighted space P(1^{2g+2}, g+1): squares plus the product."""
     prod = x.coords[0]
@@ -286,9 +350,9 @@ class CotangentRep:
         _require_exact(eta, "covector entries")
         self.point = point
         self.eta = eta
-        pairing = dot(point.coords, eta)
-        if pairing:
-            raise GaugeError(f"eta(v) = {pairing} != 0")
+        # eta(v) = 0 iff the four numerator sums of its products vanish
+        if any(map(sum, zip(*point._products(eta)[1]))):
+            raise GaugeError(f"eta(v) = {dot(point.coords, eta)} != 0")
         if even_restricted:
             if not point.on_Y:
                 raise GaugeError("even_restricted covector at a point off Y")
@@ -311,19 +375,24 @@ def sample_covector(
 ) -> CotangentRep:
     """Random exact covector with eta(v) = 0 (and eta_{2g+1} = 0 if even).
 
-    A draw that vanishes on S (:func:`_vanishes_on_S`), the zero covector
-    among them, is redrawn.
+    The entries are integer draws but at the first coordinate p of the
+    point's pair, which is -(sum_{k != p} x_k eta_k) / x_p.  That sum is
+    taken on the point's numerators and reduced once
+    (:func:`~qplab.linalg._scaled_matvec_numerators` with the draws as its
+    one row).  A draw that vanishes on S (:func:`_vanishes_on_S`), the zero
+    covector among them, is redrawn.
     """
     rng = derived_rng(seed, index + (1 << 32))
     n = x.pencil.dim_ambient
-    v = x.coords
+    view = x.numerators()
     pivot, inv_vp = x.pair()[:2]
     for _ in range(RESAMPLE_BUDGET):
-        eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
+        draws = rng.integers(-9, 10, size=n).tolist()
         if even_restricted:
-            eta[-1] = Fraction(0)
-        eta[pivot] = Fraction(0)
-        s = dot(v, eta)
+            draws[-1] = 0
+        draws[pivot] = 0
+        s = _scaled_matvec_numerators([draws], [1], view)[0]
+        eta = [Fraction(c) for c in draws]
         eta[pivot] = -(s * inv_vp)
         if not _vanishes_on_S(x, eta):
             return CotangentRep(x, eta, even_restricted)

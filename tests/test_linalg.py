@@ -29,6 +29,7 @@ from qplab import (
     rank2_orthogonal_decomposition,
     rank_exact,
     sample_pair,
+    sample_point,
     solve_exact,
     tangent_frame,
     trivial_factor_matches_tangent,
@@ -685,11 +686,13 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 447 products and 38 inverses and no norm (582
-    # products when phi_components ran the Biquad operators on each pair
-    # j < k, 135 of them, and 750 when f_H also reduced every term of its
-    # weighted sums and of its interpolation instead of every output of its
-    # fixed rational maps): every
+    # Per sample it takes 282 products and 38 inverses and no norm (447
+    # products when the point's zero tests, q1 = q2 = 0, eta(v) = 0 and
+    # q1(v, w) = q2(v, w) = 0 for the kernel columns and the frame, and f_H's
+    # products x_k^2 and x_k eta_k ran the Biquad operators term by term;
+    # 582 when phi_components ran them on each pair j < k, 135 of them, and
+    # 750 when f_H also reduced every term of its weighted sums and of its
+    # interpolation instead of every output of its fixed rational maps): every
     # pivot search, _invertible_pair included, inverts its candidates
     # instead of testing their norm; the point looks up its invertible pair
     # once (43 inverses when the sampler, the frame, f_H and the kernel basis
@@ -709,7 +712,7 @@ def test_g4_chain_operation_counts(monkeypatch):
         kb = v_perp_kernel(p, x)
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
-    assert counts["mul"] <= 3 * 447
+    assert counts["mul"] <= 3 * 282
     assert counts["inverse"] <= 3 * 40
     assert counts["norm"] == 0
 
@@ -718,9 +721,10 @@ def test_f_H_cost_grows_polynomially(monkeypatch):
     # f_H takes a closed-form degeneracy test, 2g-1 determinants of size 3
     # and fixed rational maps of the pencil applied on integer numerators,
     # which take no Biquad product, so its products grow linearly:
-    # 52 / 76 / 100 / 124 / 148 at g = 2..6, 24g + 4 (with one product per
-    # term of its weighted sums and of a Newton interpolation it took
-    # 91 / 171 / 268 / 394 / 533).  Its only
+    # 42 / 62 / 82 / 102 / 122 at g = 2..6, 20g + 2, as x_k^2, x_k eta_k and
+    # eta_k^2 come from the numerators of x and eta (24g + 4 when they were
+    # operator products; with one product per term of its weighted sums and
+    # of a Newton interpolation it took 91 / 171 / 268 / 394 / 533).  Its only
     # inverses are those of the point's invertible pair: none once
     # sample_pair has looked the pair up, 2 at every g on a point whose pair
     # was never looked up
@@ -764,14 +768,36 @@ def test_phi_components_takes_no_biquad_product(monkeypatch):
             monkeypatch.undo()
 
 
+def test_sample_point_takes_no_biquad_product(monkeypatch):
+    # sample_point solves its head on Python ints, builds its coordinates in
+    # canonical form and checks q1 = q2 = 0 on their numerators, so it takes
+    # no Biquad product and no inverse at any g, on X and on Y (6g + 5
+    # products on X and 6g + 3 on Y when it embedded Fractions and the
+    # membership check ran the Biquad operators)
+    for g in range(2, 9):
+        p = canonical_pencil(g)
+        for on_Y in (False, True):
+            sample_point(p, 0, on_Y=on_Y)  # the pencil's integer form
+            counts = count_biquad_ops(monkeypatch)
+            for index in range(3):
+                x = sample_point(p, 0, index=index, on_Y=on_Y)
+                assert x.on_Y is on_Y
+            assert counts["mul"] == 0, (g, on_Y)
+            assert counts["inverse"] == 0, (g, on_Y)
+            monkeypatch.undo()
+
+
 def test_splitting_chain_cost_grows_linearly(monkeypatch):
     # tangent_frame, v_perp_kernel, n_tilde_splitting and the trivial-factor
-    # check take 130 / 206 / 290 / 382 / 482 / 590 / 706 products and
-    # 8g + 4 inverses at g = 2..8: one nullspace, closed-form columns, the
-    # rows q1(v, .) and q2(v, .) built once, the invertible pair that
-    # sample_pair looked up, and ranks of rows with one or two nonzero
-    # entries, each pivot inverted once
-    # (with a nullspace for the constant columns and ranks of ambient vectors
+    # check take 81 / 131 / 189 / 255 / 329 / 411 / 501 products and
+    # 8g + 4 inverses at g = 2..8: one nullspace, closed-form columns whose
+    # membership in S, like that of the frame's vectors, is tested on the
+    # point's numerators, the rows q1(v, .) and q2(v, .) built once, the
+    # invertible pair that sample_pair looked up, and ranks of rows with one
+    # or two nonzero entries, each pivot inverted once
+    # (130 / 206 / 290 / 382 / 482 / 590 / 706 products when the membership
+    # tests applied the rows to each vector term by term; with a nullspace
+    # for the constant columns and ranks of ambient vectors
     # it took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses;
     # with the pair looked up again by the frame and the kernel basis,
     # 8g + 7)

@@ -274,3 +274,64 @@ def test_vandermonde_closed_form_general():
     # it annihilates every power row lambda^0 .. lambda^{2g}
     for k in range(n - 1):
         assert sum(a[j] * p.lambdas[j] ** k for j in range(n)) == 0
+
+
+def _irrational_moves(x):
+    """Shifts of a vector w, as lists of (entry, shift), that move q1(v, w)
+    or q2(v, w) only in sqrt(u), sqrt(w) or sqrt(uw): on a sampled point
+    v_0 = sqrt(u0) and v_1 = sqrt(u1), so 1/7 at entry 0 or 1 and sqrt(w)/7
+    at entry 0 do, and sqrt(w) e_0 - sqrt(u) e_1 leaves q1(v, w) alone and
+    moves q2(v, w) by (lambda_0 - lambda_1) sqrt(uw)."""
+    ctx = x.context()
+    r, s = ctx.sqrt_u(), ctx.sqrt_w()
+    return [[(0, Fraction(1, 7))], [(1, Fraction(1, 7))], [(0, s * Fraction(1, 7))],
+            [(0, s), (1, -r)]]
+
+
+def _moved(w, move):
+    w = list(w)
+    for entry, shift in move:
+        w[entry] = w[entry] + shift
+    return w
+
+
+def _assert_irrational_defect(x, w):
+    from qplab.linalg import matvec
+
+    q1, q2 = matvec(x.rows(), w)
+    assert (q1 or q2) and not q1.c[0] and not q2.c[0]
+
+
+@pytest.mark.parametrize("p", [P2, P3])
+def test_verify_kernel_rejects_a_column_off_S_in_an_irrational_coordinate_only(p):
+    # a_k (entry i of the column) or b_k (entry j) off by 1/7, a_k off by
+    # sqrt(w)/7, or both moved so that only q2(v, w) is off: q1(v, w) and
+    # q2(v, w) have a zero rational part
+    x = sample_point(p, 43)
+    kb = v_perp_kernel(p, x)
+    for c, col in enumerate(kb.columns):
+        if len(col) != 1:
+            continue
+        for move in _irrational_moves(x):
+            moved = _moved(col[0], move)
+            _assert_irrational_defect(x, moved)
+            broken = list(kb.columns)
+            broken[c] = [moved]
+            with pytest.raises(SplittingError, match="M\\(t\\)"):
+                _verify_kernel(KernelBasis(x, broken))
+
+
+@pytest.mark.parametrize("p", [P2, P3])
+def test_trivial_factor_rejects_a_frame_off_S_in_an_irrational_coordinate_only(p):
+    # the moved entries are those of the pair, which the coordinates of S
+    # drop, so only the S-membership test can see the move
+    x = sample_point(p, 43)
+    kb = v_perp_kernel(p, x)
+    frame = tangent_frame(x)
+    assert x.pair()[0] == 0 and x.pair()[2] == 1
+    for i in range(len(frame.S_basis)):
+        for move in _irrational_moves(x):
+            moved = [list(s) for s in frame.S_basis]
+            moved[i] = _moved(moved[i], move)
+            _assert_irrational_defect(x, moved[i])
+            assert not trivial_factor_matches_tangent(kb, TangentFrame(x, moved))

@@ -354,6 +354,29 @@ def test_skewness_error_names_first_entry_like_fraction_scan():
                 SkewMap(a)
 
 
+def test_skewness_error_for_a_break_in_the_lower_triangle_only():
+    # the diagonal and the upper triangle are those of a skew map; one entry
+    # below the diagonal, at (j, i), is off its mirror, by a sign, a
+    # denominator or an int in place of a Fraction: the entry named is
+    # (i, j), i < j, as the Fraction scan names it
+    rng = random.Random(25)
+    for size in (2, 4, 6, 8):
+        upper = [Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                 for _ in range(size * (size - 1) // 2)]
+        for j in range(1, size):
+            for i in range(j):
+                for value in ("sign", "denominator", "int"):
+                    a = SkewMap.from_upper(size, upper).entries
+                    mirror = a[i][j]
+                    a[j][i] = {"sign": mirror,
+                               "denominator": -mirror * Fraction(6, 7),
+                               "int": mirror.numerator}[value]
+                    assert all(a[k][k] == 0 for k in range(size))
+                    assert _first_asymmetry_fraction(a) == (i, j)
+                    with pytest.raises(SkewnessError, match=rf"entry \({i},{j}\) "):
+                        SkewMap(a)
+
+
 def test_pfaffian_sign_convention():
     # direct sum of standard blocks with +1 above the diagonal
     for n in (1, 2, 3):

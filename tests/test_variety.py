@@ -19,6 +19,7 @@ from qplab import (
     tangent_frame,
 )
 from qplab.linalg import in_span
+from test_fibration import _typed_fields
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -136,3 +137,154 @@ def test_quotient_maps():
         prod = prod * c
     assert ext[-1] == prod
 
+
+
+# -- sampling on integer numerators against the Fraction construction -------
+
+def sample_point_fraction_oracle(pencil, seed, index=0, on_Y=False):
+    """sample_point as built with Fraction arithmetic and ctx.embed: the
+    same draws, the head solved on the lambdas."""
+    from qplab import BiquadContext
+
+    rng = derived_rng(seed, index)
+    n = pencil.dim_ambient
+    lam0, lam1 = pencil.lambdas[0], pencil.lambdas[1]
+    for _ in range(64):
+        tail = [Fraction(int(v)) for v in rng.integers(-9, 10, size=n - 2)]
+        if on_Y:
+            tail[-1] = Fraction(0)
+        if any(not t for t in (tail[:-1] if on_Y else tail)):
+            continue
+        a = sum(t * t for t in tail)
+        b = sum(lam * t * t for lam, t in zip(pencil.lambdas[2:], tail))
+        det = lam1 - lam0
+        u0 = (-a * lam1 + b) / det
+        u1 = (-b + lam0 * a) / det
+        if u0 == 0 or u1 == 0:
+            continue
+        ctx = BiquadContext(u0, u1)
+        return PointOnX(pencil, [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(t) for t in tail])
+    raise AssertionError("budget")
+
+
+def sample_covector_dot_oracle(x, seed, index=0, even_restricted=False):
+    """sample_covector with eta(v) summed by linalg.dot, term by term."""
+    from qplab.linalg import dot
+    from qplab.variety import _vanishes_on_S
+
+    rng = derived_rng(seed, index + (1 << 32))
+    n = x.pencil.dim_ambient
+    pivot, inv_vp = x.pair()[:2]
+    for _ in range(64):
+        eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
+        if even_restricted:
+            eta[-1] = Fraction(0)
+        eta[pivot] = Fraction(0)
+        eta[pivot] = -(dot(x.coords, eta) * inv_vp)
+        if not _vanishes_on_S(x, eta):
+            return eta
+    raise AssertionError("budget")
+
+
+SAMPLING_PENCILS = [canonical_pencil(g) for g in range(2, 7)]
+
+
+@pytest.mark.parametrize("p", SAMPLING_PENCILS, ids=[f"g{p.g}" for p in SAMPLING_PENCILS])
+def test_sampling_matches_fraction_construction(p):
+    # the integer head solve and the canonical coordinates give the point the
+    # Fraction construction gives, field for field, and the covector sampler
+    # the covector that dot gives
+    for on_Y in (False, True):
+        for index in range(50):
+            x = sample_point(p, 3, index=index, on_Y=on_Y)
+            want = sample_point_fraction_oracle(p, 3, index=index, on_Y=on_Y)
+            assert _typed_fields(x.coords) == _typed_fields(want.coords), (on_Y, index)
+            assert (x.context().u, x.context().w) == (want.context().u, want.context().w)
+            assert type(x.context().u) is Fraction and type(x.context().w) is Fraction
+            eta = sample_covector(x, 3, index=index, even_restricted=on_Y).eta
+            want_eta = sample_covector_dot_oracle(want, 3, index=index, even_restricted=on_Y)
+            assert _typed_fields(eta) == _typed_fields(want_eta), (on_Y, index)
+
+
+def test_sampling_on_a_non_integer_pencil_matches_fraction_construction():
+    from qplab import PencilOfQuadrics
+
+    p = PencilOfQuadrics([Fraction(1, 2), -3, 2, Fraction(7, 3), 5, Fraction(-11, 4)])
+    assert p.integer_form() == (12, (6, -36, 24, 28, 60, -33))
+    for on_Y in (False, True):
+        for index in range(20):
+            x = sample_point(p, 9, index=index, on_Y=on_Y)
+            want = sample_point_fraction_oracle(p, 9, index=index, on_Y=on_Y)
+            assert _typed_fields(x.coords) == _typed_fields(want.coords)
+            eta = sample_covector(x, 9, index=index, even_restricted=on_Y).eta
+            assert _typed_fields(eta) == _typed_fields(
+                sample_covector_dot_oracle(want, 9, index=index, even_restricted=on_Y))
+
+
+# -- zero tests on numerators: a defect in an irrational coordinate only -----
+
+def _irrational_units(ctx):
+    """(name, unit, conjugation) for sqrt(u), sqrt(w) and sqrt(uw): the
+    conjugation flips the sign of the unit."""
+    r, s = ctx.sqrt_u(), ctx.sqrt_w()
+    return [("sqrt_u", r, lambda c: c.conj_u()),
+            ("sqrt_w", s, lambda c: c.conj_w()),
+            ("sqrt_uw", r * s, lambda c: c.conj_u())]
+
+
+def test_membership_rejects_a_defect_in_an_irrational_coordinate_only():
+    # for a sampled x and l = 1 + e (e one of sqrt(u), sqrt(w), sqrt(uw)),
+    # l*x lies on X; sending its rational-valued coordinate 2 through the
+    # conjugation that flips e moves q1 and q2 by -4 e x_2^2 and
+    # -4 e lambda_2 x_2^2: zero rational part, nonzero e part
+    for g in (2, 3):
+        p = canonical_pencil(g)
+        x = sample_point(p, 5)
+        for name, unit, conj in _irrational_units(x.context()):
+            scaled = [(1 + unit) * c for c in x.coords]
+            PointOnX(p, scaled)
+            scaled[2] = conj(scaled[2])
+            q1, q2 = p.q1(scaled), p.q2(scaled)
+            assert q1 and q2 and not q1.c[0] and not q2.c[0], name
+            message = f"q1={q1}, q2={q2} not both zero"
+            with pytest.raises(MembershipError) as caught:
+                PointOnX(p, scaled)
+            assert str(caught.value) == message, name
+        # x_2 and x_3 swapped keep q1 = 0 and move q2 alone
+        swapped = list(x.coords)
+        swapped[2], swapped[3] = swapped[3], swapped[2]
+        assert swapped[2] * swapped[2] != swapped[3] * swapped[3]
+        assert not p.q1(swapped) and p.q2(swapped)
+        with pytest.raises(MembershipError):
+            PointOnX(p, swapped)
+
+
+def test_gauge_rejects_a_pairing_off_zero_in_an_irrational_coordinate_only():
+    # eta + c e_0 pairs with v to c v_0 = c sqrt(u0): c = 1/7 and c = sqrt(w)/7
+    # give a pairing in sqrt(u) or sqrt(uw) alone, and c e_1 one in sqrt(w)
+    from qplab.linalg import dot
+
+    x, xi = sample_pair(P3, 7)
+    ctx = x.context()
+    for k, c in [(0, Fraction(1, 7)), (1, Fraction(1, 7)), (0, ctx.sqrt_w() * Fraction(1, 7))]:
+        eta = list(xi.eta)
+        eta[k] = eta[k] + c
+        pairing = dot(x.coords, eta)
+        assert pairing and not pairing.c[0]
+        with pytest.raises(GaugeError) as caught:
+            CotangentRep(x, eta)
+        assert str(caught.value) == f"eta(v) = {pairing} != 0"
+
+
+def test_in_S_matches_the_rows_and_reads_every_coordinate():
+    from qplab.linalg import matvec
+    from test_p1bundle import _irrational_moves, _moved
+
+    x = sample_point(P3, 7)
+    for w in tangent_frame(x).S_basis:
+        assert x.in_S(w)
+        for move in _irrational_moves(x) + [[(3, Fraction(1, 7))]]:
+            moved = _moved(w, move)
+            assert any(matvec(x.rows(), moved))
+            assert not x.in_S(moved)
+    assert x.in_S([0] * P3.dim_ambient)
