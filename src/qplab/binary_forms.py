@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import _integer_rows, scaled_matvec
-from .scalars import _require_exact
+from .scalars import _exact_context
 
 __all__ = [
     "BinaryForm",
@@ -66,7 +66,7 @@ def interpolate_binary_form(samples, degree: int) -> BinaryForm:
     the Lagrange basis on the parameters (:func:`_lagrange_matrix`), applied
     on integer numerators by :func:`~qplab.linalg.scaled_matvec`.
     """
-    _require_exact([x for sample in samples for x in sample], "interpolation samples")
+    _exact_context([x for sample in samples for x in sample], "interpolation samples")
     params = [Fraction(t) for t, _ in samples]
     if len(set(params)) != len(params):
         raise InterpolationError("repeated interpolation parameters")

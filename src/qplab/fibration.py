@@ -28,13 +28,7 @@ import numpy as np
 from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
 from .linalg import _integer_rows, _scaled_matvec_numerators, det_exact, scaled_matvec
 from .pencil import PencilOfQuadrics
-from .scalars import (
-    _common_numerators,
-    _make,
-    _mul_numerators,
-    _scaled_product,
-    _shared_context,
-)
+from .scalars import _common_numerators, _make, _product_numerators, _scaled_product
 from .variety import CotangentRep, PointOnX, _vanishes_on_S
 
 __all__ = [
@@ -76,40 +70,43 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
 
     F_j = sum_{k != j} a_jk w_jk^2 with w_jk = v_j eta_k - v_k eta_j and
     a_jk = 1/(lambda_k - lambda_j), on integer numerators: v and eta are put
-    on one common denominator d, each pair j < k forms w_jk^2 once and adds
-    it into F_j and F_k (w_kj^2 = w_jk^2) with the integer rows of
-    :func:`_phi_table`, and each component is reduced once, to a ``Biquad``
-    when some entry of v or eta is one and to a ``Fraction`` otherwise.  A
-    pair of four rational entries is an integer product; otherwise a
-    rational factor scales the numerators of the other, and two ``Biquad``
-    factors take the product formula of
-    :func:`~qplab.scalars._mul_numerators`, which scales by k0 = qu*qw.
-    Every w^2 is kept over k0^3 d^4.  Raises
-    :class:`~qplab.scalars.ModeMismatchError` for an entry that is not an
-    exact scalar and for two contexts.
+    on one common denominator d (one numerator view,
+    :func:`~qplab.scalars._common_numerators`), each pair j < k forms w_jk^2
+    once and adds it into F_j and F_k (w_kj^2 = w_jk^2) with the integer rows
+    of :func:`_phi_table`, and each component is reduced once.  The outputs
+    are typed by the view's context: without one every entry is an int, w^2
+    is an integer product over d^4 and each component a ``Fraction``; with
+    one every entry is a numerator 4-tuple, the products are those of
+    :func:`~qplab.scalars._scaled_product` (a factor of rational value
+    scales the other, two irrational ones take the product formula, each
+    scaled by k0 = qu*qw), w^2 lies over k0^3 d^4 and each component is a
+    ``Biquad``.  Raises :class:`~qplab.scalars.ModeMismatchError` for an
+    entry that is not an exact scalar and for two contexts.
     """
     rows, scales = p.derived("phi_table", _phi_table)
     n = len(v)
     ctx, nums, d = _common_numerators(list(v) + list(eta))
     xs, es = nums[:n], nums[n:]
-    k0 = 1 if ctx is None else ctx._k[0]
-    k3 = k0 * k0 * k0
-    rational = [type(a) is int and type(b) is int for a, b in zip(xs, es)]
+    if ctx is None:
+        c0 = [0] * n
+        for j in range(n):
+            xj, ej, rj = xs[j], es[j], rows[j]
+            for k in range(j + 1, n):
+                w = xj * es[k] - xs[k] * ej
+                w2 = w * w
+                c0[j] += rj[k] * w2
+                c0[k] += rows[k][j] * w2
+        d = d ** 4
+        return [Fraction(a, s * d) for a, s in zip(c0, scales)]
     c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
     for j in range(n):
-        xj, ej, rj, rat_j = xs[j], es[j], rows[j], rational[j]
+        xj, ej, rj = xs[j], es[j], rows[j]
         for k in range(j + 1, n):
             ajk, akj = rj[k], rows[k][j]
-            if rat_j and rational[k]:
-                w = xj * es[k] - xs[k] * ej
-                w2 = k3 * w * w
-                c0[j] += ajk * w2
-                c0[k] += akj * w2
-                continue
-            a0, a1, a2, a3 = _scaled_product(ctx, k0, xj, es[k])
-            b0, b1, b2, b3 = _scaled_product(ctx, k0, xs[k], ej)
+            a0, a1, a2, a3 = _scaled_product(ctx, xj, es[k])
+            b0, b1, b2, b3 = _scaled_product(ctx, xs[k], ej)
             w = (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
-            w0, w1, w2, w3 = _mul_numerators(ctx, w, w)
+            w0, w1, w2, w3 = _scaled_product(ctx, w, w)
             c0[j] += ajk * w0
             c1[j] += ajk * w1
             c2[j] += ajk * w2
@@ -118,9 +115,7 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
             c1[k] += akj * w1
             c2[k] += akj * w2
             c3[k] += akj * w3
-    d = k3 * d ** 4
-    if ctx is None:
-        return [Fraction(a, s * d) for a, s in zip(c0, scales)]
+    d = ctx._k[0] ** 3 * d ** 4
     return [_make(ctx, c0[j], c1[j], c2[j], c3[j], scales[j] * d) for j in range(n)]
 
 
@@ -153,9 +148,10 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     eta_k^2, and the interpolation, with prod_{k != p} d_k folded in, is a
     Lagrange matrix applied to the 2g-1 determinants; each is one
     :func:`~qplab.linalg.scaled_matvec` on integer numerators, reduced once
-    per output.  The three vectors of products are taken straight from the
-    numerators of x (:meth:`~qplab.variety.PointOnX.numerators`) and eta,
-    so they take no ``Biquad`` product and no reduction of their own.
+    per output.  The three vectors of products are the views of
+    :func:`~qplab.scalars._product_numerators` on the numerator views of x
+    (:meth:`~qplab.variety.PointOnX.numerators`) and eta, so they take no
+    ``Biquad`` product and no reduction of their own.
     Raises DegenerateCovectorError when eta vanishes on S/V, which the
     closed form of :func:`_vanishes_on_S` tells without an elimination.
     """
@@ -164,37 +160,21 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     if _vanishes_on_S(x, eta):
         raise DegenerateCovectorError("eta vanishes on S/V")
     piv = x.pair()[0]
-    ctx, xs, dx = x.numerators()
-    ectx, es, de = _common_numerators(eta)
-    ctx = _shared_context(ctx, ectx)
-    k0 = 1 if ctx is None else ctx._k[0]
-    xs = [n for k, n in enumerate(xs) if k != piv]
-    es = [n for k, n in enumerate(es) if k != piv]
+    # the numerator views of x and eta without the entry at piv
+    xv, ev = [(ctx, nums[:piv] + nums[piv + 1:], d)
+              for ctx, nums, d in (x.numerators(), _common_numerators(eta))]
     a_p, b_p = v[piv] * v[piv], v[piv] * eta[piv]
     weights, shifts, lagrange = p.derived(("f_H", piv), lambda p: _f_H_table(p, piv))
     # A, B and C at every parameter, from x_k^2, x_k eta_k and eta_k^2
     sums = [
-        _scaled_matvec_numerators(
-            *weights, (ctx, _typed_products(ctx, k0, a, b), k0 * da * db))
-        for a, b, da, db in ((xs, xs, dx, dx), (xs, es, dx, de), (es, es, de, de))
+        _scaled_matvec_numerators(*weights, _product_numerators(a, b))
+        for a, b in ((xv, xv), (xv, ev), (ev, ev))
     ]
     dets = [
         det_exact([[a, a_p, b], [a_p, a_p * shift, b_p], [b, b_p, c]])
         for a, b, c, shift in zip(*sums, shifts)
     ]
     return BinaryForm(2 * p.g - 2, scaled_matvec(*lagrange, dets))
-
-
-def _typed_products(ctx, k0: int, a, b) -> list:
-    """k0 times the numerators of a_k * b_k for the entries of two numerator
-    views (:func:`~qplab.scalars._common_numerators`), typed as those views
-    type their entries: an int when both factors are rational, so the
-    product of two rationals is rational, and a 4-tuple otherwise, as the
-    product of a ``Biquad`` with anything is a ``Biquad``."""
-    return [
-        k0 * m * n if type(m) is int and type(n) is int else _scaled_product(ctx, k0, m, n)
-        for m, n in zip(a, b)
-    ]
 
 
 def _f_H_table(p: PencilOfQuadrics, piv: int) -> tuple:

@@ -31,22 +31,24 @@ biquadratic algebra it multiplies by the inverse of each pivot, so every
 
 A rational matrix that is fixed while the vectors change (a table of a
 pencil) is kept in the integer form of :func:`_integer_rows` and applied by
-:func:`scaled_matvec`: integer dot products on the vector's numerators over
-one common denominator, and one reduction per output.
+:func:`scaled_matvec`: integer dot products on the vector's numerator view
+(:mod:`qplab.scalars` owns its format), and one reduction per output, typed
+by the view's context.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from operator import mul
 
 from .scalars import (
-    _EXACT_TYPES,
     Biquad,
-    ModeMismatchError,
     NonInvertibleError,
+    _columns,
     _common_numerators,
+    _exact_context,
     _make,
 )
 
@@ -68,19 +70,7 @@ def check_exact_matrix(m):
 
     Returns that context, or None when every entry is rational.
     """
-    ctx = None
-    for row in m:
-        for x in row:
-            if not isinstance(x, _EXACT_TYPES):
-                raise ModeMismatchError(
-                    f"matrix entry: {type(x).__name__} is not an exact scalar"
-                )
-            if type(x) is Biquad and x.ctx is not ctx:
-                if ctx is None:
-                    ctx = x.ctx
-                elif x.ctx != ctx:
-                    raise ModeMismatchError("mixed biquadratic contexts in matrix")
-    return ctx
+    return _exact_context(chain.from_iterable(m), "matrix entry")
 
 
 def _invert(x):
@@ -428,53 +418,34 @@ def scaled_matvec(rows, scales, v):
     vector v: integer rows and one positive scale per row, the form
     :func:`_integer_rows` makes once for a matrix that is applied many times.
 
-    v is put on one common denominator d as four integer columns of
-    numerators, so output i is four integer dot products over scales[i] * d,
-    reduced once (one ``Biquad`` built by ``_make``, or one ``Fraction`` when
-    v is rational) instead of once per term as in :func:`dot`.  Each output
-    equals dot(v, row) for the rational row, field for field and typed zero
-    included: it is a ``Biquad`` when a nonzero ``Biquad`` entry of v meets a
-    nonzero entry of the row or, when no term has two nonzero factors, when
-    v[0] is a ``Biquad``.  Raises :class:`ModeMismatchError` for an entry
-    that is not an exact scalar and for ``Biquad`` entries of two contexts.
+    v is put on one common denominator d (its numerator view,
+    :func:`~qplab.scalars._common_numerators`), so output i is an integer
+    dot product per numerator column over scales[i] * d, reduced once
+    instead of once per term as in :func:`dot`.  Each output equals
+    dot(v, row) for the rational row and is typed by the context of v: a
+    canonical ``Biquad`` when v has a ``Biquad`` entry, and a ``Fraction``
+    otherwise.  Raises :class:`~qplab.scalars.ModeMismatchError` for an
+    entry that is not an exact scalar and for ``Biquad`` entries of two
+    contexts.
     """
     return _scaled_matvec_numerators(rows, scales, _common_numerators(v))
 
 
 def _scaled_matvec_numerators(rows, scales, view):
-    """:func:`scaled_matvec` on a vector already on one common denominator:
-    view = (ctx, nums, d) as :func:`~qplab.scalars._common_numerators`
-    gives it, where an int entry stands for a rational entry of the vector
-    and a 4-tuple for a ``Biquad`` one, so the outputs are typed as there.
-    A point keeps such a view of its coordinates, and f_H builds one for
-    each vector of products it weighs."""
-    ctx, nums, d = view
+    """:func:`scaled_matvec` on a vector already on one common denominator,
+    given as its numerator view (ctx, nums, d): one ``_make`` per output
+    under a context, one ``Fraction`` without one.  A point keeps such a
+    view of its coordinates, and f_H weighs the views of its products."""
+    ctx, _, d = view
     if ctx is None:
-        return [Fraction(sum(map(mul, row, nums)), s * d)
-                for row, s in zip(rows, scales)]
-    has_rational = any(type(n) is int for n in nums)
-    c0, c1, c2, c3 = zip(*[(n, 0, 0, 0) if type(n) is int else n for n in nums])
-    out = []
-    for row, s in zip(rows, scales):
-        n0 = sum(map(mul, row, c0))
-        if has_rational and not _biquad_sum(row, nums):
-            out.append(Fraction(n0, s * d))
-        else:
-            out.append(_make(ctx, n0, sum(map(mul, row, c1)), sum(map(mul, row, c2)),
-                             sum(map(mul, row, c3)), s * d))
-    return out
-
-
-def _biquad_sum(row, nums) -> bool:
-    """Whether dot(v, row) is a ``Biquad``, for a rational row and the
-    numerators of a vector v with rational (int) and ``Biquad`` (4-tuple)
-    entries: some term with two nonzero factors has a ``Biquad`` one, or
-    there is no such term and v[0], the factor of the typed zero, is a
-    ``Biquad``."""
-    live = [n for n, r in zip(nums, row) if r and (n if type(n) is int else any(n))]
-    if not live:
-        return type(nums[0]) is not int
-    return any(type(n) is not int for n in live)
+        (c0,) = _columns(view)
+        return [Fraction(sum(map(mul, row, c0)), s * d) for row, s in zip(rows, scales)]
+    c0, c1, c2, c3 = _columns(view)
+    return [
+        _make(ctx, sum(map(mul, row, c0)), sum(map(mul, row, c1)),
+              sum(map(mul, row, c2)), sum(map(mul, row, c3)), s * d)
+        for row, s in zip(rows, scales)
+    ]
 
 
 def in_span(vectors, v) -> bool:

@@ -331,39 +331,41 @@ class Biquad:
         return f"Biquad({c0}, {c1}, {c2}, {c3})"
 
 
-_EXACT_TYPES = RATIONAL_TYPES + (Biquad,)
-
-
-def _require_exact(values, what: str):
-    """Validate outside input: every value is an int, Fraction or Biquad."""
-    for x in values:
-        if not isinstance(x, _EXACT_TYPES):
-            raise ModeMismatchError(f"{what}: {type(x).__name__} is not an exact scalar")
-
-
-def _common_numerators(v) -> tuple:
-    """(ctx, nums, d) for the exact vector v on one common denominator d > 0:
-    nums[k] = v[k] * d, an int for a rational entry and an integer numerator
-    4-tuple for a ``Biquad`` one, and ctx is the context of the ``Biquad``
-    entries, None when there is none.  Raises :class:`ModeMismatchError` for
-    an entry that is not an exact scalar and for entries of two contexts."""
+def _exact_context(values, what: str):
+    """The one context of the exact scalars in values: that of their
+    ``Biquad`` entries, None when every entry is rational.  Raises
+    :class:`ModeMismatchError`, naming ``what`` and the entry's type, for an
+    entry that is not an int, Fraction or Biquad, and for two contexts."""
     ctx = None
-    dens = []
-    for x in v:
+    for x in values:
         if type(x) is Biquad:
             if x.ctx is not ctx:
                 if ctx is None:
                     ctx = x.ctx
                 elif x.ctx != ctx:
-                    raise ModeMismatchError("mixed biquadratic contexts in vector")
-            dens.append(x._d)
-        elif isinstance(x, RATIONAL_TYPES):
-            dens.append(x.denominator)
-        else:
-            raise ModeMismatchError(
-                f"vector entry: {type(x).__name__} is not an exact scalar"
-            )
+                    raise ModeMismatchError(f"{what}: mixed biquadratic contexts")
+        elif not isinstance(x, RATIONAL_TYPES):
+            raise ModeMismatchError(f"{what}: {type(x).__name__} is not an exact scalar")
+    return ctx
+
+
+# A numerator view (ctx, nums, d) is an exact vector on one common
+# denominator d > 0, with nums[k] = v[k] * d.  Its entries have one shape per
+# context: ints without a context, and integer numerator 4-tuples with one,
+# (n, 0, 0, 0) for a rational value.  Only this module reads the shape; the
+# kernels that sum a view read its integer columns (:func:`_columns`) and
+# reduce each sum once, to a Biquad of ctx or to a Fraction without one.
+
+
+def _common_numerators(v, what: str = "vector entry") -> tuple:
+    """The numerator view (ctx, nums, d) of the exact vector v, ctx the
+    context of its ``Biquad`` entries or None.  Raises
+    :class:`ModeMismatchError` as :func:`_exact_context` does."""
+    ctx = _exact_context(v, what)
+    dens = [x._d if type(x) is Biquad else x.denominator for x in v]
     d = lcm(*dens)
+    if ctx is None:
+        return None, [x.numerator * (d // e) for x, e in zip(v, dens)], d
     nums = []
     for x, e in zip(v, dens):
         s = d // e
@@ -371,42 +373,49 @@ def _common_numerators(v) -> tuple:
             n0, n1, n2, n3 = x._n
             nums.append((n0 * s, n1 * s, n2 * s, n3 * s))
         else:
-            nums.append(x.numerator * s)
+            nums.append((x.numerator * s, 0, 0, 0))
     return ctx, nums, d
 
 
-def _shared_context(a, b):
-    """The context of two numerator views (:func:`_common_numerators`)
-    taken together: the one that is not None, or None for two rational
-    views.  Raises :class:`ModeMismatchError` for two different contexts."""
-    if a is None or a is b:
-        return b
-    if b is not None and a != b:
-        raise ModeMismatchError("mixed biquadratic contexts in vector")
-    return a
+def _columns(view) -> list:
+    """The integer columns of a numerator view: its numerators without a
+    context, and the four coordinate columns with one."""
+    ctx, nums, _ = view
+    return [nums] if ctx is None else list(zip(*nums))
 
 
-def _scaled_product(ctx, k0: int, a, b) -> tuple:
-    """k0 times the numerators of a*b, a 4-tuple, for entries a and b of
-    :func:`_common_numerators` (an int or a numerator 4-tuple) and k0 the
-    ctx's qu*qw (1 without a context): a rational factor, or a 4-tuple with
-    rational value, scales the other's numerators, and two irrational
-    4-tuples take :func:`_mul_numerators`, which carries k0 already.  Such
-    products of entries on common denominators d_a and d_b all lie over
-    k0*d_a*d_b, so they add as integers."""
-    if type(a) is not int and not (a[1] or a[2] or a[3]):
-        a = a[0]
-    if type(b) is not int and not (b[1] or b[2] or b[3]):
-        b = b[0]
-    if type(b) is int:
-        if type(a) is int:
-            return (k0 * a * b, 0, 0, 0)
-        b *= k0
-        return (a[0] * b, a[1] * b, a[2] * b, a[3] * b)
-    if type(a) is int:
-        a *= k0
-        return (a * b[0], a * b[1], a * b[2], a * b[3])
+def _scaled_product(ctx, a, b) -> tuple:
+    """k0 times the numerators of a*b, for numerator 4-tuples a and b of ctx
+    and k0 = qu*qw: a factor of rational value scales the other's
+    numerators, and two irrational factors take :func:`_mul_numerators`,
+    which carries k0 already.  Such products of entries of views over d_a
+    and d_b all lie over k0*d_a*d_b, so they add as integers."""
+    if not (b[1] or b[2] or b[3]):
+        s = ctx._k[0] * b[0]
+        return (a[0] * s, a[1] * s, a[2] * s, a[3] * s)
+    if not (a[1] or a[2] or a[3]):
+        s = ctx._k[0] * a[0]
+        return (s * b[0], s * b[1], s * b[2], s * b[3])
     return _mul_numerators(ctx, a, b)
+
+
+def _product_numerators(a, b) -> tuple:
+    """The numerator view of the entrywise products a_k * b_k of two views
+    of one length, over k0*d_a*d_b for k0 = qu*qw of their context (1
+    without one).  A view without a context takes the other's; raises
+    :class:`ModeMismatchError` for two different contexts."""
+    actx, xs, da = a
+    bctx, ys, db = b
+    ctx = actx if bctx is None else bctx
+    if ctx is None:
+        return None, [m * n for m, n in zip(xs, ys)], da * db
+    if actx is None:
+        xs = [(m, 0, 0, 0) for m in xs]
+    elif bctx is None:
+        ys = [(n, 0, 0, 0) for n in ys]
+    elif actx is not bctx and actx != bctx:
+        raise ModeMismatchError("mixed biquadratic contexts in vector")
+    return ctx, [_scaled_product(ctx, m, n) for m, n in zip(xs, ys)], ctx._k[0] * da * db
 
 
 def to_complex(x) -> complex:

@@ -42,7 +42,7 @@ from .linalg import (
     _invert,
     dot,
 )
-from .scalars import RATIONAL_TYPES, ModeMismatchError, _require_exact
+from .scalars import RATIONAL_TYPES, ModeMismatchError, _exact_context
 
 __all__ = [
     "SkewMap",
@@ -93,8 +93,7 @@ class SkewMap:
             self._image = [[p * (d // q) for p, q in row] for row in ratios], d
             _check_skew(self._image[0])
         else:
-            for row in entries:
-                _require_exact(row, "skew map entries")
+            _exact_context(chain.from_iterable(entries), "skew map entries")
             _check_skew(entries)
 
     @property

@@ -29,11 +29,11 @@ from .scalars import (
     Biquad,
     BiquadContext,
     NonInvertibleError,
+    _columns,
     _common_numerators,
+    _exact_context,
+    _product_numerators,
     _raw,
-    _require_exact,
-    _scaled_product,
-    _shared_context,
     rational_to_string,
     scalar_to_json,
     to_complex,
@@ -86,36 +86,30 @@ class PointOnX:
         coords = list(coords)
         if len(coords) != pencil.dim_ambient:
             raise ValueError("wrong number of coordinates")
-        _require_exact(coords, "point coordinates")
         self.pencil = pencil
         self.coords = coords
-        self._nums = None
+        self._nums = _common_numerators(coords, "point coordinates")
         self._check_membership()
         self.on_Y = not coords[-1]
         self._rows = None
         self._pair = None
 
     def numerators(self):
-        """(ctx, nums, d): the coordinates on one common denominator d, as
-        :func:`~qplab.scalars._common_numerators` gives them (an int for a
-        rational coordinate, an integer 4-tuple for a ``Biquad`` one).  Made
-        by the membership check and then shared by every zero test of the
-        point, the covector sampler and f_H, so none may modify it."""
-        if self._nums is None:
-            self._nums = _common_numerators(self.coords)
+        """(ctx, nums, d): the numerator view of the coordinates
+        (:func:`~qplab.scalars._common_numerators`), made with the point and
+        shared by every zero test of the point, the covector sampler and
+        f_H, so none may modify it."""
         return self._nums
 
     def _products(self, w):
-        """(live, products): the indices k of the nonzero entries of w and,
-        for each, k0 times the numerators of v_k * w_k
-        (:func:`~qplab.scalars._scaled_product`), all on one common
-        denominator.  Raises ModeMismatchError for a second context."""
+        """(live, view): the indices k of the nonzero entries of w and the
+        numerator view of the products v_k * w_k over those k
+        (:func:`~qplab.scalars._product_numerators`).  Raises
+        ModeMismatchError for a second context."""
         live = [k for k, c in enumerate(w) if c]
-        wctx, wn, _ = _common_numerators([w[k] for k in live])
-        ctx, xs, _ = self.numerators()
-        ctx = _shared_context(ctx, wctx)
-        k0 = 1 if ctx is None else ctx._k[0]
-        return live, [_scaled_product(ctx, k0, xs[k], n) for k, n in zip(live, wn)]
+        ctx, xs, d = self._nums
+        return live, _product_numerators(
+            (ctx, [xs[k] for k in live], d), _common_numerators([w[k] for k in live]))
 
     def in_S(self, w) -> bool:
         """True iff q1(v, w) = q2(v, w) = 0, that is w lies in
@@ -144,9 +138,7 @@ class PointOnX:
         return self._pair
 
     def _check_membership(self):
-        ctx, xs, _ = self.numerators()
-        k0 = 1 if ctx is None else ctx._k[0]
-        squares = [_scaled_product(ctx, k0, n, n) for n in xs]
+        squares = _product_numerators(self._nums, self._nums)
         if not _sums_vanish(squares, self.pencil.integer_form()[1]):
             q1 = self.pencil.q1(self.coords)
             q2 = self.pencil.q2(self.coords)
@@ -158,10 +150,7 @@ class PointOnX:
         return np.array([to_complex(c) for c in self.coords], dtype=complex)
 
     def context(self):
-        for c in self.coords:
-            if isinstance(c, Biquad):
-                return c.ctx
-        return None
+        return self.numerators()[0]
 
     def to_json(self):
         payload = {
@@ -319,11 +308,11 @@ def _vanishes_on_S(x: PointOnX, eta) -> bool:
 
 
 def _sums_vanish(products, ms) -> bool:
-    """True iff sum_k P_k and sum_k m_k P_k are both 0, for numerator
-    4-tuples P_k on one common denominator and integers m_k: a sum is zero
-    iff its four integer numerator sums are, so nothing is reduced.  With
+    """True iff sum_k P_k and sum_k m_k P_k are both 0, for the numerator
+    view of the products P_k and integers m_k: a sum is zero iff its integer
+    sum is in every numerator column, so nothing is reduced.  With
     m_k = L * lambda_k the two sums are those of q1 and L times those of q2."""
-    return not any(sum(c) or sum(map(mul, ms, c)) for c in zip(*products))
+    return not any(sum(c) or sum(map(mul, ms, c)) for c in _columns(products))
 
 
 def quotient_even(x: PointOnX):
@@ -347,11 +336,11 @@ class CotangentRep:
         eta = list(eta)
         if len(eta) != point.pencil.dim_ambient:
             raise ValueError("wrong covector length")
-        _require_exact(eta, "covector entries")
+        _exact_context(eta, "covector entries")
         self.point = point
         self.eta = eta
-        # eta(v) = 0 iff the four numerator sums of its products vanish
-        if any(map(sum, zip(*point._products(eta)[1]))):
+        # eta(v) = 0 iff the sum of its products vanishes in every column
+        if any(map(sum, _columns(point._products(eta)[1]))):
             raise GaugeError(f"eta(v) = {dot(point.coords, eta)} != 0")
         if even_restricted:
             if not point.on_Y:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qplab import (
     BinaryForm,
+    Biquad,
     BiquadContext,
     InterpolationError,
     interpolate_binary_form,
@@ -88,3 +89,16 @@ def test_interpolation_errors():
     with pytest.raises(InterpolationError):
         interpolate_binary_form(samples, 1)
 
+
+
+def test_mixed_rational_and_biquad_values_give_biquad_coefficients():
+    # the coefficients are typed by the values' context: mixed Fraction and
+    # rational-valued Biquad values give Biquad coefficients equal to those
+    # of the same values as Fractions
+    values = [Fraction(2, 3), CTX.embed(Fraction(-1, 2)), Fraction(5), CTX.embed(0)]
+    mixed = interpolate_binary_form(list(zip(NODES, values)), 3)
+    rational = interpolate_binary_form(
+        [(t, v.c[0] if isinstance(v, Biquad) else v) for t, v in zip(NODES, values)], 3)
+    assert all(type(c) is Biquad for c in mixed.coeffs)
+    assert all(type(c) is Fraction for c in rational.coeffs)
+    assert mixed.coeffs == rational.coeffs

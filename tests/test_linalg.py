@@ -920,11 +920,14 @@ def _fields(x):
 @settings(max_examples=300, deadline=None)
 def test_scaled_matvec_equals_dot_field_for_field(case):
     # zero, negative and sparse entries, rational, biquadratic and mixed
-    # vectors: each output has the fields and the type of dot's, typed zero
-    # included, and a Biquad output is canonical
+    # vectors: each output equals dot's value and is typed by the vector's
+    # context, a canonical Biquad iff the vector has a Biquad entry and a
+    # Fraction otherwise
     m, v = case
     got = scaled_matvec(*_integer_rows(m), v)
-    assert [_fields(x) for x in got] == [_fields(dot(v, row)) for row in m]
+    assert got == [dot(v, row) for row in m]
+    typed = Biquad if any(isinstance(x, Biquad) for x in v) else Fraction
+    assert all(type(x) is typed for x in got)
     for x in got:
         if isinstance(x, Biquad):
             assert _fields(Biquad(KERNEL_CTX, *x.c)) == _fields(x)
@@ -935,14 +938,21 @@ def test_scaled_matvec_typed_zero_and_rational_terms():
     zero = KERNEL_CTX.embed(0)
     m = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)],
          [Fraction(0), Fraction(3, 2)]]
-    # v[0] a Biquad: the all-zero row gives a Biquad zero
-    got = scaled_matvec(*_integer_rows(m), [q, Fraction(2)])
+    rows = _integer_rows(m)
+    # a Biquad entry types every output: the all-zero row gives a Biquad
+    # zero and the rational term a rational-valued Biquad
+    got = scaled_matvec(*rows, [q, Fraction(2)])
     assert [_fields(x) for x in got] == [
-        ("biquad", (0, 0, 0, 0), 1), _fields(q), ("rational", 3, 1)]
-    # a zero Biquad entry enters no term: the sums are rational
-    got = scaled_matvec(*_integer_rows(m), [Fraction(5), zero])
+        ("biquad", (0, 0, 0, 0), 1), _fields(q), ("biquad", (3, 0, 0, 0), 1)]
+    # a zero Biquad entry enters no term, but it still types every output
+    got = scaled_matvec(*rows, [Fraction(5), zero])
     assert [_fields(x) for x in got] == [
-        ("rational", 0, 1), ("rational", 5, 1), ("rational", 0, 1)]
+        ("biquad", (0, 0, 0, 0), 1), ("biquad", (5, 0, 0, 0), 1),
+        ("biquad", (0, 0, 0, 0), 1)]
+    # a rational vector gives Fractions
+    got = scaled_matvec(*rows, [Fraction(5), 2])
+    assert [_fields(x) for x in got] == [
+        ("rational", 0, 1), ("rational", 5, 1), ("rational", 3, 1)]
 
 
 def test_scaled_matvec_refuses_mixed_contexts_and_inexact_entries():

@@ -25,7 +25,13 @@ from qplab import (
     to_complex,
 )
 from qplab.linalg import check_exact_matrix
-from qplab.scalars import rational_to_string, scalar_to_json
+from qplab.scalars import (
+    _common_numerators,
+    _make,
+    _product_numerators,
+    rational_to_string,
+    scalar_to_json,
+)
 
 CTX = BiquadContext(10, -14)
 # the property tests run in every context; sample_point yields non-integer
@@ -245,3 +251,56 @@ def test_constructors_reject_float_entries(capsys):
         cli.main(["sample", "--g", "2", "--no-exact"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-exact" in capsys.readouterr().err
+
+
+# -- numerator views: the entrywise product of two views ---------------------
+
+
+@st.composite
+def _view_pairs(draw):
+    """Two exact vectors of one length and at most one context: rational,
+    Biquad or mixed entries, rational-valued elements among them."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    entries = {
+        "rational": st.one_of(st.integers(-9, 9), small_rats),
+        "biquad": st.one_of(coords.map(lambda c: Biquad(ctx, *c)), small_rats.map(ctx.embed)),
+    }
+    entries["mixed"] = st.one_of(entries["rational"], entries["biquad"])
+    n = draw(st.integers(1, 5))
+    return tuple(
+        draw(st.lists(entries[draw(st.sampled_from(sorted(entries)))], min_size=n, max_size=n))
+        for _ in range(2)
+    )
+
+
+@given(_view_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_numerators_reduce_to_the_entrywise_products(case):
+    # each product numerator reduced once, by _make under the context and as
+    # a Fraction without one, has the fields of a_k * b_k by the operators
+    a, b = case
+    ctx, nums, d = _product_numerators(_common_numerators(a), _common_numerators(b))
+    for x, y, n in zip(a, b, nums):
+        want = x * y
+        if ctx is None:
+            assert type(n) is int
+            got, want = Fraction(n, d), Fraction(want)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        else:
+            if not isinstance(want, Biquad):
+                want = ctx.embed(want)
+            got = _make(ctx, *n, d)
+            assert (got.ctx, got._n, got._d) == (want.ctx, want._n, want._d)
+
+
+def test_product_numerators_refuse_two_contexts():
+    a = _common_numerators([CTX.sqrt_u(), Fraction(1, 2)])
+    for other in ([BiquadContext(2, 3).sqrt_w(), 3], [1, BiquadContext(2, 3).embed(1)]):
+        with pytest.raises(ModeMismatchError):
+            _product_numerators(a, _common_numerators(other))
+        with pytest.raises(ModeMismatchError):
+            _product_numerators(_common_numerators(other), a)
+    # an equal context in another object is the same context
+    twin = _common_numerators([BiquadContext(10, -14).sqrt_u(), 2])
+    ctx, nums, d = _product_numerators(a, twin)
+    assert [_make(ctx, *n, d) for n in nums] == [CTX.embed(10), CTX.embed(1)]
