@@ -200,7 +200,7 @@ def _cmd_verify_all(args) -> int:
         raise InputError("need a finite --budget > 0")
     rep = verify_all(p, args.seed, budget=args.budget)
     total = sum(
-        s.get("samples", s.get("pencils", s.get("pfaffian_cases", 0)))
+        s.get("samples", s.get("pencils", s.get("rank2_cases", 0)))
         for s in rep["sections"].values()
     )
     return _report(args, rep["pass"], rep, total)

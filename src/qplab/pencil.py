@@ -152,9 +152,6 @@ class SignGroupElement:
         """Evenness of the partition; well defined because len(bits) is even."""
         return sum(self.bits) % 2
 
-    def is_even(self) -> bool:
-        return self.parity == 0
-
     def act(self, x):
         """Flip signs of the coordinates at set bits."""
         if len(x) != len(self.bits):
@@ -162,11 +159,6 @@ class SignGroupElement:
                 f"coordinate length {len(x)} != group arity {len(self.bits)}"
             )
         return [-c if b else c for c, b in zip(x, self.bits)]
-
-    def compose(self, other: "SignGroupElement") -> "SignGroupElement":
-        if len(self.bits) != len(other.bits):
-            raise ValueError("sign group arity mismatch")
-        return SignGroupElement(a ^ b for a, b in zip(self.bits, other.bits))
 
     def __eq__(self, other):
         return isinstance(other, SignGroupElement) and self.bits == other.bits

@@ -37,7 +37,7 @@ from .fibration import (
     phi_X,
     verify_lagrangian,
 )
-from .linalg import det_exact, dot, rank_exact
+from .linalg import dot, rank_exact
 from .p1bundle import (
     SplittingError,
     n_tilde_splitting,
@@ -45,13 +45,12 @@ from .p1bundle import (
     v_perp_kernel,
     vandermonde_normalizer,
 )
-from .pencil import PencilOfQuadrics, SignGroupElement
+from .pencil import PencilOfQuadrics
 from .scalars import Biquad
 from .skew import (
     DecompositionError,
     SkewMap,
     char_coeffs,
-    pfaffian,
     rank2_orthogonal_decomposition,
 )
 from .variety import (
@@ -281,30 +280,20 @@ def run_quotient_check(
     return _first_failure({"pass": True, "samples": count}, enumerate(cases))
 
 
-def run_skew_battery(
-    seed: int, pf_cases: int = 500, rank2_cases: int = 200
-) -> dict:
-    """Pf^2 = det on random skew maps; rank-2 maps have a_1 = sum_{i<j}
-    m_ij^2 (the sum of the principal 2 x 2 minors), a_{>=2} = 0 and a
-    verified orthogonal kernel/image decomposition.
+def run_skew_battery(seed: int, cases: int = 200) -> dict:
+    """Rank-2 skew maps have a_1 = sum_{i<j} m_ij^2 (the sum of the
+    principal 2 x 2 minors), a_{>=2} = 0 and a verified orthogonal
+    kernel/image decomposition.
 
     Every map has small integer entries and reaches the kernels as Python
-    ints, so each kernel scales it by D = 1.  The n(n-1)/2 upper entries of
-    a Pfaffian case are one vector draw from [-9, 9], the same numbers as
-    that many scalar draws.  A nonzero rational skew map is
-    never nilpotent, as a_1 > 0, so every rank-2 case decomposes.  A failing
-    report names its first failing case and that case's index.
+    ints, so each kernel scales it by D = 1.  A nonzero rational skew map is
+    never nilpotent, as a_1 > 0, so every case decomposes.  A failing report
+    names its first failing case.  Pf^2 = det tests only the kernels, not the
+    paper, and is checked in tier-1.
     """
     sizes = [4, 6, 8, 10]
 
-    def pf_one(i: int) -> bool:
-        rng = derived_rng(seed, (1 << 44) + i)
-        n = sizes[i % len(sizes)]
-        upper = rng.integers(-9, 10, size=n * (n - 1) // 2).tolist()
-        skew = SkewMap.from_upper(n, upper)
-        return pfaffian(skew) ** 2 == det_exact(skew.entries)
-
-    def rank2_one(i: int) -> bool:
+    def one(i: int) -> bool:
         rng = derived_rng(seed, (1 << 40) + i)
         n = sizes[i % len(sizes)]
         for _ in range(64):
@@ -325,71 +314,42 @@ def run_skew_battery(
             return True
         return False
 
-    pf_results = [pf_one(i) for i in range(pf_cases)]
-    rank2_results = [rank2_one(i) for i in range(rank2_cases)]
-    report = {
-        "pass": True,
-        "pfaffian_cases": pf_cases,
-        "rank2_cases": rank2_cases,
-        "pfaffian_pass": all(pf_results),
-        "rank2_pass": all(rank2_results),
-    }
-    failures = (
-        (i, case)
-        for case, results in (("pfaffian", pf_results), ("rank2", rank2_results))
-        for i, ok in enumerate(results)
-        if not ok
-    )
-    return _first_failure(report, failures)
+    checked = (None if one(i) else "rank2" for i in range(cases))
+    return _first_failure({"pass": True, "rank2_cases": cases}, enumerate(checked))
 
 
 def run_invariance_check(
     p: PencilOfQuadrics, seed: int, count: int, *, samples=None
 ) -> dict:
-    """Sign-group invariance, gauge invariance and quadratic scaling of the
-    fibration map, exactly; plus the exact rank 2g-1 of the sampled image.
+    """Gauge invariance of the fibration map, exactly; plus the exact rank
+    2g-1 of the sampled image.
+
+    The gauge shift by alpha q1(v, .) + beta q2(v, .) changes each
+    w_jk = x_j eta_k - x_k eta_j by beta (lambda_k - lambda_j) x_j x_k, and
+    phi stays fixed only because eta(x) = q1(x) = q2(x) = 0.  (Sign-flip
+    invariance and quadratic scaling hold for any code that squares w_jk;
+    they are checked in tier-1.)
 
     Each sample contributes four rational rows, the coordinates of its
     components in the basis 1, sqrt(u), sqrt(w), sqrt(uw).  A rational
     relation among the components holds in the algebra iff it holds in all
     four coordinates, so the rank of those rows is the rank of the image.
-    A report whose invariance fails names the first failing sample and the
-    first of "sign", "gauge" and "scaling" that it breaks.
-
-    The sign and scaling checks are identities of any code that squares
-    w_jk = x_j eta_k - x_k eta_j, as phi_components does: flipping the sign
-    of coordinate k of x and eta changes at most the sign of each w_jk, and
-    scaling eta by s scales every w_jk by s.  The gauge shift and the exact
-    rank of the image are the substantive checks: the shift by
-    beta q2(v, .) changes each w_jk by beta (lambda_k - lambda_j) x_j x_k,
-    and phi stays fixed only because eta(x) = q1(x) = q2(x) = 0.
+    A report whose invariance fails names the first failing sample, with
+    the case "gauge".
     """
-    n = p.dim_ambient
     samples = _store(samples, p, seed)
 
     def one(i: int):
         x, xi = samples.pair(i)
         base = samples.phi(i).components
         rng = derived_rng(seed, (1 << 48) + i)
-        # sign-group action on point and covector together
-        e = SignGroupElement([int(b) for b in rng.integers(0, 2, size=n)])
-        flipped = phi_components(p, e.act(x.coords), e.act(xi.eta))
-        sign_ok = all((a - b) == 0 for a, b in zip(base, flipped))
-        # gauge shift by the two generators
         alpha = Fraction(int(rng.integers(-9, 10)))
         beta = Fraction(int(rng.integers(-9, 10)))
         r1, r2 = x.rows()
         eta2 = [a * alpha + b * beta + e0 for e0, a, b in zip(xi.eta, r1, r2)]
-        gauge_ok = all(
-            (a - b) == 0 for a, b in zip(base, phi_components(p, x.coords, eta2))
-        )
-        # quadratic homogeneity in the covector
-        s = Fraction(int(rng.integers(2, 7)))
-        scaled = phi_components(p, x.coords, [c * s for c in xi.eta])
-        scale_ok = all((a * (s * s) - b) == 0 for a, b in zip(base, scaled))
+        shifted = phi_components(p, x.coords, eta2)
+        case = None if all((a - b) == 0 for a, b in zip(base, shifted)) else "gauge"
         coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]
-        checks = (("sign", sign_ok), ("gauge", gauge_ok), ("scaling", scale_ok))
-        case = next((case for case, ok in checks if not ok), None)
         return case, [list(r) for r in zip(*coords)]
 
     results = [one(i) for i in range(count)]
@@ -488,7 +448,7 @@ def verify_all(p: PencilOfQuadrics, seed: int, budget: float = 1.0) -> dict:
         "splitting": run_splitting_check(p, seed, scaled(50), samples=samples),
         "vandermonde": run_vandermonde_check(p.g, seed, scaled(100)),
         "quotient": run_quotient_check(p, seed, scaled(200), samples=samples),
-        "skew": run_skew_battery(seed, scaled(500), scaled(200)),
+        "skew": run_skew_battery(seed, scaled(200)),
         "invariance": run_invariance_check(
             p, seed, scaled(100, 2 * p.g - 1), samples=samples
         ),

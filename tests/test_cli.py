@@ -453,10 +453,7 @@ LAGRANGIAN_PINS = {
       },
       "skew": {
         "pass": true,
-        "pfaffian_cases": 25,
-        "pfaffian_pass": true,
-        "rank2_cases": 10,
-        "rank2_pass": true
+        "rank2_cases": 10
       },
       "splitting": {
         "matches": 2,
@@ -473,7 +470,7 @@ LAGRANGIAN_PINS = {
   },
   "pass": true,
   "rng": "philox4x64 with per-sample counter substreams key=[seed, index]",
-  "samples_used": 55,
+  "samples_used": 40,
   "seed": 1,
   "version": "2"
 }
@@ -548,6 +545,25 @@ def test_verify_all_g4_smallest_budget_passes():
     assert r.returncode == 0, r.stdout + r.stderr
     invariance = json.loads(r.stdout)["metrics"]["sections"]["invariance"]
     assert invariance["pass"] and invariance["image_rank"] == invariance["expected_rank"] == 7
+
+
+
+def test_verify_all_samples_used_counts_every_section(capsys):
+    # samples_used sums each section's count at budget 0.1: its samples, the
+    # vandermonde pencils and the skew cases; falsifiability counts none
+    from qplab import cli
+
+    assert cli.main(["verify-all", "--g", "2", "--seed", "2", "--budget", "0.1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    sections = rep["metrics"]["sections"]
+    counts = {
+        "diagram": 10, "even": 5, "lagrangian": 2, "splitting": 5,
+        "quotient": 20, "invariance": 10,
+    }
+    assert {name: sections[name]["samples"] for name in counts} == counts
+    assert sections["vandermonde"]["pencils"] == 10
+    assert sections["skew"] == {"pass": True, "rank2_cases": 20}
+    assert rep["samples_used"] == sum(counts.values()) + 10 + 20
 
 
 def test_json_out_flag(tmp_path):

@@ -13,6 +13,7 @@ from qplab import (
     NonInvertibleError,
     PencilOfQuadrics,
     PointOnX,
+    SignGroupElement,
     canonical_pencil,
     det_exact,
     f_H,
@@ -35,7 +36,7 @@ from qplab import (
 from qplab.linalg import dot
 from qplab.scalars import ModeMismatchError, scalar_to_json
 import qplab.variety as variety
-from qplab.variety import CotangentRep, _invertible_pair, _vanishes_on_S
+from qplab.variety import CotangentRep, _invertible_pair, _vanishes_on_S, derived_rng
 from test_linalg import _fields
 
 P2 = canonical_pencil(2)
@@ -71,20 +72,37 @@ def test_phi_gauge_invariance_exact():
     assert all((a - b) == 0 for a, b in zip(base, shifted))
 
 
+def _identity_samples():
+    """(label, x, xi, rng) over g = 2..5, X and Y, seeds 0-3: the samples
+    on which the sign and scaling identities of phi are checked, with an
+    rng of each sample's own for the group element or the scale."""
+    for g in (2, 3, 4, 5):
+        p = canonical_pencil(g)
+        for on_Y in (False, True):
+            for seed in range(4):
+                x, xi = sample_pair(p, seed, index=seed, on_Y=on_Y)
+                rng = derived_rng(seed, (g << 8) + 2 * seed + on_Y)
+                yield (g, "Y" if on_Y else "X", seed), x, xi, rng
+
+
 def test_phi_quadratic_scaling():
-    x, xi = sample_pair(P2, 71)
-    base = phi_X(x, xi).components
-    scaled = phi_X(x, xi.scaled(Fraction(5))).components
-    assert all(25 * a == b for a, b in zip(base, scaled))
+    # phi is quadratic in the covector: scaling eta by s scales every
+    # component by s^2, for a drawn rational s != 0
+    for label, x, xi, rng in _identity_samples():
+        num, den = (int(c) for c in rng.integers(1, 10, size=2))
+        s = Fraction(num if rng.integers(0, 2) else -num, den)
+        base = phi_X(x, xi).components
+        scaled = phi_X(x, xi.scaled(s)).components
+        assert all(s * s * a == b for a, b in zip(base, scaled)), label
 
 
 def test_phi_sign_group_invariance():
-    from qplab import SignGroupElement
-
-    x, xi = sample_pair(P2, 73)
-    e = SignGroupElement([0, 1, 1, 0, 1, 0])
-    flipped = phi_components(P2, e.act(x.coords), e.act(xi.eta))
-    assert all((a - b) == 0 for a, b in zip(phi_X(x, xi).components, flipped))
+    # a drawn sign flip of point and covector together leaves phi fixed
+    for label, x, xi, rng in _identity_samples():
+        e = SignGroupElement(rng.integers(0, 2, size=len(x.coords)).tolist())
+        flipped = phi_components(x.pencil, e.act(x.coords), e.act(xi.eta))
+        base = phi_X(x, xi).components
+        assert all((a - b) == 0 for a, b in zip(base, flipped)), label
 
 
 def test_f_H_degree_and_gauge_invariance():

@@ -53,7 +53,7 @@ def test_sign_group_order_and_parity():
     p = canonical_pencil(2)
     elems = p.sign_group_elements()
     assert len(elems) == 2 ** 5  # (Z_2)^6 modulo global sign
-    even = [e for e in elems if e.is_even()]
+    even = [e for e in elems if e.parity == 0]
     assert len(even) == 2 ** 4
     assert len(set(elems)) == len(elems)
 
@@ -71,8 +71,14 @@ def test_sign_group_action_and_composition():
     assert e.act(y) == [Fraction(k) for k in range(6)] or e.act(y) == [
         -Fraction(k) for k in range(6)
     ]
-    ident = e.compose(e)
-    assert ident.act(x) in (x, [-c for c in x])
+    # composing with f acts as the element of the summed bits, up to the
+    # global sign, and the parities add; e flips one coordinate, or the five
+    # of its complement, so it is odd either way
+    f = SignGroupElement([1, 0, 0, 1, 0, 0])
+    both = SignGroupElement([1, 1, 0, 1, 0, 0])
+    z = both.act(x)
+    assert e.act(f.act(x)) in (z, [-c for c in z])
+    assert (e.parity, f.parity, both.parity) == (1, 0, 1)
     with pytest.raises(ValueError):
         e.act([1, 2, 3])
 

@@ -4,7 +4,8 @@ Each command line runs in process through `cli.main`; the sha256 of its exit
 code and stdout must equal the digest committed below.  A change that is
 meant to keep every report byte-identical has to pass this test unchanged; a
 change that alters a report on purpose recomputes the digests and says which
-report changed and why.
+report changed and why.  `python tests/test_report_bytes.py` (with qplab
+importable) prints a freshly computed DIGESTS block to paste below.
 """
 
 import contextlib
@@ -44,21 +45,21 @@ def report_digest(argv) -> str:
 
 DIGESTS = {
     'verify-all --g=2 --seed=0 --budget=0.05':
-        '729d761bc9bfe733df6e88725eb4212fb515938285623cd7a82362a40ab276ee',
+        'a7d5828880432c7141ecb34873d5249e29a25e841ae49242971faedf2f597457',
     'verify-all --g=2 --seed=1 --budget=0.05':
-        '4e2805f0aeabc8bd0196522f4bd3110663bb1852e34377bc2cbe213f6a449afa',
+        '8664466f9844b0e1ca6a469950666f48806132c3e3ba0d7cbfac08c73fe1ee69',
     'verify-all --g=3 --seed=0 --budget=0.05':
-        '389ef072f2d9099ba0ae7a64749211068b09a16c9c6faea9c199fd37101e2a89',
+        '864e547776f0856ac0cdf117ec7123b6e74da72258978ebd828fdb3cf2a6ed20',
     'verify-all --g=3 --seed=1 --budget=0.05':
-        '558b9562c59e871510ae74ee088acd1af4cb97478f4be622f0753164bb1434e0',
+        '913cd64a7462376cd99f3f4d60e37d8bdc41d1d68963df914e72a8ec73dc427b',
     'verify-all --g=4 --seed=0 --budget=0.05':
-        'e2dc2b145b8777262fec7393cd5c47dee1a7dba277550af40c5bd9b1cb29ee0c',
+        '2683a421b01daec709b3addf4972c5483bd3bfcafa5f4bdcf62e812861251d0f',
     'verify-all --g=4 --seed=1 --budget=0.05':
-        '88cd0398cce013626a2a09bca8a00e222c71b301dc4f4f1c9568da4d84c3813a',
+        '1de7b0da7046f7712865d99b322395747059c4559a9d0a4d221a458a3525505f',
     'verify-all --g=5 --seed=0 --budget=0.05':
-        'ce48d0773e76b307091afa58034292fb89e10a1dbc7be62b3a6c7a4ba3150512',
+        '1981af011bc84cb0673516de59dec9a526255750702eb012d0a59b0b74ccb7f2',
     'verify-all --g=5 --seed=1 --budget=0.05':
-        '0567e566891e279a2d2b2c319c23947ceb53d3486c4353749401948124dc9255',
+        '0bc73d61c54d432b896ebc932b199836159952d386df8a99278688a6e1ec7ef5',
     'phi --g=2 --index=0':
         '246a0f28bfbdb2560edc88b2ee46a512961458d344f6c0de27b5a6dc7b789b12',
     'phi --g=2 --index=0 --on-y':
@@ -110,10 +111,32 @@ DIGESTS = {
     'bundle-splitting --g=2':
         '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
     'verify-all --lambdas=1/3,2,7/2,5,-4/5,11/7 --budget=0.2':
-        'df8036867b7934ab03d063ffd30627498b7a76ae5cf1ff43cf7d06cd8a4e1f54',
+        'd666fab294c4798fd951201877ad48441136d2633aae5390a01f2d20c32f6bda',
 }
 
 
 @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
 def test_report_bytes_unchanged(argv):
     assert report_digest(argv) == DIGESTS[" ".join(argv)], f"report of {' '.join(argv)} changed"
+
+
+
+def digest_block(digests: dict) -> str:
+    """The DIGESTS assignment of this file for `digests`, in its layout."""
+    lines = ["DIGESTS = {"]
+    for key, digest in digests.items():
+        lines += [f"    {key!r}:", f"        {digest!r},"]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_digest_block_is_the_committed_block():
+    # the block printed by running this file is pasted as it stands: DIGESTS
+    # holds one entry per command line, in ARGV order, and its source text
+    # is digest_block(DIGESTS)
+    assert list(DIGESTS) == [" ".join(argv) for argv in ARGV]
+    with open(__file__, encoding="utf-8") as f:
+        assert digest_block(DIGESTS) in f.read()
+
+
+if __name__ == "__main__":
+    print(digest_block({" ".join(argv): report_digest(argv) for argv in ARGV}), end="")

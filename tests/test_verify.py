@@ -1,6 +1,7 @@
 """Failing verification sections name the first failing sample."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,6 @@ from qplab import (
     SkewMap,
     canonical_pencil,
     char_coeffs,
-    det_exact,
-    pfaffian,
     rank2_orthogonal_decomposition,
 )
 from qplab import fibration, verify
@@ -47,9 +46,8 @@ def failing_at(fn, index, failure):
 
 
 def test_passing_reports_have_no_failure_fields():
-    skew = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
+    assert run_skew_battery(seed=3, cases=4) == {"pass": True, "rank2_cases": 4}
     split = run_splitting_check(P2, seed=3, count=3)
-    assert skew["pass"] and "first_failure" not in skew
     assert split["pass"] and "first_failure" not in split and "error" not in split
     assert run_diagram_check(P2, seed=3, holdout=3) == {"pass": True, "samples": 3}
     assert run_even_check(P2, seed=3, holdout=3) == {
@@ -181,11 +179,22 @@ def test_even_check_names_nonzero_last_component(monkeypatch):
 
 
 def test_skew_battery_names_first_failure(monkeypatch):
-    # pfaffian is called once per Pfaffian case, in index order
-    monkeypatch.setattr(verify, "pfaffian", failing_at(verify.pfaffian, 5, lambda: 7))
-    rep = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
-    assert not rep["pass"] and not rep["pfaffian_pass"] and rep["rank2_pass"]
-    assert rep["first_failure"] == {"case": "pfaffian", "index": 5}
+    # the decomposition is called once per case, in index order, and fails
+    # case 2; the battery stops there
+    def refused():
+        raise DecompositionError("no orthogonal complement")
+
+    decomposition = failing_at(verify.rank2_orthogonal_decomposition, 2, refused)
+    monkeypatch.setattr(verify, "rank2_orthogonal_decomposition", decomposition)
+    calls = []
+    monkeypatch.setattr(verify, "char_coeffs", counting(verify, "char_coeffs", calls))
+    rep = run_skew_battery(seed=3, cases=4)
+    assert rep == {
+        "pass": False,
+        "rank2_cases": 4,
+        "first_failure": {"case": "rank2", "index": 2},
+    }
+    assert len(calls) == 3
 
 
 def test_skew_battery_names_first_rank2_failure(monkeypatch):
@@ -193,9 +202,12 @@ def test_skew_battery_names_first_rank2_failure(monkeypatch):
     monkeypatch.setattr(
         verify, "char_coeffs", failing_at(verify.char_coeffs, 2, lambda: (1, 1))
     )
-    rep = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
-    assert not rep["pass"] and rep["pfaffian_pass"] and not rep["rank2_pass"]
-    assert rep["first_failure"] == {"case": "rank2", "index": 2}
+    rep = run_skew_battery(seed=3, cases=4)
+    assert rep == {
+        "pass": False,
+        "rank2_cases": 4,
+        "first_failure": {"case": "rank2", "index": 2},
+    }
 
 
 def test_skew_battery_checks_a1_closed_form(monkeypatch):
@@ -210,9 +222,13 @@ def test_skew_battery_checks_a1_closed_form(monkeypatch):
         return (coeffs[0] + 1,) + coeffs[1:] if calls[0] == 2 else coeffs
 
     monkeypatch.setattr(verify, "char_coeffs", off_by_one)
-    rep = run_skew_battery(seed=3, pf_cases=8, rank2_cases=4)
-    assert not rep["pass"] and rep["pfaffian_pass"] and not rep["rank2_pass"]
-    assert rep["first_failure"] == {"case": "rank2", "index": 1}
+    rep = run_skew_battery(seed=3, cases=4)
+    assert rep == {
+        "pass": False,
+        "rank2_cases": 4,
+        "first_failure": {"case": "rank2", "index": 1},
+    }
+    assert calls[0] == 2
 
 
 def recording(log, name, kernel):
@@ -227,33 +243,21 @@ def recording(log, name, kernel):
     return wrapped
 
 
-def fraction_skew_battery(seed, pf_cases, rank2_cases, log):
-    """Oracle for run_skew_battery: the battery built on Fractions, with one
-    scalar draw per upper entry, every entry a Fraction (so each kernel
-    scales its matrix back to integers) and a redraw of a rank-2 map whose
-    a_1 vanishes.  Logs every kernel call like `recording`."""
+def fraction_skew_battery(seed, cases, log):
+    """Oracle for run_skew_battery: the battery built on Fractions, with
+    every entry a Fraction (so each kernel scales its matrix back to
+    integers) and a redraw of a map whose a_1 vanishes.  Logs every kernel
+    call like `recording`."""
     kernels = {
         name: recording(log, name, kernel)
         for name, kernel in (
-            ("pfaffian", pfaffian),
-            ("det_exact", det_exact),
             ("char_coeffs", char_coeffs),
             ("decomposition", rank2_orthogonal_decomposition),
         )
     }
     sizes = [4, 6, 8, 10]
 
-    def pf_one(i):
-        rng = derived_rng(seed, (1 << 44) + i)
-        n = sizes[i % len(sizes)]
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                c = Fraction(int(rng.integers(-9, 10)))
-                m[a][b], m[b][a] = c, -c
-        return kernels["pfaffian"](SkewMap(m)) ** 2 == kernels["det_exact"](m)
-
-    def rank2_one(i):
+    def one(i):
         rng = derived_rng(seed, (1 << 40) + i)
         n = sizes[i % len(sizes)]
         for _ in range(64):
@@ -275,50 +279,40 @@ def fraction_skew_battery(seed, pf_cases, rank2_cases, log):
             return True
         return False
 
-    pf_results = [pf_one(i) for i in range(pf_cases)]
-    rank2_results = [rank2_one(i) for i in range(rank2_cases)]
-    report = {
-        "pass": all(pf_results) and all(rank2_results),
-        "pfaffian_cases": pf_cases,
-        "rank2_cases": rank2_cases,
-        "pfaffian_pass": all(pf_results),
-        "rank2_pass": all(rank2_results),
-    }
-    for case, results in (("pfaffian", pf_results), ("rank2", rank2_results)):
-        if not all(results):
-            report["first_failure"] = {"case": case, "index": results.index(False)}
+    report = {"pass": True, "rank2_cases": cases}
+    for i in range(cases):
+        if not one(i):
+            report["pass"] = False
+            report["first_failure"] = {"case": "rank2", "index": i}
             break
     return report
 
 
-@pytest.mark.parametrize("pf_cases, rank2_cases", [(25, 10), (60, 24)])
-def test_skew_battery_matches_fraction_battery(monkeypatch, pf_cases, rank2_cases):
+@pytest.mark.parametrize("cases", [10, 24])
+def test_skew_battery_matches_fraction_battery(monkeypatch, cases):
     # the same maps reach the same kernels, which return the same values,
     # case by case; the battery's maps hold Python ints
     log = []
     for name, attr in (
-        ("pfaffian", "pfaffian"),
-        ("det_exact", "det_exact"),
         ("char_coeffs", "char_coeffs"),
         ("decomposition", "rank2_orthogonal_decomposition"),
     ):
         monkeypatch.setattr(verify, attr, recording(log, name, getattr(verify, attr)))
     for seed in range(10):
         expected_log = []
-        expected = fraction_skew_battery(seed, pf_cases, rank2_cases, expected_log)
+        expected = fraction_skew_battery(seed, cases, expected_log)
         log.clear()
-        assert run_skew_battery(seed, pf_cases, rank2_cases) == expected
+        assert run_skew_battery(seed, cases) == expected
         assert log == expected_log
         assert all(type(x) is int for _, m, _ in log for row in m for x in row)
         calls = [name for name, _, _ in log]
-        assert calls.count("pfaffian") == calls.count("det_exact") == pf_cases
-        assert calls.count("char_coeffs") == calls.count("decomposition") == rank2_cases
+        assert calls.count("char_coeffs") == calls.count("decomposition") == cases
 
 
 def test_skew_draw_matches_scalar_draws():
     # one vector draw of the upper entries gives the numbers that one scalar
-    # draw per entry gave, so the battery's maps are the ones it always drew;
-    # from_upper keeps them as Python ints
+    # draw per entry gave, so the Pf^2 = det maps of test_acceptance are the
+    # ones the battery always drew; from_upper keeps them as Python ints
     for seed in range(20):
         for n in (4, 6, 8, 10):
             count = n * (n - 1) // 2
@@ -418,24 +412,18 @@ def test_invariance_check_fails_on_a_rank_one_image(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing_calls, case, index",
+    "failing_calls, index",
     [
-        ({0}, "sign", 0),
-        ({3}, "sign", 1),
-        ({7}, "gauge", 2),
-        ({5}, "scaling", 1),
-        # sample 1 breaks gauge and scaling: the first of them is named
-        ({4, 5, 6}, "gauge", 1),
-        # sample 1 breaks scaling, sample 2 the sign: the first failing
-        # sample is named, with its own case
-        ({5, 6}, "scaling", 1),
+        ({0}, 0),
+        ({2}, 2),
+        # samples 1 and 3 fail: the first of them is named
+        ({1, 3}, 1),
     ],
-    ids=["sign-0", "sign", "gauge", "scaling", "gauge-and-scaling", "first-sample"],
+    ids=["gauge-0", "gauge", "first-sample"],
 )
-def test_invariance_check_names_first_failure(monkeypatch, failing_calls, case, index):
-    # the section calls phi_components three times per sample, for the sign
-    # flip, the gauge shift and the scaling, in that order; the base value
-    # comes from phi_X
+def test_invariance_check_names_first_failure(monkeypatch, failing_calls, index):
+    # the section calls phi_components once per sample, for the gauge shift;
+    # the base value comes from phi_X
     real, calls = verify.phi_components, []
 
     def wrong_at(*args):
@@ -445,14 +433,32 @@ def test_invariance_check_names_first_failure(monkeypatch, failing_calls, case, 
 
     monkeypatch.setattr(verify, "phi_components", wrong_at)
     rep = run_invariance_check(P2, seed=3, count=4)
+    assert len(calls) == 4
     assert rep == {
         "pass": False,
         "samples": 4,
         "exact_invariance": False,
         "image_rank": 3,
         "expected_rank": 3,
-        "first_failure": {"case": case, "index": index},
+        "first_failure": {"case": "gauge", "index": index},
     }
+
+
+def test_invariance_check_catches_a_covector_off_the_constraint():
+    # the gauge check is not an identity: with eta(v) != 0 the shift by
+    # beta q2(v, .) moves phi, so a store whose covectors break eta(v) = 0
+    # fails at the first sample whose drawn beta is nonzero
+    samples = verify._Samples(P2, 3)
+    for i in range(4):
+        x, xi = samples.pair(i)
+        bad_eta = [xi.eta[0] + 1] + list(xi.eta[1:])
+        samples._made["covector", i] = SimpleNamespace(point=x, eta=bad_eta)
+        samples._made["phi", i] = FibrationValue(
+            verify.phi_components(P2, x.coords, bad_eta)
+        )
+    rep = run_invariance_check(P2, seed=3, count=4, samples=samples)
+    assert not rep["pass"] and not rep["exact_invariance"]
+    assert rep["first_failure"] == {"case": "gauge", "index": 0}
 
 
 @pytest.mark.parametrize(
@@ -554,7 +560,7 @@ def _section_counts(g, budget):
         "splitting": scaled(50),
         "vandermonde": scaled(100),
         "quotient": scaled(200),
-        "skew": (scaled(500), scaled(200)),
+        "skew": scaled(200),
         "invariance": scaled(100, 2 * g - 1),
     }
 
@@ -575,7 +581,7 @@ def test_shared_samples_give_the_sections_run_alone(g, budget):
             "splitting": run_splitting_check(canonical_pencil(g), seed, n["splitting"]),
             "vandermonde": run_vandermonde_check(g, seed, n["vandermonde"]),
             "quotient": run_quotient_check(canonical_pencil(g), seed, n["quotient"]),
-            "skew": run_skew_battery(seed, *n["skew"]),
+            "skew": run_skew_battery(seed, n["skew"]),
             "invariance": run_invariance_check(
                 canonical_pencil(g), seed, n["invariance"]
             ),
