@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,11 @@ def _flags(**flags) -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qplab parser, built on the first call and shared by every later
+    call in the process, so callers must not modify it.  Each handler and
+    section is bound here and looks up what it calls when it runs."""
     ap = argparse.ArgumentParser(
         prog="qplab",
         description="Pencils of diagonal quadrics: sampling, fibration maps, "
@@ -272,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)  # argparse exits 2 on usage errors
+    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
         return args.fn(args)
     except (InputError, PencilError) as exc:

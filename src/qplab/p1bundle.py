@@ -14,14 +14,26 @@ its numerators.  Quotienting by the line of x realizes the splitting
 O^{2g-1} ⊕ O(-1) whose trivial part is the tangent space: the constant
 columns and x span a space of dimension one more than the number of O
 summands.
+
+The Vandermonde normalizer, the kernel line of the power matrix of the
+lambdas, runs on Python ints from the pencil's integer form to one
+``Fraction`` per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .linalg import _pivot_columns, dot, matvec, nullspace_exact, rank_exact
+from .linalg import (
+    _bareiss,
+    _integer_null_vectors,
+    _pivot_columns,
+    dot,
+    matvec,
+    rank_exact,
+)
 from .pencil import PencilOfQuadrics
 from .variety import PointOnX, TangentFrame
 
@@ -214,21 +226,27 @@ def vandermonde_normalizer(p: PencilOfQuadrics):
     lambdas' denominators, is the row of k-th powers of the integers
     m_j = L * lambda_j (the pencil's
     :meth:`~qplab.pencil.PencilOfQuadrics.integer_form`); row scaling keeps
-    the kernel, so the matrix is built from integer powers.
+    the kernel, so the matrix is built from integer powers.  It is
+    eliminated on ints (:func:`~qplab.linalg._bareiss`), and its one null
+    vector w = D v comes from the integer back substitution, which checks
+    every division by a pivot to be exact.  The line is read from w and
+    only scaled by the closed form of its last entry,
+    L^(n-1) / prod_{k < n-1} (m_{n-1} - m_k), so entry j is one
+    ``Fraction`` of ints.  Raises ``ArithmeticError`` when the kernel is not
+    a line, when it has a zero entry and when a division by a pivot leaves a
+    remainder.
     """
-    lam = p.lambdas
     n = p.dim_ambient
-    ms = p.integer_form()[1]
+    L, ms = p.integer_form()
     rows = [[m ** k for m in ms] for k in range(n - 1)]
-    basis = nullspace_exact(rows)
-    if len(basis) != 1:
-        raise ArithmeticError(f"kernel dimension {len(basis)}, expected 1")
-    a = basis[0]
-    if any(not c for c in a):
+    pivots, _ = _bareiss(rows)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ArithmeticError(f"kernel dimension {len(free)}, expected 1")
+    _, (w,) = _integer_null_vectors(rows, pivots, free)
+    if not all(w):
         raise ArithmeticError("kernel vector has a zero entry")
     # rescale onto the closed form via the last entry
-    target_last = Fraction(1)
-    for k in range(n - 1):
-        target_last /= lam[n - 1] - lam[k]
-    scale = target_last / a[n - 1]
-    return [scale * c for c in a]
+    num = L ** (n - 1)
+    den = prod([ms[n - 1] - m for m in ms[:n - 1]]) * w[n - 1]
+    return [Fraction(num * c, den) for c in w]

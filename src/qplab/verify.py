@@ -238,19 +238,25 @@ def _random_distinct_lambdas(rng, n: int):
 def run_vandermonde_check(g: int, seed: int, count: int) -> dict:
     """Random distinct-rational pencils: kernel line is 1-dim, entrywise equal
     to a_j = 1 / prod_{k != j}(lambda_j - lambda_k).  A failing report names
-    the first failing pencil."""
+    the first failing pencil.
+
+    The oracle builds each target as one ``Fraction`` of ints from the
+    lambdas' own numerators a_k and denominators b_k, as lambda_j - lambda_k
+    = (a_j b_k - a_k b_j) / (b_j b_k); it does not read the pencil's integer
+    form, from which the normalizer is computed.
+    """
     n = 2 * g + 2
 
     def one(i: int) -> bool:
         rng = derived_rng(seed, (g << 32) + i)
         p = PencilOfQuadrics(_random_distinct_lambdas(rng, n))
         a = vandermonde_normalizer(p)
-        for j in range(n):
-            target = Fraction(1)
-            for k in range(n):
-                if k != j:
-                    target /= p.lambdas[j] - p.lambdas[k]
-            if a[j] != target:
+        ratios = [lam.as_integer_ratio() for lam in p.lambdas]
+        # prod_{k != j} b_j b_k = b_j^(n-2) prod_k b_k
+        dens = math.prod([b for _, b in ratios])
+        for j, (aj, bj) in enumerate(ratios):
+            diffs = [aj * bk - ak * bj for k, (ak, bk) in enumerate(ratios) if k != j]
+            if a[j] != Fraction(dens * bj ** (n - 2), math.prod(diffs)):
                 return False
         return True
 
@@ -324,11 +330,13 @@ def run_invariance_check(
     """Gauge invariance of the fibration map, exactly; plus the exact rank
     2g-1 of the sampled image.
 
-    The gauge shift by alpha q1(v, .) + beta q2(v, .) changes each
-    w_jk = x_j eta_k - x_k eta_j by beta (lambda_k - lambda_j) x_j x_k, and
-    phi stays fixed only because eta(x) = q1(x) = q2(x) = 0.  (Sign-flip
-    invariance and quadratic scaling hold for any code that squares w_jk;
-    they are checked in tier-1.)
+    The gauge shift by beta q2(v, .), with beta a nonzero integer drawn per
+    sample, changes each w_jk = x_j eta_k - x_k eta_j by
+    beta (lambda_k - lambda_j) x_j x_k, and phi stays fixed only because
+    eta(x) = q1(x) = q2(x) = 0.  (The shift by q1(v, .) = x leaves every
+    w_jk as it is whatever eta is, and sign-flip invariance and quadratic
+    scaling hold for any code that squares w_jk; these identities are
+    checked in tier-1.)
 
     Each sample contributes four rational rows, the coordinates of its
     components in the basis 1, sqrt(u), sqrt(w), sqrt(uw).  A rational
@@ -342,11 +350,11 @@ def run_invariance_check(
     def one(i: int):
         x, xi = samples.pair(i)
         base = samples.phi(i).components
-        rng = derived_rng(seed, (1 << 48) + i)
-        alpha = Fraction(int(rng.integers(-9, 10)))
-        beta = Fraction(int(rng.integers(-9, 10)))
-        r1, r2 = x.rows()
-        eta2 = [a * alpha + b * beta + e0 for e0, a, b in zip(xi.eta, r1, r2)]
+        # beta in -9..-1, 1..9: a zero shift would check nothing
+        beta = int(derived_rng(seed, (1 << 48) + i).integers(-9, 9))
+        if beta >= 0:
+            beta += 1
+        eta2 = [b * beta + e0 for e0, b in zip(xi.eta, x.rows()[1])]
         shifted = phi_components(p, x.coords, eta2)
         case = None if all((a - b) == 0 for a, b in zip(base, shifted)) else "gauge"
         coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]

@@ -72,6 +72,18 @@ def test_phi_gauge_invariance_exact():
     assert all((a - b) == 0 for a, b in zip(base, shifted))
 
 
+def test_phi_q1_shift_is_an_identity():
+    # q1(v, .) is x itself, so shifting eta by it leaves every
+    # w_jk = x_j eta_k - x_k eta_j fixed whatever eta is, off the
+    # constraint eta(v) = 0 too; the invariance section shifts by q2(v, .)
+    x, xi = sample_pair(P2, 67)
+    eta = [xi.eta[0] + 1] + list(xi.eta[1:])
+    base = phi_components(P2, x.coords, eta)
+    eta2 = [e + 5 * a for e, a in zip(eta, P2.q1_row(x.coords))]
+    shifted = phi_components(P2, x.coords, eta2)
+    assert all((a - b) == 0 for a, b in zip(base, shifted))
+
+
 def _identity_samples():
     """(label, x, xi, rng) over g = 2..5, X and Y, seeds 0-3: the samples
     on which the sign and scaling identities of phi are checked, with an

@@ -28,6 +28,7 @@ from qplab import (
     phi_X,
     rank2_orthogonal_decomposition,
     rank_exact,
+    run_vandermonde_check,
     sample_pair,
     sample_point,
     solve_exact,
@@ -312,7 +313,7 @@ def _field_for_field(x):
     return [[(c.numerator, c.denominator) for c in v] for v in x]
 
 
-def test_integer_back_substitution_matches_fraction_route(monkeypatch):
+def test_integer_back_substitution_matches_fraction_route():
     negative_last_pivot = 0
     for m in _rank_cases(seed=20):
         a, pivots, _ = _echelon(m)
@@ -327,8 +328,22 @@ def test_integer_back_substitution_matches_fraction_route(monkeypatch):
         if sol is not None:
             assert _field_for_field([sol]) == _field_for_field([expected])
     assert negative_last_pivot > 20
-    import qplab.p1bundle as p1bundle
 
+
+def _vandermonde_fraction(p):
+    """The normalizer by the Fraction route: the one basis vector of the
+    Fraction back substitution on the power matrix of the lambdas, rescaled
+    by its last entry onto 1 / prod_{k < n-1} (lambda_{n-1} - lambda_k)."""
+    lam, n = p.lambdas, p.dim_ambient
+    (a,) = _nullspace_fraction([[x ** k for x in lam] for k in range(n - 1)])
+    target_last = Fraction(1)
+    for k in range(n - 1):
+        target_last /= lam[n - 1] - lam[k]
+    scale = target_last / a[n - 1]
+    return [scale * c for c in a]
+
+
+def test_vandermonde_normalizer_matches_fraction_route():
     rng = random.Random(21)
     pencils = []
     for g in range(2, 6):
@@ -338,19 +353,13 @@ def test_integer_back_substitution_matches_fraction_route(monkeypatch):
                 lams.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
             pencils.append(PencilOfQuadrics(sorted(lams)))
     got = [vandermonde_normalizer(p) for p in pencils]
-    monkeypatch.setattr(p1bundle, "nullspace_exact", _nullspace_fraction)
-    expected = [vandermonde_normalizer(p) for p in pencils]
+    expected = [_vandermonde_fraction(p) for p in pencils]
     assert _field_for_field(got) == _field_for_field(expected)
 
 
-def test_rational_kernels_take_no_fraction_arithmetic(monkeypatch):
-    # the rational nullspace runs on ints and builds one Fraction per entry;
-    # the rank-2 decomposition adds a Gram determinant on integer columns
-    rng = random.Random(22)
-    m = random_rational_matrix(rng, 9, 12)
-    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
-    v = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
-    wedge = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(12)] for a in range(12)])
+def _count_fraction_arithmetic(monkeypatch) -> list:
+    """A list that gets one entry per Fraction +, -, * or / (either side)
+    until monkeypatch.undo()."""
     calls = []
     for name in ("add", "sub", "mul", "truediv"):
         for dunder in (f"__{name}__", f"__r{name}__"):
@@ -361,10 +370,43 @@ def test_rational_kernels_take_no_fraction_arithmetic(monkeypatch):
                 return op(*args)
 
             monkeypatch.setattr(Fraction, dunder, counted)
+    return calls
+
+
+def test_rational_kernels_take_no_fraction_arithmetic(monkeypatch):
+    # the rational nullspace runs on ints and builds one Fraction per entry;
+    # the rank-2 decomposition adds a Gram determinant on integer columns
+    rng = random.Random(22)
+    m = random_rational_matrix(rng, 9, 12)
+    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
+    v = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
+    wedge = SkewMap([[u[a] * v[b] - v[a] * u[b] for b in range(12)] for a in range(12)])
+    calls = _count_fraction_arithmetic(monkeypatch)
     basis = nullspace_exact(m)
     ker, im = rank2_orthogonal_decomposition(wedge)
     monkeypatch.undo()
     assert len(basis) == 3 and len(ker) == 10 and len(im) == 2
+    assert calls == []
+
+
+def test_vandermonde_normalizer_takes_no_fraction_arithmetic(monkeypatch):
+    # the normalizer stays on ints from the pencil's integer form to one
+    # Fraction per entry
+    p = PencilOfQuadrics([Fraction(-7, 3), Fraction(1, 2), 2, Fraction(9, 4), 5, 11])
+    calls = _count_fraction_arithmetic(monkeypatch)
+    a = vandermonde_normalizer(p)
+    monkeypatch.undo()
+    assert a == _vandermonde_fraction(p)
+    assert calls == []
+
+
+def test_vandermonde_section_takes_no_fraction_arithmetic(monkeypatch):
+    # the section's oracle builds each target as one Fraction from the
+    # lambdas' integer ratios
+    calls = _count_fraction_arithmetic(monkeypatch)
+    rep = run_vandermonde_check(3, seed=5, count=4)
+    monkeypatch.undo()
+    assert rep == {"pass": True, "pencils": 4, "g": 3}
     assert calls == []
 
 

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qplab.p1bundle as p1bundle
 from qplab import (
     ModeMismatchError,
     NonInvertibleError,
@@ -265,15 +268,82 @@ def test_vandermonde_closed_form_general():
     p = PencilOfQuadrics([Fraction(-1, 2), 1, 2, Fraction(7, 3), 4, 5])
     a = vandermonde_normalizer(p)
     n = 6
-    for j in range(n):
-        target = Fraction(1)
-        for k in range(n):
-            if k != j:
-                target /= p.lambdas[j] - p.lambdas[k]
-        assert a[j] == target
+    assert a == _closed_form(p.lambdas)
     # it annihilates every power row lambda^0 .. lambda^{2g}
     for k in range(n - 1):
         assert sum(a[j] * p.lambdas[j] ** k for j in range(n)) == 0
+
+
+def _closed_form(lambdas):
+    """a_j = 1 / prod_{k != j} (lambda_j - lambda_k), in Fraction arithmetic."""
+    out = []
+    for j, lam in enumerate(lambdas):
+        target = Fraction(1)
+        for k, other in enumerate(lambdas):
+            if k != j:
+                target /= lam - other
+        out.append(target)
+    return out
+
+
+@st.composite
+def branch_points(draw):
+    """2g + 2 distinct rationals at g = 2..8; the first is negative and not
+    an integer, so the lcm L of the denominators is more than 1."""
+    g = draw(st.integers(2, 8))
+    first = -(draw(st.integers(0, 30)) + Fraction(1, draw(st.integers(2, 12))))
+    rest = draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12),
+                         min_size=2 * g + 1, max_size=2 * g + 1, unique=True))
+    assume(first not in rest)
+    return [first] + rest
+
+
+@given(branch_points())
+@settings(max_examples=40, deadline=None)
+def test_vandermonde_normalizer_is_the_closed_form(lambdas):
+    a = vandermonde_normalizer(PencilOfQuadrics(lambdas))
+    assert all(type(c) is Fraction for c in a)
+    expected = _closed_form(lambdas)
+    assert [(c.numerator, c.denominator) for c in a] == [
+        (c.numerator, c.denominator) for c in expected
+    ]
+
+
+def test_vandermonde_normalizer_checks_raise(monkeypatch):
+    # the line is read from the elimination, so each of its checks sees a
+    # broken one: a lost pivot leaves a plane, a zero entry is refused, and
+    # an entry off by one breaks an exact division by a pivot
+    p = PencilOfQuadrics([Fraction(-1, 2), 1, 2, Fraction(7, 3), 4, 5])
+    real_bareiss = p1bundle._bareiss
+
+    def drop_last_pivot(a):
+        pivots, negate = real_bareiss(a)
+        a[len(pivots) - 1] = [0] * len(a[0])
+        return pivots[:-1], negate
+
+    monkeypatch.setattr(p1bundle, "_bareiss", drop_last_pivot)
+    with pytest.raises(ArithmeticError, match="kernel dimension 2, expected 1"):
+        vandermonde_normalizer(p)
+
+    def off_by_one(a):
+        pivots, negate = real_bareiss(a)
+        a[3][4] += 1
+        return pivots, negate
+
+    monkeypatch.setattr(p1bundle, "_bareiss", off_by_one)
+    with pytest.raises(ArithmeticError, match="pivot 2 does not divide"):
+        vandermonde_normalizer(p)
+    monkeypatch.undo()
+
+    real_null = p1bundle._integer_null_vectors
+
+    def zero_first(a, pivots, free):
+        d, (w,) = real_null(a, pivots, free)
+        return d, ([0] + w[1:],)
+
+    monkeypatch.setattr(p1bundle, "_integer_null_vectors", zero_first)
+    with pytest.raises(ArithmeticError, match="kernel vector has a zero entry"):
+        vandermonde_normalizer(p)
 
 
 def _irrational_moves(x):

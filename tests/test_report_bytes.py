@@ -29,6 +29,9 @@ def _argv() -> list:
                 argv.append((command, f"--g={g}", f"--index={index}", "--on-y"))
     argv.append(("bundle-splitting", "--g=2"))
     argv.append(("verify-all", "--lambdas=1/3,2,7/2,5,-4/5,11/7", "--budget=0.2"))
+    for g in (2, 3, 4, 5):
+        argv.append(("vandermonde", f"--g={g}"))
+    argv.append(("vandermonde", "--lambdas=1/3,2,7/2,5,-4/5,11/7"))
     return argv
 
 
@@ -112,6 +115,16 @@ DIGESTS = {
         '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
     'verify-all --lambdas=1/3,2,7/2,5,-4/5,11/7 --budget=0.2':
         'd666fab294c4798fd951201877ad48441136d2633aae5390a01f2d20c32f6bda',
+    'vandermonde --g=2':
+        '8814ef03cda8d7dba3bacd9c12a878e70b23e67150e57195162b760ffd589567',
+    'vandermonde --g=3':
+        '3f195a241090ce9aa29acdc637c6b13f92e00216d181af324e6212a107636cb4',
+    'vandermonde --g=4':
+        '20c4921a05d75856387566fe447b5253f74fbe9b61f2b49af2e06a0bbecaea14',
+    'vandermonde --g=5':
+        'b9ed66f9c5d79e354c6761d472c95bb11503e5dee013b43bb3cb04073c733e90',
+    'vandermonde --lambdas=1/3,2,7/2,5,-4/5,11/7':
+        '41f3b0345ca6f8c51211edb73553d76d529a84e62edc6afdbda538097f54be61',
 }
 
 

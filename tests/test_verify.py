@@ -461,6 +461,24 @@ def test_invariance_check_catches_a_covector_off_the_constraint():
     assert rep["first_failure"] == {"case": "gauge", "index": 0}
 
 
+def test_invariance_check_catches_one_covector_off_the_constraint():
+    # every sample's drawn beta is nonzero, so a covector off eta(v) = 0 at
+    # sample k alone fails the section at k; seed 0 is one whose samples
+    # 4, 15 and 16 drew beta = 0 when beta could be 0
+    clean = verify._Samples(P2, 0)
+    pairs = [clean.pair(i) for i in range(19)]
+    for k in range(19):
+        samples = verify._Samples(P2, 0)
+        for i, (x, xi) in enumerate(pairs):
+            eta = [xi.eta[0] + 1] + list(xi.eta[1:]) if i == k else xi.eta
+            samples._made["covector", i] = SimpleNamespace(point=x, eta=eta)
+            phi = verify.phi_components(P2, x.coords, eta)
+            samples._made["phi", i] = FibrationValue(phi)
+        rep = run_invariance_check(P2, seed=0, count=19, samples=samples)
+        assert not rep["exact_invariance"], k
+        assert rep["first_failure"] == {"case": "gauge", "index": k}
+
+
 @pytest.mark.parametrize(
     "fake, case",
     [
