@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_verify_section, section=run_diagram_check, count_flag="holdout")
     command("verify-even", "diagram check on T*Y + exact vanishing", holdout,
             _cmd_verify_section, section=run_even_check, count_flag="holdout")
-    command("verify-lagrangian", "finite-difference isotropy check", seeded,
+    command("verify-lagrangian", "exact Lagrangian certificate", seeded,
             _cmd_verify_section, section=run_lagrangian_check, count_flag="count"
             ).add_argument("--count", type=int, default=20)
     command(

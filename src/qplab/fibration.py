@@ -13,8 +13,8 @@ q1(x) = q2(x) = eta(x) = 0 reduce to 3x3 at every g.  The two are matched by a
 closed-form rational matrix of the pencil: the coefficients of
 sum_j F_j prod_{k != j}(t - lambda_k) lose their top three (the moments of F,
 which vanish) and are proportional to those of f_H, which verify_identification
-checks exactly.  verify_lagrangian checks the fibration property itself by
-finite differences in a local symplectic chart.
+checks exactly.  verify_lagrangian certifies the fibration property itself
+by one exact rank of the closed-form Jacobian dF/deta and exact brackets.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-import numpy as np
-
 from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
-from .linalg import _integer_rows, _scaled_matvec_numerators, det_exact, scaled_matvec
+from .linalg import (
+    _integer_rows, _scaled_matvec_numerators, det_exact, rank_exact, scaled_matvec)
 from .pencil import PencilOfQuadrics
-from .scalars import _common_numerators, _make, _product_numerators, _scaled_product
-from .variety import CotangentRep, PointOnX, _vanishes_on_S
+from .scalars import (
+    _ZERO_N, _columns, _common_numerators, _make, _product_numerators, _raw,
+    _scaled_product)
+from .variety import CotangentRep, PointOnX, _sums_vanish, _vanishes_on_S
 
 __all__ = [
     "FibrationValue",
@@ -299,174 +300,102 @@ def _first_failure(report: dict, cases) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian verification by finite differences in a local chart
+# The Lagrangian certificate: one exact rank and exact brackets
 # ---------------------------------------------------------------------------
 
 
-def _component_projector(g: int) -> np.ndarray:
-    """Fixed generic (2g-1) x (2g+2) projection picking independent components."""
-    rng = np.random.Generator(np.random.Philox(key=[0x51AB, g]))
-    return rng.normal(size=(2 * g - 1, 2 * g + 2)) + 1j * rng.normal(
-        size=(2 * g - 1, 2 * g + 2)
-    )
+def _derivatives(x: PointOnX, xi: CotangentRep) -> tuple:
+    """(ctx, J, H, dens): J = dF/deta and H = -dF/dx at (x, eta) on integer
+    numerators.
 
-
-# The finite-difference Lagrangian check: the central-difference step in the
-# chart coordinates, the largest isotropy defect it accepts, and the relative
-# residual at which the Newton refinement onto X stops.
-FD_STEP = 1e-5
-ISOTROPY_TOL = 1e-6
-NEWTON_TOL = 1e-14
-
-
-class _Chart:
-    """Local chart of X: dehomogenize at the largest coordinate, split the
-    remaining coordinates into 2 dependent and 2g-1 free by column pivoting."""
-
-    def __init__(self, p: PencilOfQuadrics, v: np.ndarray):
-        self.p = p
-        self.lam = np.array([float(l) for l in p.lambdas])
-        self.hom = int(np.argmax(np.abs(v)))
-        self.w0 = v / v[self.hom]
-        others = [k for k in range(len(v)) if k != self.hom]
-        jac = self._ambient_jacobian(self.w0)[:, others]
-        dep_local = _chart_pivots(jac)
-        self.dep = [others[k] for k in dep_local]
-        self.free = [k for k in others if k not in self.dep]
-        if len(self.free) != 2 * p.g - 1:
-            raise ArithmeticError("chart selection failed")
-
-    def _ambient_jacobian(self, w):
-        return np.vstack([2.0 * w, 2.0 * self.lam * w])
-
-    def _constraints(self, w):
-        return np.array([np.sum(w * w), np.sum(self.lam * w * w)])
-
-    def point(self, z: np.ndarray) -> np.ndarray:
-        """Ambient representative with hom-coordinate 1 and free coords z."""
-        w = self.w0.copy()
-        w[self.free] = z
-        for _ in range(50):
-            r = self._constraints(w)
-            if np.max(np.abs(r)) < NEWTON_TOL * max(1.0, np.max(np.abs(w)) ** 2):
-                return w
-            jd = self._ambient_jacobian(w)[:, self.dep]
-            delta = np.linalg.solve(jd, r)
-            w[self.dep] -= delta
-        raise ArithmeticError("Newton refinement did not converge")
-
-    def tangent_basis(self, w) -> list:
-        """Ambient lifts of d/dz_i via the implicit function theorem."""
-        jac = self._ambient_jacobian(w)
-        jd = jac[:, self.dep]
-        jf = jac[:, self.free]
-        correction = -np.linalg.solve(jd, jf)
-        taus = []
-        for i in range(len(self.free)):
-            tau = np.zeros(len(w), dtype=complex)
-            tau[self.free[i]] = 1.0
-            tau[self.dep] = correction[:, i]
-            taus.append(tau)
-        return taus
-
-    def covector(self, w, taus, pz: np.ndarray) -> np.ndarray:
-        """eta with eta(tau_i) = pz_i, eta(v) = 0 and eta(lam*v) = 0.
-
-        The row eta(v)=0 coincides with the first gauge generator (the
-        gradient row of q1 is the point itself), so the system has rank
-        2g+1 in 2g+2 unknowns; the leftover direction is the residual
-        gauge freedom eta -> eta + alpha*v, which every downstream value
-        is invariant under.  The minimal-norm solution fixes it smoothly.
-        """
-        rows = np.array(list(taus) + [w, self.lam * w], dtype=complex)
-        rhs = np.concatenate([pz, [0.0, 0.0]]).astype(complex)
-        eta, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        return eta
-
-    def momenta(self, w, taus, eta: np.ndarray) -> np.ndarray:
-        return np.array([eta @ tau for tau in taus])
-
-
-def _chart_pivots(jac: np.ndarray) -> list:
-    """The two columns of the 2 x (2g+1) constraint Jacobian that the chart
-    solves for: greedily the column of largest norm, after projecting out
-    the columns chosen before it."""
-    cols = jac.copy()
-    chosen = []
-    for _ in range(2):
-        norms = np.linalg.norm(cols, axis=0)
-        norms[chosen] = -1.0
-        k = int(np.argmax(norms))
-        chosen.append(k)
-        u = cols[:, k] / np.linalg.norm(cols[:, k])
-        cols = cols - np.outer(u, u.conj() @ cols)
-    return chosen
-
-
-def _phi_complex(p: PencilOfQuadrics, v: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    lam = np.array([complex(l) for l in p.lambdas])
-    n = len(v)
-    cross = np.outer(v, eta) - np.outer(eta, v)
-    denom = lam[None, :] - lam[:, None]
-    np.fill_diagonal(denom, 1.0)
-    terms = cross ** 2 / denom
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
-def verify_lagrangian(x: PointOnX, xi: CotangentRep):
-    """Finite-difference check that the fibration is Lagrangian at (x, xi).
-
-    Builds canonical coordinates (z, p_z) on T*X in a local chart of x's
-    pencil, takes the central-difference Jacobian (step FD_STEP) of 2g-1
-    independent components, and reports its rank together with the maximal
-    |omega(u, u')| over a kernel basis.  The sample passes when the rank is
-    2g-1 and that defect is at most ISOTROPY_TOL.
+    With w_jk = x_j eta_k - x_k eta_j and the symmetric c_jk = 2 w_jk /
+    (lambda_k - lambda_j), J and H are M(x) and M(eta) for M(y)_jk = c_jk y_j
+    (k != j) and M(y)_jj = -sum_{k != j} c_jk y_k.  x and eta share one
+    numerator view over d, as in :func:`phi_components`; each pair j < k
+    forms w_jk once, and row j of c takes the integer row j of
+    :func:`_phi_table`, so entry (j, k) is its value times dens[j] = s_j k0^2
+    d^3 (row scale s_j, k0 = qu*qw).  A point of X has no rational
+    representative (sum x_k^2 = 0), so the view has a context.
     """
-    p = x.pencil
-    v = x.complex_coords()
-    eta0 = xi.complex_eta()
-    chart = _Chart(p, v)
-    proj = _component_projector(p.g)
-    nfree = len(chart.free)
+    n = len(x.coords)
+    rows, scales = x.pencil.derived("phi_table", _phi_table)
+    ctx, nums, d = _common_numerators(list(x.coords) + list(xi.eta))
+    xs, es = nums[:n], nums[n:]
+    c = [[_ZERO_N] * n for _ in range(n)]
+    for j in range(n):
+        xj, ej, rj, cj = xs[j], es[j], rows[j], c[j]
+        for k in range(j + 1, n):
+            a0, a1, a2, a3 = _scaled_product(ctx, xj, es[k])
+            b0, b1, b2, b3 = _scaled_product(ctx, xs[k], ej)
+            w = (2 * (a0 - b0), 2 * (a1 - b1), 2 * (a2 - b2), 2 * (a3 - b3))
+            # c_kj = c_jk is 2 w_kj = -2 w_jk times the weight of row k
+            ajk, akj = rj[k], -rows[k][j]
+            cj[k] = (ajk * w[0], ajk * w[1], ajk * w[2], ajk * w[3])
+            c[k][j] = (akj * w[0], akj * w[1], akj * w[2], akj * w[3])
+    den = ctx._k[0] ** 2 * d ** 3
+    return ctx, _weighted(ctx, c, xs), _weighted(ctx, c, es), [s * den for s in scales]
 
-    w_base = chart.w0
-    taus0 = chart.tangent_basis(w_base)
-    z0 = w_base[chart.free].astype(complex)
-    pz0 = chart.momenta(w_base, taus0, eta0)
 
-    def value(u: np.ndarray) -> np.ndarray:
-        z = u[:nfree]
-        pz = u[nfree:]
-        w = chart.point(z)
-        taus = chart.tangent_basis(w)
-        eta = chart.covector(w, taus, pz)
-        return proj @ _phi_complex(p, w, eta)
+def _weighted(ctx, c, y) -> list:
+    """M(y) of :func:`_derivatives` for the weights c (0 on the diagonal)
+    and the numerator 4-tuples y: row j holds the products c_jk y_j, and
+    its diagonal entry is minus the sum of the products c_jk y_k."""
+    out = []
+    for j, (cj, yj) in enumerate(zip(c, y)):
+        row = [_scaled_product(ctx, cjk, yj) for cjk in cj]
+        terms = [_scaled_product(ctx, cjk, yk) for cjk, yk in zip(cj, y)]
+        row[j] = tuple([-sum(col) for col in zip(*terms)])
+        out.append(row)
+    return out
 
-    u0 = np.concatenate([z0, pz0])
-    base = value(u0)
-    scale = np.linalg.norm(base) or 1.0
-    dim = 2 * nfree
-    jac = np.zeros((nfree, dim), dtype=complex)
-    for m in range(dim):
-        up = u0.copy()
-        um = u0.copy()
-        up[m] += FD_STEP
-        um[m] -= FD_STEP
-        jac[:, m] = (value(up) - value(um)) / (2 * FD_STEP * scale)
-    _, sv, vt = np.linalg.svd(jac)
-    rank_tol = 1e-6
-    rank = int(np.sum(sv > rank_tol * (sv[0] if sv[0] > 0 else 1.0)))
-    kernel = [vt[k].conj() for k in range(rank, dim)]
-    defect = 0.0
-    for i, u in enumerate(kernel):
-        for up in kernel[i + 1:]:
-            omega = u[:nfree] @ up[nfree:] - u[nfree:] @ up[:nfree]
-            defect = max(defect, abs(omega))
-    generic = rank == nfree
+
+def _brackets_vanish(ctx, J, H) -> bool:
+    """True iff {F_i, F_j} = sum_k (J_ik H_jk - H_ik J_jk) is 0 for every
+    i < j, each sum tested on its integer numerator columns, unreduced."""
+    for i in range(len(J)):
+        for j in range(i + 1, len(J)):
+            plus, minus = [_columns(_product_numerators((ctx, a, 1), (ctx, b, 1)))
+                           for a, b in ((J[i], H[j]), (H[i], J[j]))]
+            if any(sum(p) != sum(m) for p, m in zip(plus, minus)):
+                return False
+    return True
+
+
+def verify_lagrangian(x: PointOnX, xi: CotangentRep) -> dict:
+    """Exact certificate that the fibres of phi through (x, xi) are Lagrangian.
+
+    Three exact checks on the closed forms of :func:`_derivatives`, in this
+    order, decide the sample:
+
+    * gauge: J x = J (lambda x) = 0, so F is invariant under eta -> eta +
+      alpha x + beta lambda x and descends to T*X, where its brackets are the
+      ambient ones.  x and lambda x lie in the cotangent directions
+      {zeta : zeta . x = 0} (q1(x) = q2(x) = 0), so J has rank at most
+      2g - 1 there.
+    * generic: that rank, rank [J; x^T] - 1, is 2g - 1.  It bounds the rank of
+      dphi from below and the three moment identities bound it from above,
+      so dphi has rank 2g - 1 = dim X at the sample.
+    * isotropic: {F_i, F_j} = 0 for every i < j, identities for distinct
+      lambda (Moser) that test the code.
+
+    So the fibre through the sample has dimension 2g - 1 and is isotropic.
+    The rank is :func:`~qplab.linalg.rank_exact` of [x^T; J], x first for its
+    cheap pivots.  In a split algebra (a product of fields) the elimination
+    divides only by invertible pivots, units in every factor, so the rank
+    holds in every factor; with no invertible pivot in a nonzero column it
+    raises :class:`~qplab.scalars.NonInvertibleError`.  The gauge sums use the
+    point's numerators and the pencil's integer form, unreduced.
+    """
+    ctx, J, H, _ = _derivatives(x, xi)
+    view, ms = x.numerators(), x.pencil.integer_form()[1]
+    gauge = all(_sums_vanish(_product_numerators((ctx, row, 1), view), ms) for row in J)
+    rank = rank_exact([[_raw(ctx, e, 1) for e in row] for row in [view[1]] + J]) - 1
+    generic = rank == 2 * x.pencil.g - 1
+    isotropic = _brackets_vanish(ctx, J, H)
     return {
         "jacobian_rank": rank,
-        "isotropy_defect": float(defect),
         "generic": generic,
-        "pass": generic and defect <= ISOTROPY_TOL,
+        "gauge": gauge,
+        "isotropic": isotropic,
+        "pass": gauge and generic and isotropic,
     }

@@ -2,8 +2,9 @@
 
 Every scalar is a plain ``fractions.Fraction`` (or int) or a :class:`Biquad`
 element of a rank-4 algebra Q(sqrt(u), sqrt(w)); the arithmetic-heavy code is
-generic over these two kinds.  ``to_complex`` gives the complex value used by
-the numerical checks only.
+generic over these two kinds.  ``to_complex`` gives a scalar's complex value;
+no verdict depends on it, and the tests read it to compare closed forms with
+floating-point differences.
 
 A :class:`Biquad` keeps its four coordinates as integer numerators over one
 shared positive denominator, reduced by a single gcd, so ring operations run

@@ -36,7 +36,6 @@ from .scalars import (
     _raw,
     rational_to_string,
     scalar_to_json,
-    to_complex,
 )
 
 __all__ = [
@@ -145,9 +144,6 @@ class PointOnX:
             raise MembershipError(f"q1={q1}, q2={q2} not both zero")
         if not any(self.coords):
             raise MembershipError("zero vector is not a point")
-
-    def complex_coords(self) -> np.ndarray:
-        return np.array([to_complex(c) for c in self.coords], dtype=complex)
 
     def context(self):
         return self.numerators()[0]
@@ -348,9 +344,6 @@ class CotangentRep:
             if eta[-1]:
                 raise GaugeError("even_restricted requires eta_{2g+1} = 0")
         self.even_restricted = even_restricted
-
-    def complex_eta(self) -> np.ndarray:
-        return np.array([to_complex(c) for c in self.eta], dtype=complex)
 
     def scaled(self, s) -> "CotangentRep":
         return CotangentRep(self.point, [s * c for c in self.eta], self.even_restricted)

@@ -15,7 +15,7 @@ even section are other draws and are not stored.
 
 A failing section names its first failure, {case, index}, through one
 function, fibration._first_failure.  A section whose report holds a field
-over all samples (exact_vanishing, max_isotropy_defect, matches,
+over all samples (exact_vanishing, jacobian_ranks, matches,
 image_rank) checks every sample first; the others stop at the first
 failing one.
 """
@@ -26,8 +26,6 @@ import math
 from fractions import Fraction
 
 from .fibration import (
-    FD_STEP,
-    ISOTROPY_TOL,
     _first_failure,
     _identification_report,
     _mismatch,
@@ -172,27 +170,25 @@ def run_even_check(p: PencilOfQuadrics, seed: int, holdout: int) -> dict:
 def run_lagrangian_check(
     p: PencilOfQuadrics, seed: int, count: int, *, samples=None
 ) -> dict:
-    """Finite-difference Lagrangian check on samples 0..count-1.
+    """The exact Lagrangian certificate on samples 0..count-1.
 
-    The report states the step and the tolerance of the check.  A failing
-    report names the first failing sample: "nongeneric" when its Jacobian
-    rank is short, "isotropy" when the kernel is not isotropic.
+    A failing report names the first failing sample and the first check of
+    :func:`~qplab.fibration.verify_lagrangian` it breaks: "gauge",
+    "nongeneric" or "isotropy".
     """
     samples = _store(samples, p, seed)
     reports = [verify_lagrangian(*samples.pair(i)) for i in range(count)]
-    generic = [r for r in reports if r["generic"]]
     report = {
         "pass": True,
         "samples": count,
-        "generic_samples": len(generic),
+        "generic_samples": sum(r["generic"] for r in reports),
         "jacobian_ranks": sorted({r["jacobian_rank"] for r in reports}),
-        "max_isotropy_defect": max((r["isotropy_defect"] for r in generic), default=0.0),
-        "fd_step": FD_STEP,
-        "tol": ISOTROPY_TOL,
     }
-    # a sample passes only when it is generic
     cases = (
-        None if r["pass"] else "isotropy" if r["generic"] else "nongeneric"
+        None if r["pass"]
+        else "gauge" if not r["gauge"]
+        else "nongeneric" if not r["generic"]
+        else "isotropy"
         for r in reports
     )
     return _first_failure(report, enumerate(cases))

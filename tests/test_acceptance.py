@@ -56,16 +56,15 @@ def test_criterion_3_lagrangian_verification():
     rep = run_lagrangian_check(p, SEED, 20)
     elapsed = time.perf_counter() - t0
     ok = (
-        rep["pass"]
-        and rep["jacobian_ranks"] == [3]
-        and rep["generic_samples"] == 20
-        and rep["max_isotropy_defect"] <= 1e-6
+        rep == {"pass": True, "samples": 20, "generic_samples": 20,
+                "jacobian_ranks": [3]}
         and elapsed < 5.0
     )
     _announce(
         "Lagrangian verification g=2",
         ok,
-        f"rank={rep['jacobian_ranks']}, defect={rep['max_isotropy_defect']:.2e}, {elapsed:.1f}s",
+        f"exact rank={rep['jacobian_ranks']} on {rep['generic_samples']} samples, "
+        f"{elapsed:.1f}s",
     )
 
 

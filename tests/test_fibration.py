@@ -34,7 +34,8 @@ from qplab import (
     verify_lagrangian,
 )
 from qplab.linalg import dot
-from qplab.scalars import ModeMismatchError, scalar_to_json
+from qplab.scalars import ModeMismatchError, _make, scalar_to_json, to_complex
+import qplab.fibration as fibration
 import qplab.variety as variety
 from qplab.variety import CotangentRep, _invertible_pair, _vanishes_on_S, derived_rng
 from test_linalg import _fields
@@ -288,6 +289,11 @@ def test_fibration_chain_in_split_context(g, seed, index, on_Y):
     assert trivial_factor_matches_tangent(kb, frame)
     rep = verify_identification(fit_identification(p), [(x, xi)])
     assert rep == {"pass": True, "samples": 1}
+    # the elimination divides by units of every factor, so the rank holds in
+    # each; on T*Y the last component drops out (see the test on Y below)
+    lagrangian = verify_lagrangian(x, xi)
+    assert lagrangian["jacobian_rank"] == 2 * g - 1 - on_Y
+    assert lagrangian["pass"] is not on_Y
 
 
 def test_chain_looks_up_the_pair_once(monkeypatch):
@@ -551,19 +557,110 @@ def test_verify_rejects_foreign_pencil():
 
 def test_verify_lagrangian_generic_sample():
     x, xi = sample_pair(P2, 131)
-    rep = verify_lagrangian(x, xi)
-    assert rep["generic"]
-    assert rep["jacobian_rank"] == 3
-    assert rep["isotropy_defect"] <= 1e-6
-    assert rep["pass"]
+    assert verify_lagrangian(x, xi) == {
+        "jacobian_rank": 3, "generic": True, "gauge": True, "isotropic": True,
+        "pass": True,
+    }
 
 
 def test_verify_lagrangian_flags_zero_covector():
     x = sample_point(P2, 137)
     xi = CotangentRep(x, [Fraction(0)] * 6)
     rep = verify_lagrangian(x, xi)
-    assert not rep["generic"]
+    assert not rep["generic"] and not rep["pass"]
     assert rep["jacobian_rank"] < 3
+    # J = 0 passes the gauge check and has rank 0 on the cotangent directions
+    assert rep["gauge"] and rep["jacobian_rank"] == 0
+
+
+def test_verify_lagrangian_fails_with_a_moved_weight():
+    # control: at g = 3, F built with lambda_{2g+1} moved by 1/7 is no longer
+    # invariant under eta -> eta + lambda x, and J has rank 6 instead of 5 on
+    # the cotangent directions, on every sample
+    p = canonical_pencil(3)
+    moved = list(p.lambdas)
+    moved[-1] += Fraction(1, 7)
+    p.derived("phi_table", lambda _: fibration._phi_table(PencilOfQuadrics(moved)))
+    for index in range(4):
+        rep = verify_lagrangian(*sample_pair(p, 0, index=index))
+        assert rep["jacobian_rank"] == 6 and not rep["generic"], index
+        assert not rep["gauge"] and not rep["pass"], index
+
+
+def test_brackets_catch_a_wrong_x_gradient(monkeypatch):
+    # control for the isotropy check: one entry of dF/dx changed leaves J,
+    # and so the gauge and the rank, as they are, but breaks a bracket
+    derivatives = fibration._derivatives
+
+    def wrong(x, xi):
+        ctx, J, H, dens = derivatives(x, xi)
+        H[0][1] = tuple([2 * c + 1 for c in H[0][1]])
+        return ctx, J, H, dens
+
+    monkeypatch.setattr(fibration, "_derivatives", wrong)
+    rep = verify_lagrangian(*sample_pair(P2, 131))
+    assert rep == {
+        "jacobian_rank": 3, "generic": True, "gauge": True, "isotropic": False,
+        "pass": False,
+    }
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_verify_lagrangian_on_Y_loses_the_last_component(g):
+    # with x_{2g+1} = eta_{2g+1} = 0 every w_{2g+1,k} vanishes, so F_{2g+1}
+    # vanishes to second order and its row of J is 0: the rank on the
+    # cotangent directions is 2g - 2, while the gauge and the brackets hold
+    p = canonical_pencil(g)
+    for index in range(2):
+        rep = verify_lagrangian(*sample_pair(p, 0, index=index, on_Y=True))
+        assert rep["jacobian_rank"] == 2 * g - 2, index
+        assert rep["gauge"] and rep["isotropic"] and not rep["pass"], index
+
+
+def _phi_float(lambdas, v, eta):
+    """F_j = sum_{k != j} (v_j eta_k - v_k eta_j)^2 / (lambda_k - lambda_j)
+    in complex floats."""
+    lam = [float(c) for c in lambdas]
+    n = len(v)
+    return [sum((v[j] * eta[k] - v[k] * eta[j]) ** 2 / (lam[k] - lam[j])
+                for k in range(n) if k != j) for j in range(n)]
+
+
+def _central_difference(f, base, direction, h=1e-3):
+    plus = f([b + h * d for b, d in zip(base, direction)])
+    minus = f([b - h * d for b, d in zip(base, direction)])
+    return [(a - b) / (2 * h) for a, b in zip(plus, minus)]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_derivatives_match_central_differences(g):
+    # the one numerical check of the closed forms: J zeta for covector
+    # directions zeta (zeta . x = 0) and dF/dx tau = -H tau for tangent
+    # directions tau of X, against central differences of a complex-float
+    # phi.  F is quadratic in eta and in x, so the differences are exact up
+    # to rounding
+    p = canonical_pencil(g)
+    for index in range(2):
+        x, xi = sample_pair(p, 0, index=index)
+        ctx, J, H, dens = fibration._derivatives(x, xi)
+        jac, minus_grad = [
+            [[to_complex(_make(ctx, *e, d)) for e in row] for row, d in zip(m, dens)]
+            for m in (J, H)
+        ]
+        v = [to_complex(c) for c in x.coords]
+        eta = [to_complex(c) for c in xi.eta]
+        zetas = [sample_covector(x, 1, index=k).eta for k in range(2)]
+        taus = tangent_frame(x).S_basis[1:3]
+        cases = [(jac, 1, z, lambda e: _phi_float(p.lambdas, v, e), eta) for z in zetas]
+        cases += [(minus_grad, -1, t, lambda u: _phi_float(p.lambdas, u, eta), v)
+                  for t in taus]
+        for matrix, sign, direction, f, base in cases:
+            d = [to_complex(c) for c in direction]
+            exact = [sign * sum(a * b for a, b in zip(row, d)) for row in matrix]
+            numeric = _central_difference(f, base, d)
+            scale = max(map(abs, exact))
+            assert scale > 0
+            assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-8 * scale
 
 
 ORACLE_PAIRS = (

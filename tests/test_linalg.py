@@ -36,6 +36,7 @@ from qplab import (
     trivial_factor_matches_tangent,
     v_perp_kernel,
     vandermonde_normalizer,
+    verify_lagrangian,
 )
 from qplab.linalg import (
     _det_cofactor,
@@ -784,6 +785,25 @@ def test_f_H_cost_grows_polynomially(monkeypatch):
         assert counts["inverse"] <= 2, g
         monkeypatch.undo()
     assert muls[6] - muls[5] == muls[3] - muls[2]
+
+
+def test_verify_lagrangian_cost_grows_cubically(monkeypatch):
+    # the certificate's Biquad products are those of one rank_exact of the
+    # (2g+3) x (2g+2) matrix [x^T; J]: its derivatives, gauge sums and
+    # brackets run on integer numerators.  It takes 86 / 199 / 380 / 645 /
+    # 1010 products at g = 2..6 and one inverse per pivot, 2g
+    muls = {}
+    for g in range(2, 7):
+        x, xi = sample_pair(canonical_pencil(g), 0)
+        verify_lagrangian(x, xi)  # the pencil's tables
+        counts = count_biquad_ops(monkeypatch)
+        assert verify_lagrangian(x, xi)["pass"], g
+        muls[g] = counts["mul"]
+        assert counts["inverse"] == 2 * g, g
+        assert counts["norm"] == 0, g
+        monkeypatch.undo()
+    for g in range(3, 7):
+        assert muls[g] <= muls[2] * ((2 * g + 2) / 6) ** 3, g
 
 
 def test_phi_components_takes_no_biquad_product(monkeypatch):

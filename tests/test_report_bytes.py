@@ -48,21 +48,21 @@ def report_digest(argv) -> str:
 
 DIGESTS = {
     'verify-all --g=2 --seed=0 --budget=0.05':
-        'a7d5828880432c7141ecb34873d5249e29a25e841ae49242971faedf2f597457',
+        'd9f2b0a59f75f7a8e243d8ab614bf7575437c3afb4f95a4e7cc7803c1389301a',
     'verify-all --g=2 --seed=1 --budget=0.05':
-        '8664466f9844b0e1ca6a469950666f48806132c3e3ba0d7cbfac08c73fe1ee69',
+        '72e86380d340589eb99721099e366ff87571c2320416feb7a7fa0a4f64698ba8',
     'verify-all --g=3 --seed=0 --budget=0.05':
-        '864e547776f0856ac0cdf117ec7123b6e74da72258978ebd828fdb3cf2a6ed20',
+        '7c210575da1470012129cda9310f5b231ef15cb6dd55f2b7e3413997338ac588',
     'verify-all --g=3 --seed=1 --budget=0.05':
-        '913cd64a7462376cd99f3f4d60e37d8bdc41d1d68963df914e72a8ec73dc427b',
+        '7c59aca4d6b0f6a7f24baa8eaeba441cd1055bb5a250cd14e1e8c39bc3899a80',
     'verify-all --g=4 --seed=0 --budget=0.05':
-        '2683a421b01daec709b3addf4972c5483bd3bfcafa5f4bdcf62e812861251d0f',
+        '72f117b65a32a76424c64a9c6736cf4edee5531a566e418eb7fe0fcc6d14345b',
     'verify-all --g=4 --seed=1 --budget=0.05':
-        '1de7b0da7046f7712865d99b322395747059c4559a9d0a4d221a458a3525505f',
+        'b98f88020a828b841f27d9dc22c3f909b9567eeb85ac7965d1aaab1258690429',
     'verify-all --g=5 --seed=0 --budget=0.05':
-        '1981af011bc84cb0673516de59dec9a526255750702eb012d0a59b0b74ccb7f2',
+        'eeece85531ec58669c05e3884ae740dbcaff137e96e14830e58c6f1bc66c4e4d',
     'verify-all --g=5 --seed=1 --budget=0.05':
-        '0bc73d61c54d432b896ebc932b199836159952d386df8a99278688a6e1ec7ef5',
+        'fd344965594ca5c89ae86e50071a70ce4286214b34e6d4af099e55ee249c5a57',
     'phi --g=2 --index=0':
         '246a0f28bfbdb2560edc88b2ee46a512961458d344f6c0de27b5a6dc7b789b12',
     'phi --g=2 --index=0 --on-y':
@@ -114,7 +114,7 @@ DIGESTS = {
     'bundle-splitting --g=2':
         '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
     'verify-all --lambdas=1/3,2,7/2,5,-4/5,11/7 --budget=0.2':
-        'd666fab294c4798fd951201877ad48441136d2633aae5390a01f2d20c32f6bda',
+        '2ef374c3b9d1559317f92d71c02e0045424380ec8787f621f0994883687cc3fd',
     'vandermonde --g=2':
         '8814ef03cda8d7dba3bacd9c12a878e70b23e67150e57195162b760ffd589567',
     'vandermonde --g=3':

@@ -482,12 +482,14 @@ def test_invariance_check_catches_one_covector_off_the_constraint():
 @pytest.mark.parametrize(
     "fake, case",
     [
-        ({"jacobian_rank": 2, "isotropy_defect": 0.0, "generic": False,
+        ({"jacobian_rank": 4, "generic": False, "gauge": False, "isotropic": True,
+          "pass": False}, "gauge"),
+        ({"jacobian_rank": 2, "generic": False, "gauge": True, "isotropic": False,
           "pass": False}, "nongeneric"),
-        ({"jacobian_rank": 3, "isotropy_defect": 1.0, "generic": True,
+        ({"jacobian_rank": 3, "generic": True, "gauge": True, "isotropic": False,
           "pass": False}, "isotropy"),
     ],
-    ids=["nongeneric", "isotropy"],
+    ids=["gauge", "nongeneric", "isotropy"],
 )
 def test_lagrangian_check_names_first_failure(monkeypatch, fake, case):
     # verify_lagrangian is called once per sample, in index order
@@ -498,7 +500,8 @@ def test_lagrangian_check_names_first_failure(monkeypatch, fake, case):
     )
     rep = run_lagrangian_check(P2, seed=3, count=3)
     assert not rep["pass"]
-    assert rep["generic_samples"] == (2 if case == "nongeneric" else 3)
+    assert rep["generic_samples"] == 2 + fake["generic"]
+    assert rep["jacobian_ranks"] == sorted({3, fake["jacobian_rank"]})
     assert rep["first_failure"] == {"case": case, "index": 1}
 
 
