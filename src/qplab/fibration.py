@@ -154,11 +154,14 @@ def f_H(x: PointOnX, xi: CotangentRep) -> BinaryForm:
     (:meth:`~qplab.variety.PointOnX.numerators`) and eta, so they take no
     ``Biquad`` product and no reduction of their own.
     Raises DegenerateCovectorError when eta vanishes on S/V, which the
-    closed form of :func:`_vanishes_on_S` tells without an elimination.
+    closed form of :func:`_vanishes_on_S` tells without an elimination; a
+    rep of the point x keeps that verdict, so a sampled one is not tested
+    again.
     """
     p = x.pencil
     v, eta = x.coords, xi.eta
-    if _vanishes_on_S(x, eta):
+    degenerate = xi.vanishes_on_S() if xi.point is x else _vanishes_on_S(x, eta)
+    if degenerate:
         raise DegenerateCovectorError("eta vanishes on S/V")
     piv = x.pair()[0]
     # the numerator views of x and eta without the entry at piv
@@ -388,7 +391,7 @@ def verify_lagrangian(x: PointOnX, xi: CotangentRep) -> dict:
     """
     ctx, J, H, _ = _derivatives(x, xi)
     view, ms = x.numerators(), x.pencil.integer_form()[1]
-    gauge = all(_sums_vanish(_product_numerators((ctx, row, 1), view), ms) for row in J)
+    gauge = all(_sums_vanish((ctx, row, 1), view, ms) for row in J)
     rank = rank_exact([[_raw(ctx, e, 1) for e in row] for row in [view[1]] + J]) - 1
     generic = rank == 2 * x.pencil.g - 1
     isotropic = _brackets_vanish(ctx, J, H)

@@ -22,8 +22,10 @@ lambdas, runs on Python ints from the pencil's integer form to one
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
 
 from .linalg import (
@@ -35,6 +37,7 @@ from .linalg import (
     rank_exact,
 )
 from .pencil import PencilOfQuadrics
+from .scalars import _is_rational
 from .variety import PointOnX, TangentFrame
 
 __all__ = [
@@ -174,10 +177,33 @@ def _verify_kernel(kb: KernelBasis):
 
 
 def _rank_of_rows(rows) -> int:
-    """Rank of the rows, eliminated sparsest first.  The rank does not depend
-    on their order, and a row with one nonzero entry, like the coordinates of
-    a closed-form basis vector, clears its column without fill-in."""
-    return rank_exact(sorted(rows, key=lambda row: sum(1 for c in row if c)))
+    """Rank of the rows, eliminated sparsest row and sparsest column first.
+
+    A row with one nonzero entry of rational value, like a coordinate
+    vector of the closed-form basis, spans its column's unit vector, so it
+    clears that column without elimination; an identity block is cleared by
+    this alone.  The rank does not depend on the order of rows and columns,
+    so the rest is eliminated with its rows and its columns each in order
+    of their number of nonzero entries: the lifts of a tangent frame,
+    e_k + beta_k e_m in these coordinates, then clear their own columns
+    before the column m they share, with two products each, instead of
+    filling in every row from m.  Over a split algebra either order
+    may meet a nonzero column of zero divisors, and then
+    :func:`~qplab.linalg.rank_exact` raises NonInvertibleError.
+    """
+    cleared = set()
+    rest = []
+    for row in rows:
+        live = [c for c, x in enumerate(row) if x]
+        if len(live) == 1 and _is_rational(row[live[0]]):
+            cleared.add(live[0])
+        else:
+            rest.append((row, live))
+    rest = [(row, [c for c in live if c not in cleared]) for row, live in rest]
+    rest = sorted([r for r in rest if r[1]], key=lambda r: len(r[1]))
+    counts = Counter(chain.from_iterable(live for _, live in rest))
+    cols = sorted(counts, key=counts.__getitem__)
+    return len(cleared) + rank_exact([[row[c] for c in cols] for row, _ in rest])
 
 
 def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
@@ -206,7 +232,7 @@ def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool
     agree iff rank(constants) = rank(frame) = rank(constants + frame) in the
     coordinates of the closed-form basis.  The pivot columns of one echelon
     form of the constants followed by the frame give the first and the
-    last of these; the frame's rows, sparsest first, give the second.
+    last of these; :func:`_rank_of_rows` of the frame's gives the second.
     """
     if not all(kb.point.in_S(s) for s in frame.S_basis):
         return False

@@ -45,14 +45,17 @@ class PencilOfQuadrics:
     def __init__(self, lambdas):
         # a list, not a generator expression: tuple() over a generator made
         # the peak RSS of long runs creep up (measured on CPython 3.11)
-        lambdas = tuple([Fraction(x) for x in lambdas])
+        lambdas = tuple([x if type(x) is Fraction else Fraction(x) for x in lambdas])
         if len(lambdas) < 6 or len(lambdas) % 2 != 0:
             raise PencilError("need an even number (>= 6) of coefficients")
-        if len(set(lambdas)) != len(lambdas):
+        # m_k = L * lambda_k with L > 0, so the ints m_k are distinct iff
+        # the lambdas are, and they hash for less
+        form = _integer_form(lambdas)
+        if len(set(form[1])) != len(lambdas):
             raise PencilError("repeated lambda: the intersection X is singular")
         self.lambdas = lambdas
         self.g = len(lambdas) // 2 - 1
-        self._derived = {}
+        self._derived = {"integer_form": form}
 
     def derived(self, key, build):
         """build(self), computed on the first call with this key and kept on
@@ -64,8 +67,9 @@ class PencilOfQuadrics:
 
     def integer_form(self) -> tuple:
         """(L, ms): L the lcm of the lambdas' denominators and the integers
-        m_k = L * lambda_k, so L * q2 = sum m_k x_k^2.  Built once per pencil."""
-        return self.derived("integer_form", _integer_form)
+        m_k = L * lambda_k, so L * q2 = sum m_k x_k^2.  Built with the pencil,
+        which tests the lambdas distinct on it."""
+        return self._derived["integer_form"]
 
     @property
     def dim_ambient(self) -> int:
@@ -119,8 +123,7 @@ class PencilOfQuadrics:
         return f"PencilOfQuadrics(g={self.g}, lambdas={list(self.lambdas)})"
 
 
-def _integer_form(p: PencilOfQuadrics) -> tuple:
-    lam = p.lambdas
+def _integer_form(lam) -> tuple:
     L = lcm(*[x.denominator for x in lam])
     return L, tuple([x.numerator * (L // x.denominator) for x in lam])
 

@@ -332,6 +332,12 @@ class Biquad:
         return f"Biquad({c0}, {c1}, {c2}, {c3})"
 
 
+def _is_rational(x) -> bool:
+    """True iff the exact scalar x has a rational value: an int, a Fraction
+    or a ``Biquad`` with no irrational coordinate."""
+    return type(x) is not Biquad or not (x._n[1] or x._n[2] or x._n[3])
+
+
 def _exact_context(values, what: str):
     """The one context of the exact scalars in values: that of their
     ``Biquad`` entries, None when every entry is rational.  Raises
@@ -400,23 +406,63 @@ def _scaled_product(ctx, a, b) -> tuple:
     return _mul_numerators(ctx, a, b)
 
 
-def _product_numerators(a, b) -> tuple:
-    """The numerator view of the entrywise products a_k * b_k of two views
-    of one length, over k0*d_a*d_b for k0 = qu*qw of their context (1
-    without one).  A view without a context takes the other's; raises
-    :class:`ModeMismatchError` for two different contexts."""
-    actx, xs, da = a
-    bctx, ys, db = b
-    ctx = actx if bctx is None else bctx
-    if ctx is None:
-        return None, [m * n for m, n in zip(xs, ys)], da * db
+def _joint_entries(a, b) -> tuple:
+    """(ctx, xs, ys): the entries of two views of one length in one shape,
+    ctx their context (None when neither has one); a view without a
+    context takes the other's.  Raises :class:`ModeMismatchError` for two
+    different contexts."""
+    actx, xs, _ = a
+    bctx, ys, _ = b
+    if bctx is None:
+        if actx is not None:
+            ys = [(n, 0, 0, 0) for n in ys]
+        return actx, xs, ys
     if actx is None:
         xs = [(m, 0, 0, 0) for m in xs]
-    elif bctx is None:
-        ys = [(n, 0, 0, 0) for n in ys]
     elif actx is not bctx and actx != bctx:
         raise ModeMismatchError("mixed biquadratic contexts in vector")
-    return ctx, [_scaled_product(ctx, m, n) for m, n in zip(xs, ys)], ctx._k[0] * da * db
+    return bctx, xs, ys
+
+
+def _product_numerators(a, b) -> tuple:
+    """The numerator view of the entrywise products a_k * b_k of two views
+    of one length (:func:`_joint_entries`), over k0*d_a*d_b for k0 = qu*qw
+    of their context (1 without one)."""
+    ctx, xs, ys = _joint_entries(a, b)
+    if ctx is None:
+        return None, [m * n for m, n in zip(xs, ys)], a[2] * b[2]
+    return ctx, [_scaled_product(ctx, m, n) for m, n in zip(xs, ys)], ctx._k[0] * a[2] * b[2]
+
+
+def _product_sums(a, b, ms) -> tuple:
+    """(s, t): the integer numerator columns of sum_k a_k b_k and of
+    sum_k m_k a_k b_k, for two views a and b of one length
+    (:func:`_joint_entries`) and integers m_k, unreduced over the
+    denominator of :func:`_product_numerators`.  One pass over the nonzero
+    entries of b forms each product once for both sums; one column each
+    without a context, four with one."""
+    ctx, xs, ys = _joint_entries(a, b)
+    if ctx is None:
+        s = t = 0
+        for x, y, m in zip(xs, ys, ms):
+            if y:
+                p = x * y
+                s += p
+                t += m * p
+        return (s,), (t,)
+    s0 = s1 = s2 = s3 = t0 = t1 = t2 = t3 = 0
+    for x, y, m in zip(xs, ys, ms):
+        if y != _ZERO_N:
+            p0, p1, p2, p3 = _scaled_product(ctx, x, y)
+            s0 += p0
+            s1 += p1
+            s2 += p2
+            s3 += p3
+            t0 += m * p0
+            t1 += m * p1
+            t2 += m * p2
+            t3 += m * p3
+    return (s0, s1, s2, s3), (t0, t1, t2, t3)
 
 
 def to_complex(x) -> complex:

@@ -23,16 +23,15 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import _pivot_row, _scaled_matvec_numerators, dot, nullspace_exact
+from .linalg import _invert, _pivot_row, _scaled_matvec_numerators, dot
 from .pencil import PencilOfQuadrics
 from .scalars import (
+    _ZERO_N,
     Biquad,
     BiquadContext,
     NonInvertibleError,
-    _columns,
     _common_numerators,
-    _exact_context,
-    _product_numerators,
+    _product_sums,
     _raw,
     rational_to_string,
     scalar_to_json,
@@ -100,24 +99,14 @@ class PointOnX:
         f_H, so none may modify it."""
         return self._nums
 
-    def _products(self, w):
-        """(live, view): the indices k of the nonzero entries of w and the
-        numerator view of the products v_k * w_k over those k
-        (:func:`~qplab.scalars._product_numerators`).  Raises
-        ModeMismatchError for a second context."""
-        live = [k for k, c in enumerate(w) if c]
-        ctx, xs, d = self._nums
-        return live, _product_numerators(
-            (ctx, [xs[k] for k in live], d), _common_numerators([w[k] for k in live]))
-
     def in_S(self, w) -> bool:
         """True iff q1(v, w) = q2(v, w) = 0, that is w lies in
-        S = V^perp(q1) ∩ V^perp(q2).  Each product v_k w_k is formed once
-        for both sums, over the nonzero entries of w only, and neither sum is
-        reduced (:func:`_sums_vanish`)."""
-        live, products = self._products(w)
+        S = V^perp(q1) ∩ V^perp(q2).  Both sums are taken in one pass over
+        the nonzero entries of w, each product v_k w_k formed once, and
+        neither is reduced (:func:`_sums_vanish`).  Raises
+        ModeMismatchError for a second context."""
         ms = self.pencil.integer_form()[1]
-        return _sums_vanish(products, [ms[k] for k in live])
+        return _sums_vanish(self._nums, _common_numerators(w), ms)
 
     def rows(self):
         """[q1(v, .), q2(v, .)], built on the first call and then shared by
@@ -137,8 +126,7 @@ class PointOnX:
         return self._pair
 
     def _check_membership(self):
-        squares = _product_numerators(self._nums, self._nums)
-        if not _sums_vanish(squares, self.pencil.integer_form()[1]):
+        if not _sums_vanish(self._nums, self._nums, self.pencil.integer_form()[1]):
             q1 = self.pencil.q1(self.coords)
             q2 = self.pencil.q2(self.coords)
             raise MembershipError(f"q1={q1}, q2={q2} not both zero")
@@ -241,27 +229,55 @@ def tangent_frame(x: PointOnX) -> TangentFrame:
 
     S_basis is [v] followed by :func:`_lifts` of x, a basis of the vectors
     of S that vanish at the first coordinate of :meth:`PointOnX.pair`,
-    which lift a basis of S/V one to one.
+    which lift a basis of S/V one to one.  The lifts are closed forms, so
+    the frame takes no elimination.
     """
-    lifts = _lifts(x)
-    if len(lifts) != 2 * x.pencil.g - 1:
-        raise ArithmeticError(
-            f"S has dimension {len(lifts) + 1}, expected {2 * x.pencil.g}; "
-            "rows q1(v,.), q2(v,.) must be independent for x on X"
-        )
-    return TangentFrame(x, [list(x.coords)] + lifts)
+    return TangentFrame(x, [list(x.coords)] + _lifts(x))
 
 
 def _lifts(x: PointOnX):
-    """Basis of the vectors of S that vanish at the first coordinate v_k of
-    the point's pair; only :func:`tangent_frame` uses it.
+    """Basis of the vectors of S that vanish at the first coordinate x_i of
+    the point's pair (i, j); only :func:`tangent_frame` uses it.
 
-    As v_k is invertible, S is the line of v plus the vectors of S with k-th
-    coordinate 0, so these lift the quotient S/V one to one.
+    As x_i is invertible, S is the line of v plus the vectors of S with i-th
+    coordinate 0, so these lift the quotient S/V one to one.  For m the
+    first nonzero coordinate after x_j, the lift of each other k is
+    e_k + alpha_k e_j + beta_k e_m with
+    alpha_k = x_k (lambda_k - lambda_m) / ((lambda_m - lambda_j) x_j) and
+    beta_k = x_k (lambda_j - lambda_k) / ((lambda_m - lambda_j) x_m),
+    the entries that put it in the kernel of q1(v, .) and q2(v, .).  As the
+    rows e_i, q1(v, .), q2(v, .) have the pivot columns i, j, m, this is
+    their nullspace basis, taken in closed form.  Where their elimination
+    raises, this raises the same type: NonInvertibleError for a nonzero
+    coordinate before x_j other than x_i (a zero divisor, as x_i and x_j are
+    the first invertible ones) and for a zero divisor x_m, and
+    ArithmeticError when no m exists, as then the rows have rank 2.
     """
-    k = x.pair()[0]
-    unit = [int(i == k) for i in range(len(x.coords))]
-    return nullspace_exact([unit] + x.rows())
+    v, lam = x.coords, x.pencil.lambdas
+    i, _, j, inv_j = x.pair()
+    if any(v[k] for k in range(j) if k != i):
+        raise NonInvertibleError("a zero divisor before the second invertible coordinate")
+    m = next((k for k in range(j + 1, len(v)) if v[k]), None)
+    if m is None:
+        raise ArithmeticError(
+            f"S has dimension {len(v) - 1}, expected {2 * x.pencil.g}; "
+            "rows q1(v,.), q2(v,.) must be independent for x on X"
+        )
+    d = 1 / (lam[m] - lam[j])
+    c_j, c_m = inv_j * d, _invert(v[m]) * d
+    ctx = x.context()
+    zero, one = _raw(ctx, _ZERO_N, 1), _raw(ctx, (1, 0, 0, 0), 1)
+    lifts = []
+    for k, c in enumerate(v):
+        if k == i or k == j or k == m:
+            continue
+        w = [zero] * len(v)
+        w[k] = one
+        if c:
+            w[j] = c_j * (c * (lam[k] - lam[m]))
+            w[m] = c_m * (c * (lam[j] - lam[k]))
+        lifts.append(w)
+    return lifts
 
 
 def _invertible_pair(v):
@@ -303,12 +319,14 @@ def _vanishes_on_S(x: PointOnX, eta) -> bool:
     return all(e == (a + b * l) * c for e, l, c in zip(eta, lam, v))
 
 
-def _sums_vanish(products, ms) -> bool:
-    """True iff sum_k P_k and sum_k m_k P_k are both 0, for the numerator
-    view of the products P_k and integers m_k: a sum is zero iff its integer
-    sum is in every numerator column, so nothing is reduced.  With
-    m_k = L * lambda_k the two sums are those of q1 and L times those of q2."""
-    return not any(sum(c) or sum(map(mul, ms, c)) for c in _columns(products))
+def _sums_vanish(a, b, ms) -> bool:
+    """True iff sum_k a_k b_k and sum_k m_k a_k b_k are both 0, for two
+    numerator views a and b and integers m_k: a sum is zero iff its integer
+    sum is in every numerator column (:func:`~qplab.scalars._product_sums`),
+    so nothing is reduced.  With m_k = L * lambda_k the two sums are those
+    of q1 and L times those of q2."""
+    s, t = _product_sums(a, b, ms)
+    return not (any(s) or any(t))
 
 
 def quotient_even(x: PointOnX):
@@ -326,17 +344,18 @@ class CotangentRep:
     q1(v, .) and q2(v, .).
     """
 
-    __slots__ = ("point", "eta", "even_restricted")
+    __slots__ = ("point", "eta", "even_restricted", "_degenerate")
 
     def __init__(self, point: PointOnX, eta, even_restricted: bool = False):
         eta = list(eta)
         if len(eta) != point.pencil.dim_ambient:
             raise ValueError("wrong covector length")
-        _exact_context(eta, "covector entries")
+        view = _common_numerators(eta, "covector entries")
         self.point = point
         self.eta = eta
-        # eta(v) = 0 iff the sum of its products vanishes in every column
-        if any(map(sum, _columns(point._products(eta)[1]))):
+        # eta(v) = 0 iff the first of the two product sums is 0 in every column
+        ms = point.pencil.integer_form()[1]
+        if any(_product_sums(point.numerators(), view, ms)[0]):
             raise GaugeError(f"eta(v) = {dot(point.coords, eta)} != 0")
         if even_restricted:
             if not point.on_Y:
@@ -344,6 +363,15 @@ class CotangentRep:
             if eta[-1]:
                 raise GaugeError("even_restricted requires eta_{2g+1} = 0")
         self.even_restricted = even_restricted
+        self._degenerate = None
+
+    def vanishes_on_S(self) -> bool:
+        """True iff eta vanishes on S of its point (:func:`_vanishes_on_S`),
+        so that it is 0 on S/V.  Tested on the first call and then kept, so
+        the sampler and f_H share one verdict."""
+        if self._degenerate is None:
+            self._degenerate = _vanishes_on_S(self.point, self.eta)
+        return self._degenerate
 
     def scaled(self, s) -> "CotangentRep":
         return CotangentRep(self.point, [s * c for c in self.eta], self.even_restricted)
@@ -361,8 +389,9 @@ def sample_covector(
     point's pair, which is -(sum_{k != p} x_k eta_k) / x_p.  That sum is
     taken on the point's numerators and reduced once
     (:func:`~qplab.linalg._scaled_matvec_numerators` with the draws as its
-    one row).  A draw that vanishes on S (:func:`_vanishes_on_S`), the zero
-    covector among them, is redrawn.
+    one row).  A draw that vanishes on S (:meth:`CotangentRep.vanishes_on_S`),
+    the zero covector among them, is redrawn; the returned rep keeps that
+    verdict.
     """
     rng = derived_rng(seed, index + (1 << 32))
     n = x.pencil.dim_ambient
@@ -376,8 +405,9 @@ def sample_covector(
         s = _scaled_matvec_numerators([draws], [1], view)[0]
         eta = [Fraction(c) for c in draws]
         eta[pivot] = -(s * inv_vp)
-        if not _vanishes_on_S(x, eta):
-            return CotangentRep(x, eta, even_restricted)
+        xi = CotangentRep(x, eta, even_restricted)
+        if not xi.vanishes_on_S():
+            return xi
     raise SampleBudgetError("no covector nonzero on S drawn within budget")
 
 

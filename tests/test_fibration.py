@@ -149,9 +149,12 @@ def test_f_H_degenerate_covector_rejected():
     x = sample_point(P2, 101)
     # an eta vanishing on all of S: combination of the gauge generators
     eta = [a + b for a, b in zip(P2.q1_row(x.coords), P2.q2_row(x.coords))]
+    # a rep of another object for the same point carries no verdict for x
+    twin = PointOnX(P2, x.coords)
     for covector in (eta, [Fraction(0)] * 6, P2.q2_row(x.coords)):
-        with pytest.raises(DegenerateCovectorError):
-            f_H(x, CotangentRep(x, covector))
+        for point in (x, twin):
+            with pytest.raises(DegenerateCovectorError):
+                f_H(x, CotangentRep(point, covector))
 
 
 def vanishes_by_rank(x, eta):

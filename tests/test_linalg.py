@@ -49,6 +49,7 @@ from qplab.linalg import (
     scaled_matvec,
 )
 from qplab.scalars import ModeMismatchError, _make
+from qplab.variety import _vanishes_on_S
 import qplab.fibration as fibration
 
 
@@ -729,22 +730,27 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 282 products and 38 inverses and no norm (447
-    # products when the point's zero tests, q1 = q2 = 0, eta(v) = 0 and
-    # q1(v, w) = q2(v, w) = 0 for the kernel columns and the frame, and f_H's
-    # products x_k^2 and x_k eta_k ran the Biquad operators term by term;
-    # 582 when phi_components ran them on each pair j < k, 135 of them, and
-    # 750 when f_H also reduced every term of its weighted sums and of its
-    # interpolation instead of every output of its fixed rational maps): every
-    # pivot search, _invertible_pair included, inverts its candidates
+    # Per sample it takes 179 products and 19 inverses and no norm (282
+    # products and 38 inverses when tangent_frame took one nullspace, the
+    # ranks of the splitting eliminated their columns in index order and f_H
+    # tested the covector for degeneracy again; 447 products when the
+    # point's zero tests, q1 = q2 = 0, eta(v) = 0 and q1(v, w) = q2(v, w) = 0
+    # for the kernel columns and the frame, and f_H's products x_k^2 and
+    # x_k eta_k ran the Biquad operators term by term; 582 when
+    # phi_components ran them on each pair j < k, 135 of them, and 750 when
+    # f_H also reduced every term of its weighted sums and of its
+    # interpolation instead of every output of its fixed rational maps):
+    # every pivot search, _invertible_pair included, inverts its candidates
     # instead of testing their norm; the point looks up its invertible pair
     # once (43 inverses when the sampler, the frame, f_H and the kernel basis
-    # each looked it up); tangent_frame takes one nullspace, f_H
-    # a closed-form degeneracy test and 3x3 determinants, the kernel columns
-    # are closed forms, and the span questions of the splitting are ranks of
-    # sparse rows in the coordinates of the closed-form basis of S.  The rows
-    # q1(v, .) and q2(v, .) are built once per point (770 products when the
-    # frame, the kernel check and the trivial-factor check each built them)
+    # each looked it up); tangent_frame is a closed form, f_H reads the
+    # sampled covector's degeneracy verdict and takes 3x3 determinants, the
+    # kernel columns are closed forms, and the span questions of the
+    # splitting are ranks of sparse rows in the coordinates of the
+    # closed-form basis of S, its singleton rows cleared without elimination
+    # and the rest taken sparsest column first.  The rows q1(v, .) and
+    # q2(v, .) are built once per point (770 products when the frame, the
+    # kernel check and the trivial-factor check each built them)
     p = canonical_pencil(4)
     counts = count_biquad_ops(monkeypatch)
     for i in range(3):
@@ -755,22 +761,24 @@ def test_g4_chain_operation_counts(monkeypatch):
         kb = v_perp_kernel(p, x)
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
-    assert counts["mul"] <= 3 * 282
-    assert counts["inverse"] <= 3 * 40
+    assert counts["mul"] <= 3 * 179
+    assert counts["inverse"] <= 3 * 19
     assert counts["norm"] == 0
 
 
 def test_f_H_cost_grows_polynomially(monkeypatch):
-    # f_H takes a closed-form degeneracy test, 2g-1 determinants of size 3
-    # and fixed rational maps of the pencil applied on integer numerators,
-    # which take no Biquad product, so its products grow linearly:
-    # 42 / 62 / 82 / 102 / 122 at g = 2..6, 20g + 2, as x_k^2, x_k eta_k and
-    # eta_k^2 come from the numerators of x and eta (24g + 4 when they were
-    # operator products; with one product per term of its weighted sums and
-    # of a Newton interpolation it took 91 / 171 / 268 / 394 / 533).  Its only
-    # inverses are those of the point's invertible pair: none once
-    # sample_pair has looked the pair up, 2 at every g on a point whose pair
-    # was never looked up
+    # f_H takes 2g-1 determinants of size 3 and fixed rational maps of the
+    # pencil applied on integer numerators, which take no Biquad product,
+    # so its products grow linearly: 32 / 52 / 72 / 92 / 112 at g = 2..6,
+    # 20g - 8, as x_k^2, x_k eta_k and eta_k^2 come from the numerators of x
+    # and eta and a sampled covector keeps the degeneracy verdict of the
+    # sampler (20g + 2 when f_H tested the covector again; 24g + 4 when the
+    # products were operator products; with one product per term of its
+    # weighted sums and of a Newton interpolation it took 91 / 171 / 268 /
+    # 394 / 533).  A rep built by hand is tested: its f_H costs exactly one
+    # closed-form degeneracy test more, and the inverses of that test are
+    # those of the point's invertible pair, 2 on a point whose pair was
+    # never looked up and none once sample_pair has looked it up
     muls = {}
     for g in range(2, 7):
         x, xi = sample_pair(canonical_pencil(g), 0)
@@ -780,11 +788,15 @@ def test_f_H_cost_grows_polynomially(monkeypatch):
         f_H(x, xi)
         muls[g] = counts["mul"]
         assert counts["inverse"] == 0, g
+        _vanishes_on_S(PointOnX(x.pencil, x.coords), xi.eta)
+        test = counts["mul"] - muls[g]
+        assert test > 0 and counts["inverse"] == 2, g
         f_H(fresh, fresh_xi)
-        assert counts["mul"] == 2 * muls[g], g
-        assert counts["inverse"] <= 2, g
+        assert counts["mul"] == 2 * muls[g] + 2 * test, g
+        assert counts["inverse"] == 4, g
         monkeypatch.undo()
     assert muls[6] - muls[5] == muls[3] - muls[2]
+    assert muls[2] == 32
 
 
 def test_verify_lagrangian_cost_grows_cubically(monkeypatch):
@@ -851,16 +863,22 @@ def test_sample_point_takes_no_biquad_product(monkeypatch):
 
 def test_splitting_chain_cost_grows_linearly(monkeypatch):
     # tangent_frame, v_perp_kernel, n_tilde_splitting and the trivial-factor
-    # check take 81 / 131 / 189 / 255 / 329 / 411 / 501 products and
-    # 8g + 4 inverses at g = 2..8: one nullspace, closed-form columns whose
-    # membership in S, like that of the frame's vectors, is tested on the
-    # point's numerators, the rows q1(v, .) and q2(v, .) built once, the
-    # invertible pair that sample_pair looked up, and ranks of rows with one
-    # or two nonzero entries, each pivot inverted once
-    # (130 / 206 / 290 / 382 / 482 / 590 / 706 products when the membership
-    # tests applied the rows to each vector term by term; with a nullspace
-    # for the constant columns and ranks of ambient vectors
-    # it took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses;
+    # check take 52 / 74 / 96 / 118 / 140 / 162 / 184 products (22g + 8) and
+    # 4g + 1 inverses at g = 2..8: a closed-form frame with one inverse,
+    # closed-form columns whose membership in S, like that of the frame's
+    # vectors, is tested on the point's numerators, the rows q1(v, .) and
+    # q2(v, .) built once, the invertible pair that sample_pair looked up,
+    # and ranks of rows with one or two nonzero entries: singleton rows
+    # clear their columns without elimination, so the ranks of the constant
+    # columns take no product, and the frame's rows, taken sparsest column
+    # first, clear their own columns before the one they share, with two
+    # products and one inverse each
+    # (81 / 131 / 189 / 255 / 329 / 411 / 501 products and 8g + 4 inverses
+    # with one nullspace for the frame and its columns eliminated in index
+    # order; 130 / 206 / 290 / 382 / 482 / 590 / 706 products when the
+    # membership tests applied the rows to each vector term by term; with a
+    # nullspace for the constant columns and ranks of ambient vectors it
+    # took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses;
     # with the pair looked up again by the frame and the kernel basis,
     # 8g + 7)
     muls = {}
@@ -872,9 +890,33 @@ def test_splitting_chain_cost_grows_linearly(monkeypatch):
         assert n_tilde_splitting(kb).degrees == (0,) * (2 * g - 1) + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
         muls[g] = counts["mul"]
-        assert counts["inverse"] <= 8 * g + 4, g
+        assert counts["inverse"] <= 4 * g + 1, g
         monkeypatch.undo()
-    assert muls[8] <= 4 * muls[3]
+    assert muls[2] == 52
+    assert all(muls[g + 1] - muls[g] == 22 for g in range(2, 8))
+
+
+def test_tangent_frame_takes_no_elimination(monkeypatch):
+    # the lifts are closed forms: no forward elimination runs, and the frame
+    # takes 4 products per lift with x_k != 0 and 2 more for its two
+    # scales, 8g - 2 on X and 8g - 6 on Y, and the one inverse of x_m
+    import qplab.linalg as linalg
+
+    def forbidden(*args):
+        raise AssertionError("tangent_frame eliminated")
+
+    for g in range(2, 9):
+        for on_Y in (False, True):
+            x = sample_point(canonical_pencil(g), 0, on_Y=on_Y)
+            x.pair()
+            monkeypatch.setattr(linalg, "_eliminate", forbidden)
+            monkeypatch.setattr(linalg, "_bareiss", forbidden)
+            counts = count_biquad_ops(monkeypatch)
+            frame = tangent_frame(x)
+            assert len(frame.S_basis) == 2 * g
+            assert counts["mul"] == 8 * g - 2 - 4 * on_Y, (g, on_Y)
+            assert counts["inverse"] == 1, (g, on_Y)
+            monkeypatch.undo()
 
 
 def test_pivot_columns_take_no_norms(monkeypatch):

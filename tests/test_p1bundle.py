@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qplab.p1bundle as p1bundle
 from qplab import (
+    BiquadContext,
     ModeMismatchError,
     NonInvertibleError,
     PencilOfQuadrics,
@@ -243,6 +244,86 @@ def test_splitting_matches_greedy_span_loop():
         assert greedy_constant_count(short) == 2 * p.g - 2
         with pytest.raises(SplittingError):
             n_tilde_splitting(short)
+
+
+# Q(sqrt 2, sqrt 3) is a field, so every nonzero entry is invertible there
+FIELD = BiquadContext(2, 3)
+
+
+@st.composite
+def sparse_rows(draw):
+    """A few sparse rows of one kind, rational or Biquad of FIELD: entries
+    mostly zero, some rows zero, and singleton rows (rational or irrational
+    entry) drawn again and again on few columns."""
+    biquad = draw(st.booleans())
+    cols = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    if biquad:
+        entry = st.builds(FIELD.element, small, small, small, small)
+        rational = st.builds(FIELD.embed, small)
+        zero = FIELD.embed(0)
+    else:
+        entry = rational = st.builds(Fraction, small, st.integers(1, 4))
+        zero = Fraction(0)
+    sparse = st.one_of(st.just(zero), st.just(zero), entry)
+    dense = st.lists(sparse, min_size=cols, max_size=cols)
+    singleton = st.tuples(st.integers(0, min(cols, 3) - 1), st.one_of(rational, entry))
+    rows = draw(st.lists(st.one_of(dense, singleton), max_size=7))
+    out = []
+    for row in rows:
+        if isinstance(row, tuple):
+            c, value = row
+            row = [zero] * cols
+            row[c] = value
+        out.append(row)
+    return out
+
+
+@given(sparse_rows())
+@settings(max_examples=150, deadline=None)
+def test_rank_of_rows_is_the_rank_of_the_rows(rows):
+    # clearing singleton columns and permuting rows and columns keeps the
+    # rank of the rows as given
+    assert p1bundle._rank_of_rows(rows) == rank_exact(rows)
+
+
+def test_rank_of_rows_leaves_a_zero_divisor_to_the_elimination():
+    # in a split algebra only a unit clears its column: a singleton zero
+    # divisor has no invertible pivot, as in rank_exact, and a rational one
+    # beside it clears that column first
+    ctx = BiquadContext(4, 3)
+    zd, zero = ctx.sqrt_u() - 2, ctx.embed(0)
+    for rows in ([[zd]], [[zero, zd], [zd, zero]]):
+        for rank in (rank_exact, p1bundle._rank_of_rows):
+            with pytest.raises(NonInvertibleError):
+                rank(rows)
+    rows = [[zd, zero], [ctx.embed(3), zero]]
+    assert p1bundle._rank_of_rows(rows) == rank_exact(rows) == 1
+
+
+def test_rank_of_rows_clears_an_identity_block_without_elimination(monkeypatch):
+    # the coordinates of the constant columns are an identity block; with a
+    # dense row beneath it the rank is still read without an elimination:
+    # what is left for rank_exact has no rows
+    import qplab.linalg as linalg
+
+    eliminated = []
+    for name in ("_eliminate", "_bareiss"):
+        routine = getattr(linalg, name)
+
+        def recorded(a, routine=routine):
+            eliminated.append(len(a))
+            return routine(a)
+
+        monkeypatch.setattr(linalg, name, recorded)
+    for g in (2, 4):
+        x = sample_point(canonical_pencil(g), 0)
+        kb = v_perp_kernel(x.pencil, x)
+        for rows in (kb.S_coordinates(kb.constants()),
+                     kb.S_coordinates([x.coords] + kb.constants())):
+            eliminated.clear()
+            assert p1bundle._rank_of_rows(rows) == 2 * g
+            assert eliminated == [0]
 
 
 def test_kernel_requires_exact_point():

@@ -21,6 +21,22 @@ def test_validation():
         PencilOfQuadrics([0, 1, 2, 3, 4, 4])  # repeated: singular X
 
 
+def test_repeats_are_found_on_the_integer_form():
+    # the same rational given as a Fraction, an int, a float or a string is
+    # a repeat; Fractions are kept as given, and the pencil is built with
+    # its integer form, on which the repeats are tested
+    for twin in (2, 2.0, "2", "4/2"):
+        with pytest.raises(PencilError, match="^repeated lambda: the intersection X is singular$"):
+            PencilOfQuadrics([Fraction(1, 3), Fraction(2), Fraction(-5, 6), 7, twin, 9])
+    with pytest.raises(PencilError, match=r"^need an even number \(>= 6\) of coefficients$"):
+        PencilOfQuadrics([Fraction(1, 3), 2, 2])
+    lams = [Fraction(1, 3), Fraction(-5, 6), 2, "7/4", 0.5, 9]
+    p = PencilOfQuadrics(lams)
+    assert p.lambdas[0] is lams[0] and p.lambdas[1] is lams[1]
+    assert all(type(x) is Fraction for x in p.lambdas)
+    assert p._derived == {"integer_form": (12, (4, -10, 24, 21, 6, 108))}
+
+
 def test_near_duplicate_rationals_are_distinct():
     lams = [Fraction(1), Fraction(1) + Fraction(1, 10**15), 2, 3, 4, 5]
     p = PencilOfQuadrics(lams)

@@ -27,7 +27,9 @@ def _argv() -> list:
             for index in (0, 1):
                 argv.append((command, f"--g={g}", f"--index={index}"))
                 argv.append((command, f"--g={g}", f"--index={index}", "--on-y"))
-    argv.append(("bundle-splitting", "--g=2"))
+    for g in (2, 3, 4, 5, 6):
+        argv.append(("bundle-splitting", f"--g={g}"))
+    argv.append(("bundle-splitting", "--lambdas=1/3,2,7/2,5,-4/5,11/7"))
     argv.append(("verify-all", "--lambdas=1/3,2,7/2,5,-4/5,11/7", "--budget=0.2"))
     for g in (2, 3, 4, 5):
         argv.append(("vandermonde", f"--g={g}"))
@@ -112,6 +114,16 @@ DIGESTS = {
     'sample --g=4 --index=1 --on-y':
         '98b96b1c6e3ae7a11546239ef4333b551b1631b86664a27b77e40687ff9f7c6c',
     'bundle-splitting --g=2':
+        '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
+    'bundle-splitting --g=3':
+        '0f972dcd86d998dd9fc27322396a576f7abb112aeaee89a8f789b9df485e0d36',
+    'bundle-splitting --g=4':
+        'ce92244e0558d09747b2e94c8620d495f168e2458b5376f75b501cd633f60e7b',
+    'bundle-splitting --g=5':
+        'ef3be34f24ebc6023854c7af7a097841eba37000e745c7276ba2415074b3e230',
+    'bundle-splitting --g=6':
+        '64b9ccc44cd12ee8d2a8eef8d5fdf5ee80d1645dce4bb1233e079b5c8cc2c679',
+    'bundle-splitting --lambdas=1/3,2,7/2,5,-4/5,11/7':
         '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
     'verify-all --lambdas=1/3,2,7/2,5,-4/5,11/7 --budget=0.2':
         '2ef374c3b9d1559317f92d71c02e0045424380ec8787f621f0994883687cc3fd',

@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 
 from qplab import (
+    BiquadContext,
     CotangentRep,
     GaugeError,
     MembershipError,
+    NonInvertibleError,
+    PencilOfQuadrics,
     PointOnX,
     canonical_pencil,
     derived_rng,
+    nullspace_exact,
     quotient_even,
     sample_covector,
     sample_pair,
@@ -19,7 +23,8 @@ from qplab import (
     tangent_frame,
 )
 from qplab.linalg import in_span
-from test_fibration import _typed_fields
+from qplab.scalars import _common_numerators
+from test_fibration import SPLIT_PAIRS, _typed_fields
 
 P2 = canonical_pencil(2)
 P3 = canonical_pencil(3)
@@ -108,6 +113,89 @@ def test_tangent_frame_dimensions():
             assert sum((a * b for a, b in zip(p.q2_row(x.coords), w)), start=Fraction(0)) == 0
         # the quotient basis stays independent after adding v
         assert not in_span(frame.S_basis[1:], list(x.coords))
+
+
+def nullspace_lifts(x):
+    """Oracle for the frame's lifts: the nullspace of the rows e_i,
+    q1(v, .) and q2(v, .), i the first coordinate of the point's pair."""
+    i = x.pair()[0]
+    unit = [int(k == i) for k in range(len(x.coords))]
+    return nullspace_exact([unit] + x.rows())
+
+
+# lambdas whose triples (0, 9, 25), (0, 25, -144) and (0, 9, -16) differ by
+# rational squares up to sign, so X has points over Q(i) on three
+# coordinates, and on four: (1, 1, i, i) and (1, 3, 3i, 0, i, 0)
+PYTHAGOREAN = PencilOfQuadrics([0, 9, 25, -16, -144, 1])
+GAUSSIAN_POINTS = [
+    [(4, 0), (0, 5), (3, 0), 0, 0, 0],
+    [(0, 13), 0, (12, 0), 0, (5, 0), 0],
+    [(0, 5), (4, 0), 0, (3, 0), 0, 0],
+    [(0, 5), (-4, 0), 0, (3, 0), 0, 0],
+    [(1, 0), (1, 0), (0, 1), (0, 1), 0, 0],
+    [(1, 0), (3, 0), (0, 3), 0, (0, 1), 0],
+]
+
+
+def gaussian_point(a, b=None):
+    """The point a of X over Q(i) in Q(i, sqrt 2), a field; with b also a
+    point, e a + (1 - e) b over Q(i, s) with s^2 = 1, for the idempotent
+    e = (1 + s) / 2, a point of the split algebra Q(i)^2 with the zero
+    divisors e and 1 - e."""
+    ctx = BiquadContext(-1, 2 if b is None else 1)
+    i = ctx.sqrt_u()
+
+    def lift(c):
+        return ctx.embed(0) if c == 0 else c[0] + c[1] * i
+
+    if b is None:
+        return PointOnX(PYTHAGOREAN, [lift(c) for c in a])
+    e = (1 + ctx.sqrt_w()) * Fraction(1, 2)
+    return PointOnX(PYTHAGOREAN, [e * lift(c) + (1 - e) * lift(d) for c, d in zip(a, b)])
+
+
+def test_closed_form_frame_is_the_nullspace_basis():
+    # sampled points on X and Y at g = 2..6 and in split contexts, and hand
+    # built points with zero divisors: the lifts equal the nullspace basis
+    # field for field, and where the nullspace raises the frame raises the
+    # same type.  Over the split algebra a zero divisor before the pair's
+    # second coordinate raises, with x_m a zero divisor too (a with b) or
+    # invertible (f with b), and so does a zero divisor at x_m (a with c);
+    # one after x_m (a with d) and m = 3 (c with its sign flip) do not
+    points = [sample_point(canonical_pencil(g), 7, index=i, on_Y=y)
+              for g in range(2, 7) for i in range(6) for y in (False, True)]
+    points += [sample_point(canonical_pencil(g), s, index=i, on_Y=y)
+               for g, s, i, y in SPLIT_PAIRS]
+    a, b, c, c_flip, d, f = GAUSSIAN_POINTS
+    points += [gaussian_point(a), gaussian_point(c)]
+    points += [gaussian_point(a, w) for w in (b, c, d)]
+    points += [gaussian_point(c, c_flip), gaussian_point(f, b)]
+    raised = []
+    for x in points:
+        try:
+            want = nullspace_lifts(x)
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                tangent_frame(x)
+            raised.append(type(exc))
+            continue
+        got = tangent_frame(x).S_basis[1:]
+        assert [_typed_fields(w) for w in got] == [_typed_fields(w) for w in want]
+    assert raised == [NonInvertibleError] * 3
+
+
+def test_frame_raises_when_the_rows_have_rank_two():
+    # no point of X is nonzero on its pair alone (x_j^2 would vanish), so a
+    # stand-in with the membership check bypassed holds such coordinates:
+    # the rows then have rank 2 and S the wrong dimension
+    ctx = BiquadContext(-1, 2)
+    x = object.__new__(PointOnX)
+    x.pencil, x.on_Y, x._rows, x._pair = P2, False, None, None
+    x.coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(0)] * 4
+    x._nums = _common_numerators(x.coords)
+    assert len(nullspace_lifts(x)) == 4
+    with pytest.raises(ArithmeticError, match="S has dimension 5, expected 4"):
+        tangent_frame(x)
 
 
 def test_covector_gauge_constraint():
