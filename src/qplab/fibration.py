@@ -307,9 +307,9 @@ def _first_failure(report: dict, cases) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _derivatives(x: PointOnX, xi: CotangentRep) -> tuple:
+def _derivatives(x: PointOnX, eta) -> tuple:
     """(ctx, J, H, dens): J = dF/deta and H = -dF/dx at (x, eta) on integer
-    numerators.
+    numerators, for the covector entries eta.
 
     With w_jk = x_j eta_k - x_k eta_j and the symmetric c_jk = 2 w_jk /
     (lambda_k - lambda_j), J and H are M(x) and M(eta) for M(y)_jk = c_jk y_j
@@ -322,7 +322,7 @@ def _derivatives(x: PointOnX, xi: CotangentRep) -> tuple:
     """
     n = len(x.coords)
     rows, scales = x.pencil.derived("phi_table", _phi_table)
-    ctx, nums, d = _common_numerators(list(x.coords) + list(xi.eta))
+    ctx, nums, d = _common_numerators(list(x.coords) + list(eta))
     xs, es = nums[:n], nums[n:]
     c = [[_ZERO_N] * n for _ in range(n)]
     for j in range(n):
@@ -350,6 +350,16 @@ def _weighted(ctx, c, y) -> list:
         row[j] = tuple([-sum(col) for col in zip(*terms)])
         out.append(row)
     return out
+
+
+def _gauge_vanishes(x: PointOnX, ctx, J) -> bool:
+    """True iff J x = J (lambda x) = 0 for J of :func:`_derivatives` at x:
+    each row's two sums are taken on the point's numerators and the
+    pencil's integer form, unreduced (:func:`~qplab.variety._sums_vanish`).
+    J x = 0 holds for every eta; (J lambda x)_j = 2 x_j^2 eta(x), so the
+    test fails off the constraint eta(x) = 0."""
+    view, ms = x.numerators(), x.pencil.integer_form()[1]
+    return all(_sums_vanish((ctx, row, 1), view, ms) for row in J)
 
 
 def _brackets_vanish(ctx, J, H) -> bool:
@@ -386,13 +396,13 @@ def verify_lagrangian(x: PointOnX, xi: CotangentRep) -> dict:
     cheap pivots.  In a split algebra (a product of fields) the elimination
     divides only by invertible pivots, units in every factor, so the rank
     holds in every factor; with no invertible pivot in a nonzero column it
-    raises :class:`~qplab.scalars.NonInvertibleError`.  The gauge sums use the
-    point's numerators and the pencil's integer form, unreduced.
+    raises :class:`~qplab.scalars.NonInvertibleError`.  The gauge is
+    :func:`_gauge_vanishes`.
     """
-    ctx, J, H, _ = _derivatives(x, xi)
-    view, ms = x.numerators(), x.pencil.integer_form()[1]
-    gauge = all(_sums_vanish((ctx, row, 1), view, ms) for row in J)
-    rank = rank_exact([[_raw(ctx, e, 1) for e in row] for row in [view[1]] + J]) - 1
+    ctx, J, H, _ = _derivatives(x, xi.eta)
+    gauge = _gauge_vanishes(x, ctx, J)
+    xs = x.numerators()[1]
+    rank = rank_exact([[_raw(ctx, e, 1) for e in row] for row in [xs] + J]) - 1
     generic = rank == 2 * x.pencil.g - 1
     isotropic = _brackets_vanish(ctx, J, H)
     return {

@@ -27,18 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import prod
+from operator import sub
 
-from .linalg import (
-    _bareiss,
-    _integer_null_vectors,
-    _pivot_columns,
-    dot,
-    matvec,
-    rank_exact,
-)
+from .linalg import _bareiss, _integer_null_vectors, _pivot_columns, rank_exact
 from .pencil import PencilOfQuadrics
-from .scalars import _is_rational
-from .variety import PointOnX, TangentFrame
+from .scalars import _common_numerators, _is_rational, _product_sums
+from .variety import PointOnX, TangentFrame, _S_vectors
 
 __all__ = [
     "KernelBasis",
@@ -98,11 +92,10 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     Koszul column.
 
     Let i < j be the pair of x (:meth:`~qplab.variety.PointOnX.pair`), its
-    first two invertible coordinates.  For each other
-    k the constant column is w = e_k + a_k e_i + b_k e_j with
-    a_k = x_k (lambda_k - lambda_j) / ((lambda_j - lambda_i) x_i) and
-    b_k = x_k (lambda_i - lambda_k) / ((lambda_j - lambda_i) x_j), the one
-    vector of S that is e_k off {i, j}; so these 2g columns are a basis of S.
+    first two invertible coordinates.  For each other k the constant column
+    is the one vector of S that is e_k off {i, j}
+    (:func:`~qplab.variety._S_vectors`, the closed form of the tangent
+    frame's lifts); so these 2g columns are a basis of S.
     When the rows q1(v, .), q2(v, .) have pivot columns i, j they are also
     the nullspace basis of those rows.  The degree-1 column is the Koszul
     syzygy w_i = (t - lambda_j) x_j, w_j = -(t - lambda_i) x_i.  Its leading
@@ -121,19 +114,9 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
     v = x.coords
     lam = p.lambdas
     i, inv_i, j, inv_j = x.pair()
-    d = lam[j] - lam[i]
-    c_i, c_j = inv_i * (1 / d), inv_j * (1 / d)
+    others = [k for k in range(len(v)) if k != i and k != j]
+    cols = [[w] for w in _S_vectors(x, i, inv_i, j, inv_j, others)]
     zero = v[i] - v[i]
-    one = zero + 1
-    cols = []
-    for k in range(len(v)):
-        if k == i or k == j:
-            continue
-        w = [zero] * len(v)
-        w[k] = one
-        w[i] = v[k] * (lam[k] - lam[j]) * c_i
-        w[j] = v[k] * (lam[i] - lam[k]) * c_j
-        cols.append([w])
     w0, w1 = [zero] * len(v), [zero] * len(v)
     w0[i], w0[j] = v[j] * -lam[j], v[i] * lam[i]
     w1[i], w1[j] = v[j], -v[i]
@@ -146,20 +129,26 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
 def _verify_kernel(kb: KernelBasis):
     # M(t) = t*a - b with a = x and b = (lambda_k x_k), so the t^k coefficient
     # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k; for a constant column w
-    # that says a.w = b.w = 0, that is w lies in S
+    # that says a.w = b.w = 0, that is w lies in S.  The products are taken
+    # on the point's numerators (:func:`~qplab.scalars._product_sums`): with
+    # m_k = L lambda_k, each w_k gives the integer columns of a.w_k and of
+    # L b.w_k, all over one denominator
     x = kb.point
     p = x.pencil
-    rows = x.rows()
+    view, (L, ms) = x.numerators(), p.integer_form()
+    n = p.dim_ambient
     for col in kb.columns:
         if len(col) == 1:
             if not x.in_S(col[0]):
                 raise SplittingError("column fails M(t) * column = 0")
             continue
-        # a list, not a generator expression: star-unpacking a generator
-        # made the peak RSS of long runs creep up (measured on CPython 3.11)
-        aw, bw = zip(*[matvec(rows, w) for w in col])
-        out = [-bw[0]] + [x - y for x, y in zip(aw, bw[1:])] + [aw[-1]]
-        if any(out):
+        ctx, nums, d = _common_numerators(list(chain.from_iterable(col)))
+        sums = [_product_sums(view, (ctx, nums[k:k + n], d), ms)
+                for k in range(0, len(nums), n)]
+        aw = [[L * c for c in a] for a, _ in sums]
+        bw = [b for _, b in sums]
+        out = [bw[0]] + [list(map(sub, a, b)) for a, b in zip(aw, bw[1:])] + [aw[-1]]
+        if any(any(c) for c in out):
             raise SplittingError("column fails M(t) * column = 0")
     degrees = sorted(kb.degrees)
     expected = [0] * (2 * p.g) + [1]
@@ -172,7 +161,8 @@ def _verify_kernel(kb: KernelBasis):
     constants = kb.constants()
     w1 = next(col[1] for col in kb.columns if len(col) == 2)
     independent = _rank_of_rows(kb.S_coordinates(constants)) == len(constants)
-    if not independent or not dot(rows[1], w1):
+    b_w1 = _product_sums(view, _common_numerators(w1), ms)[1]
+    if not independent or not any(b_w1):
         raise SplittingError("leading coefficient vectors are dependent")
 
 

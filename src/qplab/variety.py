@@ -78,7 +78,7 @@ class PointOnX:
     """A homogeneous representative of a point of X, with exact coordinates
     (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "on_Y", "_rows", "_pair", "_nums")
+    __slots__ = ("pencil", "coords", "on_Y", "_pair", "_nums")
 
     def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
@@ -89,7 +89,6 @@ class PointOnX:
         self._nums = _common_numerators(coords, "point coordinates")
         self._check_membership()
         self.on_Y = not coords[-1]
-        self._rows = None
         self._pair = None
 
     def numerators(self):
@@ -107,14 +106,6 @@ class PointOnX:
         ModeMismatchError for a second context."""
         ms = self.pencil.integer_form()[1]
         return _sums_vanish(self._nums, _common_numerators(w), ms)
-
-    def rows(self):
-        """[q1(v, .), q2(v, .)], built on the first call and then shared by
-        every caller, so none may modify them."""
-        if self._rows is None:
-            p, v = self.pencil, self.coords
-            self._rows = [p.q1_row(v), p.q2_row(v)]
-        return self._rows
 
     def pair(self):
         """(i, 1 / x_i, j, 1 / x_j) for the first two invertible coordinates
@@ -241,11 +232,8 @@ def _lifts(x: PointOnX):
 
     As x_i is invertible, S is the line of v plus the vectors of S with i-th
     coordinate 0, so these lift the quotient S/V one to one.  For m the
-    first nonzero coordinate after x_j, the lift of each other k is
-    e_k + alpha_k e_j + beta_k e_m with
-    alpha_k = x_k (lambda_k - lambda_m) / ((lambda_m - lambda_j) x_j) and
-    beta_k = x_k (lambda_j - lambda_k) / ((lambda_m - lambda_j) x_m),
-    the entries that put it in the kernel of q1(v, .) and q2(v, .).  As the
+    first nonzero coordinate after x_j, the lift of each other k is the
+    vector of S that is e_k off {j, m} (:func:`_S_vectors`).  As the
     rows e_i, q1(v, .), q2(v, .) have the pivot columns i, j, m, this is
     their nullspace basis, taken in closed form.  Where their elimination
     raises, this raises the same type: NonInvertibleError for a nonzero
@@ -253,7 +241,7 @@ def _lifts(x: PointOnX):
     the first invertible ones) and for a zero divisor x_m, and
     ArithmeticError when no m exists, as then the rows have rank 2.
     """
-    v, lam = x.coords, x.pencil.lambdas
+    v = x.coords
     i, _, j, inv_j = x.pair()
     if any(v[k] for k in range(j) if k != i):
         raise NonInvertibleError("a zero divisor before the second invertible coordinate")
@@ -263,21 +251,33 @@ def _lifts(x: PointOnX):
             f"S has dimension {len(v) - 1}, expected {2 * x.pencil.g}; "
             "rows q1(v,.), q2(v,.) must be independent for x on X"
         )
-    d = 1 / (lam[m] - lam[j])
-    c_j, c_m = inv_j * d, _invert(v[m]) * d
+    others = [k for k in range(len(v)) if k not in (i, j, m)]
+    return _S_vectors(x, j, inv_j, m, _invert(v[m]), others)
+
+
+def _S_vectors(x: PointOnX, p: int, inv_p, q: int, inv_q, others) -> list:
+    """For each k of `others`, the one vector of S that is e_k off {p, q}:
+    e_k + alpha_k e_p + beta_k e_q with
+    alpha_k = x_k (lambda_k - lambda_q) / ((lambda_q - lambda_p) x_p) and
+    beta_k = x_k (lambda_p - lambda_k) / ((lambda_q - lambda_p) x_q),
+    the entries that put it in the kernel of q1(v, .) and q2(v, .), given
+    inv_p = 1 / x_p and inv_q = 1 / x_q.  The tangent frame's lifts and the
+    constant kernel columns of :func:`~qplab.p1bundle.v_perp_kernel` are
+    these vectors."""
+    v, lam = x.coords, x.pencil.lambdas
+    d = 1 / (lam[q] - lam[p])
+    c_p, c_q = inv_p * d, inv_q * d
     ctx = x.context()
     zero, one = _raw(ctx, _ZERO_N, 1), _raw(ctx, (1, 0, 0, 0), 1)
-    lifts = []
-    for k, c in enumerate(v):
-        if k == i or k == j or k == m:
-            continue
+    vectors = []
+    for k in others:
         w = [zero] * len(v)
         w[k] = one
-        if c:
-            w[j] = c_j * (c * (lam[k] - lam[m]))
-            w[m] = c_m * (c * (lam[j] - lam[k]))
-        lifts.append(w)
-    return lifts
+        if v[k]:
+            w[p] = c_p * (v[k] * (lam[k] - lam[q]))
+            w[q] = c_q * (v[k] * (lam[p] - lam[k]))
+        vectors.append(w)
+    return vectors
 
 
 def _invertible_pair(v):

@@ -15,9 +15,11 @@ even section are other draws and are not stored.
 
 A failing section names its first failure, {case, index}, through one
 function, fibration._first_failure.  A section whose report holds a field
-over all samples (exact_vanishing, jacobian_ranks, matches,
-image_rank) checks every sample first; the others stop at the first
-failing one.
+over all samples (exact_vanishing, jacobian_ranks, matches) checks every
+sample first; the others stop at the first failing one.  The invariance
+section decides by the rank of its whole sampled image and names no sample.
+The gauge invariance of phi is decided once, by the Lagrangian section's
+exact gauge test, which the falsifiability control runs off the constraint.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ import math
 from fractions import Fraction
 
 from .fibration import (
+    _derivatives,
     _first_failure,
+    _gauge_vanishes,
     _identification_report,
     _mismatch,
     f_H,
     fit_identification,
-    phi_components,
     phi_X,
     verify_lagrangian,
 )
@@ -323,51 +326,34 @@ def run_skew_battery(seed: int, cases: int = 200) -> dict:
 def run_invariance_check(
     p: PencilOfQuadrics, seed: int, count: int, *, samples=None
 ) -> dict:
-    """Gauge invariance of the fibration map, exactly; plus the exact rank
-    2g-1 of the sampled image.
-
-    The gauge shift by beta q2(v, .), with beta a nonzero integer drawn per
-    sample, changes each w_jk = x_j eta_k - x_k eta_j by
-    beta (lambda_k - lambda_j) x_j x_k, and phi stays fixed only because
-    eta(x) = q1(x) = q2(x) = 0.  (The shift by q1(v, .) = x leaves every
-    w_jk as it is whatever eta is, and sign-flip invariance and quadratic
-    scaling hold for any code that squares w_jk; these identities are
-    checked in tier-1.)
+    """The exact rank 2g-1 of the sampled image of the fibration map.
 
     Each sample contributes four rational rows, the coordinates of its
     components in the basis 1, sqrt(u), sqrt(w), sqrt(uw).  A rational
     relation among the components holds in the algebra iff it holds in all
     four coordinates, so the rank of those rows is the rank of the image.
-    A report whose invariance fails names the first failing sample, with
-    the case "gauge".
+
+    The gauge invariance of phi is not checked here: a shift of eta by
+    alpha q1(v, .) + beta q2(v, .) moves phi by beta J (lambda x) +
+    beta^2 F(lambda x), F(lambda x) vanishes on X, and the Lagrangian
+    section decides J x = J (lambda x) = 0 exactly.
     """
     samples = _store(samples, p, seed)
-
-    def one(i: int):
-        x, xi = samples.pair(i)
-        base = samples.phi(i).components
-        # beta in -9..-1, 1..9: a zero shift would check nothing
-        beta = int(derived_rng(seed, (1 << 48) + i).integers(-9, 9))
-        if beta >= 0:
-            beta += 1
-        eta2 = [b * beta + e0 for e0, b in zip(xi.eta, x.rows()[1])]
-        shifted = phi_components(p, x.coords, eta2)
-        case = None if all((a - b) == 0 for a, b in zip(base, shifted)) else "gauge"
-        coords = [c.c if isinstance(c, Biquad) else (c, 0, 0, 0) for c in base]
-        return case, [list(r) for r in zip(*coords)]
-
-    results = [one(i) for i in range(count)]
-    cases = [case for case, _ in results]
-    rank = rank_exact([row for _, rows in results for row in rows])
+    rows = []
+    for i in range(count):
+        coords = [
+            c.c if isinstance(c, Biquad) else (c, 0, 0, 0)
+            for c in samples.phi(i).components
+        ]
+        rows += [list(r) for r in zip(*coords)]
+    rank = rank_exact(rows)
     expected = 2 * p.g - 1
-    report = {
+    return {
         "pass": rank == expected,
         "samples": count,
-        "exact_invariance": cases.count(None) == count,
         "image_rank": rank,
         "expected_rank": expected,
     }
-    return _first_failure(report, enumerate(cases))
 
 
 def run_falsifiability_check(
@@ -375,8 +361,11 @@ def run_falsifiability_check(
 ) -> dict:
     """Controls that must FAIL: an identification matrix with one entry off
     by 1/7 and a covector with eta(v) != 0.  The section passes iff both are
-    caught.  Both identification matrices are checked on the phi_X and f_H
-    values of samples 0..9, the covector is that of sample 0.  A failing
+    caught: the covector must be refused as a cotangent representative and
+    fail the gauge test of :func:`~qplab.fibration.verify_lagrangian`
+    (:func:`~qplab.fibration._gauge_vanishes`).  Both identification
+    matrices are checked on the phi_X and f_H values of samples 0..9, the
+    covector is that of sample 0, moved off the constraint.  A failing
     report names the first of "clean", "perturbed_map", "gauge_rejected" and
     "gauge_invariance" that fails, with the clean map's first failing sample
     as its index and 0 for the others."""
@@ -397,14 +386,10 @@ def run_falsifiability_check(
         CotangentRep(x, bad_eta)
     except GaugeError:
         gauge_rejected = True
-    # off the constraint eta(v) = 0 the formula is no longer invariant under
-    # the second gauge generator q2(v, .)
-    base = phi_components(p, x.coords, bad_eta)
-    r2 = x.rows()[1]
-    shifted = phi_components(
-        p, x.coords, [a + e for e, a in zip(bad_eta, r2)]
-    )
-    gauge_broken = any((a - b) != 0 for a, b in zip(base, shifted))
+    # off the constraint eta(v) = 0 the Lagrangian section's gauge test
+    # fails: (J lambda x)_j = 2 x_j^2 eta(v)
+    ctx, J, _, _ = _derivatives(x, bad_eta)
+    gauge_broken = not _gauge_vanishes(x, ctx, J)
 
     checks = (
         ("clean", bool(clean["pass"])),

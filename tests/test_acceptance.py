@@ -129,7 +129,7 @@ def test_criterion_8_invariance_suite():
         _announce(
             f"invariance suite g={g}",
             rep["pass"] and rep["image_rank"] == 2 * g - 1,
-            f"exact={rep['exact_invariance']}, rank={rep['image_rank']}",
+            f"rank={rep['image_rank']}",
         )
 
 

@@ -455,7 +455,6 @@ LAGRANGIAN_PINS = {
         "perturbed_map_fails": true
       },
       "invariance": {
-        "exact_invariance": true,
         "expected_rank": 3,
         "image_rank": 3,
         "pass": true,

@@ -63,20 +63,30 @@ def test_phi_components_sum_to_zero():
     assert not total
 
 
+def _nonzero_rational(rng):
+    """A drawn rational +-num/den with num, den in 1..9."""
+    num, den = (int(c) for c in rng.integers(1, 10, size=2))
+    return Fraction(num if rng.integers(0, 2) else -num, den)
+
+
 def test_phi_gauge_invariance_exact():
-    x, xi = sample_pair(P2, 67)
-    base = phi_X(x, xi).components
-    r1 = P2.q1_row(x.coords)
-    r2 = P2.q2_row(x.coords)
-    eta2 = [e + 3 * a - 2 * b for e, a, b in zip(xi.eta, r1, r2)]
-    shifted = phi_components(P2, x.coords, eta2)
-    assert all((a - b) == 0 for a, b in zip(base, shifted))
+    # the gauge shift alpha q1(v, .) + beta q2(v, .), for drawn nonzero
+    # rationals alpha and beta, leaves phi fixed on X and on Y; verify-all
+    # decides the same invariance by the Lagrangian gauge J x = J lambda x = 0
+    for label, x, xi, rng in _identity_samples():
+        p = x.pencil
+        alpha, beta = _nonzero_rational(rng), _nonzero_rational(rng)
+        r1, r2 = p.q1_row(x.coords), p.q2_row(x.coords)
+        eta2 = [e + alpha * a + beta * b for e, a, b in zip(xi.eta, r1, r2)]
+        shifted = phi_components(p, x.coords, eta2)
+        base = phi_X(x, xi).components
+        assert all((a - b) == 0 for a, b in zip(base, shifted)), label
 
 
 def test_phi_q1_shift_is_an_identity():
     # q1(v, .) is x itself, so shifting eta by it leaves every
     # w_jk = x_j eta_k - x_k eta_j fixed whatever eta is, off the
-    # constraint eta(v) = 0 too; the invariance section shifts by q2(v, .)
+    # constraint eta(v) = 0 too; only the shift by q2(v, .) needs it
     x, xi = sample_pair(P2, 67)
     eta = [xi.eta[0] + 1] + list(xi.eta[1:])
     base = phi_components(P2, x.coords, eta)
@@ -102,8 +112,7 @@ def test_phi_quadratic_scaling():
     # phi is quadratic in the covector: scaling eta by s scales every
     # component by s^2, for a drawn rational s != 0
     for label, x, xi, rng in _identity_samples():
-        num, den = (int(c) for c in rng.integers(1, 10, size=2))
-        s = Fraction(num if rng.integers(0, 2) else -num, den)
+        s = _nonzero_rational(rng)
         base = phi_X(x, xi).components
         scaled = phi_X(x, xi.scaled(s)).components
         assert all(s * s * a == b for a, b in zip(base, scaled)), label
@@ -595,8 +604,8 @@ def test_brackets_catch_a_wrong_x_gradient(monkeypatch):
     # and so the gauge and the rank, as they are, but breaks a bracket
     derivatives = fibration._derivatives
 
-    def wrong(x, xi):
-        ctx, J, H, dens = derivatives(x, xi)
+    def wrong(x, eta):
+        ctx, J, H, dens = derivatives(x, eta)
         H[0][1] = tuple([2 * c + 1 for c in H[0][1]])
         return ctx, J, H, dens
 
@@ -645,7 +654,7 @@ def test_derivatives_match_central_differences(g):
     p = canonical_pencil(g)
     for index in range(2):
         x, xi = sample_pair(p, 0, index=index)
-        ctx, J, H, dens = fibration._derivatives(x, xi)
+        ctx, J, H, dens = fibration._derivatives(x, xi.eta)
         jac, minus_grad = [
             [[to_complex(_make(ctx, *e, d)) for e in row] for row, d in zip(m, dens)]
             for m in (J, H)

@@ -730,7 +730,9 @@ def test_det_exact_biquad_multiplications_grow_polynomially(monkeypatch):
 
 def test_g4_chain_operation_counts(monkeypatch):
     # the fibration chain on three g=4 samples, counted instead of timed.
-    # Per sample it takes 179 products and 19 inverses and no norm (282
+    # Per sample it takes 163 products and 19 inverses and no norm (179 when
+    # the point built the rows q1(v, .) and q2(v, .) and the Koszul column
+    # was checked against them with Biquad products; 282
     # products and 38 inverses when tangent_frame took one nullspace, the
     # ranks of the splitting eliminated their columns in index order and f_H
     # tested the covector for degeneracy again; 447 products when the
@@ -748,9 +750,10 @@ def test_g4_chain_operation_counts(monkeypatch):
     # kernel columns are closed forms, and the span questions of the
     # splitting are ranks of sparse rows in the coordinates of the
     # closed-form basis of S, its singleton rows cleared without elimination
-    # and the rest taken sparsest column first.  The rows q1(v, .) and
-    # q2(v, .) are built once per point (770 products when the frame, the
-    # kernel check and the trivial-factor check each built them)
+    # and the rest taken sparsest column first.  The kernel check reads the
+    # point's numerators, so the rows q1(v, .) and q2(v, .) are not built
+    # (770 products when the frame, the kernel check and the trivial-factor
+    # check each built them)
     p = canonical_pencil(4)
     counts = count_biquad_ops(monkeypatch)
     for i in range(3):
@@ -761,7 +764,7 @@ def test_g4_chain_operation_counts(monkeypatch):
         kb = v_perp_kernel(p, x)
         assert n_tilde_splitting(kb).degrees == (0,) * 7 + (1,)
         assert trivial_factor_matches_tangent(kb, frame)
-    assert counts["mul"] <= 3 * 179
+    assert counts["mul"] <= 3 * 163
     assert counts["inverse"] <= 3 * 19
     assert counts["norm"] == 0
 
@@ -863,19 +866,21 @@ def test_sample_point_takes_no_biquad_product(monkeypatch):
 
 def test_splitting_chain_cost_grows_linearly(monkeypatch):
     # tangent_frame, v_perp_kernel, n_tilde_splitting and the trivial-factor
-    # check take 52 / 74 / 96 / 118 / 140 / 162 / 184 products (22g + 8) and
+    # check take 40 / 60 / 80 / 100 / 120 / 140 / 160 products (20g) and
     # 4g + 1 inverses at g = 2..8: a closed-form frame with one inverse,
     # closed-form columns whose membership in S, like that of the frame's
-    # vectors, is tested on the point's numerators, the rows q1(v, .) and
-    # q2(v, .) built once, the invertible pair that sample_pair looked up,
+    # vectors and the Koszul column's M(t) * column = 0, is tested on the
+    # point's numerators, the invertible pair that sample_pair looked up,
     # and ranks of rows with one or two nonzero entries: singleton rows
     # clear their columns without elimination, so the ranks of the constant
     # columns take no product, and the frame's rows, taken sparsest column
     # first, clear their own columns before the one they share, with two
-    # products and one inverse each
-    # (81 / 131 / 189 / 255 / 329 / 411 / 501 products and 8g + 4 inverses
-    # with one nullspace for the frame and its columns eliminated in index
-    # order; 130 / 206 / 290 / 382 / 482 / 590 / 706 products when the
+    # products and one inverse each.  v_perp_kernel alone takes 8g + 4
+    # (22g + 8 for the chain and 10g + 12 for v_perp_kernel when the point
+    # built the rows q1(v, .) and q2(v, .) and the Koszul column was applied
+    # to them; 81 / 131 / 189 / 255 / 329 / 411 / 501 products and 8g + 4
+    # inverses with one nullspace for the frame and its columns eliminated
+    # in index order; 130 / 206 / 290 / 382 / 482 / 590 / 706 products when the
     # membership tests applied the rows to each vector term by term; with a
     # nullspace for the constant columns and ranks of ambient vectors it
     # took 540 products at g = 3 and 3865 at g = 8, and 8g + 10 inverses;
@@ -892,8 +897,8 @@ def test_splitting_chain_cost_grows_linearly(monkeypatch):
         muls[g] = counts["mul"]
         assert counts["inverse"] <= 4 * g + 1, g
         monkeypatch.undo()
-    assert muls[2] == 52
-    assert all(muls[g + 1] - muls[g] == 22 for g in range(2, 8))
+    assert muls[2] == 40
+    assert all(muls[g + 1] - muls[g] == 20 for g in range(2, 8))
 
 
 def test_tangent_frame_takes_no_elimination(monkeypatch):

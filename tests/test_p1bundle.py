@@ -180,28 +180,6 @@ def test_constant_columns_span_common_orthogonal():
     assert trivial_factor_matches_tangent(kb, frame)
 
 
-def test_chain_builds_the_point_rows_once(monkeypatch):
-    # the frame, the kernel check and the trivial-factor check share the
-    # rows q1(v, .) and q2(v, .) that the point keeps
-    calls = []
-    q2_row = PencilOfQuadrics.q2_row
-
-    def counted(self, v):
-        calls.append(1)
-        return q2_row(self, v)
-
-    monkeypatch.setattr(PencilOfQuadrics, "q2_row", counted)
-    for p in (P2, P3):
-        x = sample_point(p, 0, index=1)
-        calls.clear()
-        frame = tangent_frame(x)
-        kb = v_perp_kernel(p, x)
-        n_tilde_splitting(kb)
-        assert trivial_factor_matches_tangent(kb, frame)
-        assert len(calls) == 1
-        assert x.rows() == [p.q1_row(x.coords), q2_row(p, x.coords)]
-
-
 def test_splitting_type():
     for p in (P2, P3):
         x = sample_point(p, 47)
@@ -449,7 +427,8 @@ def _moved(w, move):
 def _assert_irrational_defect(x, w):
     from qplab.linalg import matvec
 
-    q1, q2 = matvec(x.rows(), w)
+    p = x.pencil
+    q1, q2 = matvec([p.q1_row(x.coords), p.q2_row(x.coords)], w)
     assert (q1 or q2) and not q1.c[0] and not q2.c[0]
 
 

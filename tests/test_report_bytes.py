@@ -50,21 +50,21 @@ def report_digest(argv) -> str:
 
 DIGESTS = {
     'verify-all --g=2 --seed=0 --budget=0.05':
-        'd9f2b0a59f75f7a8e243d8ab614bf7575437c3afb4f95a4e7cc7803c1389301a',
+        'e4f9a9cf454c48a7f6f5d49e9dfb9e5114d72e0ed868514b1cfaaf78162927ca',
     'verify-all --g=2 --seed=1 --budget=0.05':
-        '72e86380d340589eb99721099e366ff87571c2320416feb7a7fa0a4f64698ba8',
+        '7dd568bde33f29ecb206e2bbc3d1838386fd554f3d4301767ad9d78ca302dcd1',
     'verify-all --g=3 --seed=0 --budget=0.05':
-        '7c210575da1470012129cda9310f5b231ef15cb6dd55f2b7e3413997338ac588',
+        'ef0b55df60bcd9a4b21d34aca7d135e443aaf0263dcaae0d50b46d43609195a2',
     'verify-all --g=3 --seed=1 --budget=0.05':
-        '7c59aca4d6b0f6a7f24baa8eaeba441cd1055bb5a250cd14e1e8c39bc3899a80',
+        'a17334b33fcabe3dcfff11a694a3e3b905dd81f99f6f19ce8e0a35a6e8f1107d',
     'verify-all --g=4 --seed=0 --budget=0.05':
-        '72f117b65a32a76424c64a9c6736cf4edee5531a566e418eb7fe0fcc6d14345b',
+        '6e0dc0465a0275ceff9b510a9d2aa2d27a45ab48f77c67cc26edabe323c22a37',
     'verify-all --g=4 --seed=1 --budget=0.05':
-        'b98f88020a828b841f27d9dc22c3f909b9567eeb85ac7965d1aaab1258690429',
+        '1d8e2f6544c24c091655263ee765ca0ecc594439f7fd39b7cf50d80245667eb0',
     'verify-all --g=5 --seed=0 --budget=0.05':
-        'eeece85531ec58669c05e3884ae740dbcaff137e96e14830e58c6f1bc66c4e4d',
+        '5dce0313c06347c5e89e4b38bdda1f6d8d05360c4a0162632ead9d7d391bc99c',
     'verify-all --g=5 --seed=1 --budget=0.05':
-        'fd344965594ca5c89ae86e50071a70ce4286214b34e6d4af099e55ee249c5a57',
+        '79ad3d2401933568b644db634eeabeb516413eb8c422720ea9f3dbff8711a57e',
     'phi --g=2 --index=0':
         '246a0f28bfbdb2560edc88b2ee46a512961458d344f6c0de27b5a6dc7b789b12',
     'phi --g=2 --index=0 --on-y':
@@ -126,7 +126,7 @@ DIGESTS = {
     'bundle-splitting --lambdas=1/3,2,7/2,5,-4/5,11/7':
         '66cbac644518cb6e0b4bbf0d633a6f06bfebc38e654f34e013c171e3569c02dd',
     'verify-all --lambdas=1/3,2,7/2,5,-4/5,11/7 --budget=0.2':
-        '2ef374c3b9d1559317f92d71c02e0045424380ec8787f621f0994883687cc3fd',
+        'c55a9eea673b0a0bab6e3398cfd9259889ebc931b3c931080e8e38fa7072bd9d',
     'vandermonde --g=2':
         '8814ef03cda8d7dba3bacd9c12a878e70b23e67150e57195162b760ffd589567',
     'vandermonde --g=3':

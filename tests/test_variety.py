@@ -120,7 +120,8 @@ def nullspace_lifts(x):
     q1(v, .) and q2(v, .), i the first coordinate of the point's pair."""
     i = x.pair()[0]
     unit = [int(k == i) for k in range(len(x.coords))]
-    return nullspace_exact([unit] + x.rows())
+    p, v = x.pencil, x.coords
+    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v)])
 
 
 # lambdas whose triples (0, 9, 25), (0, 25, -144) and (0, 9, -16) differ by
@@ -190,7 +191,7 @@ def test_frame_raises_when_the_rows_have_rank_two():
     # the rows then have rank 2 and S the wrong dimension
     ctx = BiquadContext(-1, 2)
     x = object.__new__(PointOnX)
-    x.pencil, x.on_Y, x._rows, x._pair = P2, False, None, None
+    x.pencil, x.on_Y, x._pair = P2, False, None
     x.coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(0)] * 4
     x._nums = _common_numerators(x.coords)
     assert len(nullspace_lifts(x)) == 4
@@ -373,6 +374,6 @@ def test_in_S_matches_the_rows_and_reads_every_coordinate():
         assert x.in_S(w)
         for move in _irrational_moves(x) + [[(3, Fraction(1, 7))]]:
             moved = _moved(w, move)
-            assert any(matvec(x.rows(), moved))
+            assert any(matvec([P3.q1_row(x.coords), P3.q2_row(x.coords)], moved))
             assert not x.in_S(moved)
     assert x.in_S([0] * P3.dim_ambient)

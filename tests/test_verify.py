@@ -13,6 +13,7 @@ from qplab import (
     canonical_pencil,
     char_coeffs,
     rank2_orthogonal_decomposition,
+    sample_pair,
 )
 from qplab import fibration, verify
 from qplab.p1bundle import SplittingError
@@ -66,7 +67,6 @@ def test_passing_reports_have_no_failure_fields():
     assert run_invariance_check(P2, seed=3, count=3) == {
         "pass": True,
         "samples": 3,
-        "exact_invariance": True,
         "image_rank": 3,
         "expected_rank": 3,
     }
@@ -388,95 +388,51 @@ def test_quotient_check_names_first_failure(monkeypatch):
 def test_invariance_check_fails_on_a_rank_one_image(monkeypatch):
     # every sample maps to F_0 times one fixed vector: still invariant and
     # quadratic in eta, but the sampled image has rank 1, not 2g-1 = 3
-    real = verify.phi_components
+    real = verify.phi_X
     direction = [Fraction(k + 1) for k in range(6)]
 
-    def proportional(p, v, eta):
-        f0 = real(p, v, eta)[0]
-        return [f0 * d for d in direction]
+    def proportional(x, xi):
+        f0 = real(x, xi).components[0]
+        return FibrationValue([f0 * d for d in direction])
 
-    monkeypatch.setattr(verify, "phi_components", proportional)
-    monkeypatch.setattr(
-        verify,
-        "phi_X",
-        lambda x, xi: FibrationValue(proportional(x.pencil, x.coords, xi.eta)),
-    )
+    monkeypatch.setattr(verify, "phi_X", proportional)
     rep = run_invariance_check(P2, seed=3, count=5)
     assert rep == {
         "pass": False,
         "samples": 5,
-        "exact_invariance": True,
         "image_rank": 1,
         "expected_rank": 3,
     }
 
 
-@pytest.mark.parametrize(
-    "failing_calls, index",
-    [
-        ({0}, 0),
-        ({2}, 2),
-        # samples 1 and 3 fail: the first of them is named
-        ({1, 3}, 1),
-    ],
-    ids=["gauge-0", "gauge", "first-sample"],
-)
-def test_invariance_check_names_first_failure(monkeypatch, failing_calls, index):
-    # the section calls phi_components once per sample, for the gauge shift;
-    # the base value comes from phi_X
-    real, calls = verify.phi_components, []
-
-    def wrong_at(*args):
-        calls.append(args)
-        value = real(*args)
-        return [c + 1 for c in value] if len(calls) - 1 in failing_calls else value
-
-    monkeypatch.setattr(verify, "phi_components", wrong_at)
-    rep = run_invariance_check(P2, seed=3, count=4)
-    assert len(calls) == 4
-    assert rep == {
-        "pass": False,
-        "samples": 4,
-        "exact_invariance": False,
-        "image_rank": 3,
-        "expected_rank": 3,
-        "first_failure": {"case": "gauge", "index": index},
-    }
+def _store_off_the_constraint(seed, pairs, moved):
+    """A sample store of (P2, seed) holding `pairs`, its samples 0.., with
+    eta_0 moved by 1 at the indices in `moved`, so that eta(v) != 0 there."""
+    samples = verify._Samples(P2, seed)
+    for i, (x, xi) in enumerate(pairs):
+        eta = [xi.eta[0] + 1] + list(xi.eta[1:]) if i in moved else xi.eta
+        samples._made["covector", i] = SimpleNamespace(point=x, eta=eta)
+    return samples
 
 
-def test_invariance_check_catches_a_covector_off_the_constraint():
-    # the gauge check is not an identity: with eta(v) != 0 the shift by
-    # beta q2(v, .) moves phi, so a store whose covectors break eta(v) = 0
-    # fails at the first sample whose drawn beta is nonzero
-    samples = verify._Samples(P2, 3)
-    for i in range(4):
-        x, xi = samples.pair(i)
-        bad_eta = [xi.eta[0] + 1] + list(xi.eta[1:])
-        samples._made["covector", i] = SimpleNamespace(point=x, eta=bad_eta)
-        samples._made["phi", i] = FibrationValue(
-            verify.phi_components(P2, x.coords, bad_eta)
-        )
-    rep = run_invariance_check(P2, seed=3, count=4, samples=samples)
-    assert not rep["pass"] and not rep["exact_invariance"]
+def test_lagrangian_check_catches_a_covector_off_the_constraint():
+    # the gauge test is not an identity: with eta(v) != 0,
+    # (J lambda x)_j = 2 x_j^2 eta(v), so a store whose covectors all break
+    # eta(v) = 0 fails at its first sample
+    pairs = [sample_pair(P2, 3, index=i) for i in range(4)]
+    samples = _store_off_the_constraint(3, pairs, range(4))
+    rep = run_lagrangian_check(P2, seed=3, count=4, samples=samples)
+    assert not rep["pass"]
     assert rep["first_failure"] == {"case": "gauge", "index": 0}
 
 
-def test_invariance_check_catches_one_covector_off_the_constraint():
-    # every sample's drawn beta is nonzero, so a covector off eta(v) = 0 at
-    # sample k alone fails the section at k; seed 0 is one whose samples
-    # 4, 15 and 16 drew beta = 0 when beta could be 0
-    clean = verify._Samples(P2, 0)
-    pairs = [clean.pair(i) for i in range(19)]
+def test_lagrangian_check_catches_one_covector_off_the_constraint():
+    # a covector off eta(v) = 0 at sample k alone fails the section at k
+    pairs = [sample_pair(P2, 0, index=i) for i in range(19)]
     for k in range(19):
-        samples = verify._Samples(P2, 0)
-        for i, (x, xi) in enumerate(pairs):
-            eta = [xi.eta[0] + 1] + list(xi.eta[1:]) if i == k else xi.eta
-            samples._made["covector", i] = SimpleNamespace(point=x, eta=eta)
-            phi = verify.phi_components(P2, x.coords, eta)
-            samples._made["phi", i] = FibrationValue(phi)
-        rep = run_invariance_check(P2, seed=0, count=19, samples=samples)
-        assert not rep["exact_invariance"], k
-        assert rep["first_failure"] == {"case": "gauge", "index": k}
+        samples = _store_off_the_constraint(0, pairs, {k})
+        rep = run_lagrangian_check(P2, seed=0, count=19, samples=samples)
+        assert rep["first_failure"] == {"case": "gauge", "index": k}, k
 
 
 @pytest.mark.parametrize(
@@ -524,7 +480,8 @@ def _gauge_accepted(monkeypatch):
 
 
 def _gauge_invariant(monkeypatch):
-    monkeypatch.setattr(verify, "phi_components", lambda p, v, eta: [Fraction(0)] * 6)
+    # the Lagrangian section's gauge test, forced to pass
+    monkeypatch.setattr(verify, "_gauge_vanishes", lambda x, ctx, J: True)
 
 
 @pytest.mark.parametrize(
