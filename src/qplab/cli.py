@@ -2,7 +2,8 @@
 
 Every command prints one JSON report to stdout (optionally also to
 --json-out).  Reports are byte-identical for identical job specifications.
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal error.
+Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal error,
+141 (as for SIGPIPE) stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from .p1bundle import (
     vandermonde_normalizer,
 )
 from .pencil import PencilError, PencilOfQuadrics, canonical_pencil
-from .scalars import rational_to_string, scalar_to_json
+from .scalars import NonInvertibleError, rational_to_string, scalar_to_json
 from .skew import SkewMap, SkewnessError, char_coeffs, pfaffian
 from .variety import PointOnX, sample_pair, sample_point, tangent_frame
 from .verify import run_diagram_check, run_even_check, run_lagrangian_check, verify_all
@@ -35,6 +37,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED = 141
 
 
 class InputError(ValueError):
@@ -69,7 +72,7 @@ def _report(args, passed: bool, metrics: dict, samples_used: int) -> int:
         "version": REPORT_VERSION,
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    print(text, flush=True)  # a closed stdout raises here, not at exit
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
@@ -135,15 +138,17 @@ def _cmd_bundle_splitting(args) -> int:
             with open(args.point) as fh:
                 payload = json.load(fh)
             x = PointOnX.from_json(p, payload)
-            x.pair()  # NonInvertibleError: fewer than two invertible coordinates
         except (OSError, KeyError, ValueError, TypeError,
                 ZeroDivisionError, OverflowError) as exc:  # Fraction(Infinity) overflows
             raise InputError(f"bad point file: {exc}") from exc
     else:
         x = sample_point(p, args.seed, index=args.index)
-    kb = v_perp_kernel(p, x)
-    st = n_tilde_splitting(kb)
-    matches = trivial_factor_matches_tangent(kb, tangent_frame(x))
+    try:
+        kb = v_perp_kernel(p, x)
+        st = n_tilde_splitting(kb)
+        matches = trivial_factor_matches_tangent(kb, tangent_frame(x))
+    except NonInvertibleError as exc:  # only a point file can lack the units
+        raise InputError(f"bad point file: {exc}") from exc
     metrics = {
         "degrees": list(st.degrees),
         "kernel_column_degrees": kb.degrees,
@@ -280,6 +285,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
         return args.fn(args)
+    except BrokenPipeError:  # stop quietly; stdout on devnull, for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except (InputError, PencilError) as exc:
         code, error = EXIT_INPUT, {"error": str(exc)}
     except Exception as exc:  # internal invariant violation

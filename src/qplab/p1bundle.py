@@ -4,10 +4,11 @@ For an exact point x the row map M(t) = ((t - lambda_k) x_k) has a minimal
 kernel basis of rank 2g+1 with column degrees {0 repeated 2g, 1}.  A column of
 degree d is stored as its d+1 coefficient vectors, the t^k one at index k.  The
 constant columns span S = V^perp(q1) ∩ V^perp(q2) (which contains x itself)
-and are its closed-form basis: for the first two invertible coordinates i < j
-of x and each other k, the vector of S that is e_k off {i, j}.  The degree-1
-column is the Koszul syzygy of x_i and x_j.  Every span question about
-vectors of S is answered in the coordinates of that basis, which are just
+and are its closed-form basis, kept by the point
+(:meth:`~qplab.variety.PointOnX.S_vectors`): for its first two invertible
+coordinates i < j and each other k, the vector of S that is e_k off {i, j}.
+The degree-1 column is the Koszul syzygy of x_i and x_j.  Every span
+question about vectors of S is a rank of their coordinates in that basis,
 their entries off {i, j}; no nullspace is taken.  Whether a vector lies in
 S at all is asked of the point (:meth:`~qplab.variety.PointOnX.in_S`), on
 its numerators.  Quotienting by the line of x realizes the splitting
@@ -22,17 +23,16 @@ lambdas, runs on Python ints from the pencil's integer form to one
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import sub
 
-from .linalg import _bareiss, _integer_null_vectors, _pivot_columns, rank_exact
+from .linalg import _bareiss, _integer_null_vectors, rank_exact
 from .pencil import PencilOfQuadrics
 from .scalars import _common_numerators, _is_rational, _product_sums
-from .variety import PointOnX, TangentFrame, _S_vectors
+from .variety import PointOnX, TangentFrame
 
 __all__ = [
     "KernelBasis",
@@ -93,9 +93,9 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
 
     Let i < j be the pair of x (:meth:`~qplab.variety.PointOnX.pair`), its
     first two invertible coordinates.  For each other k the constant column
-    is the one vector of S that is e_k off {i, j}
-    (:func:`~qplab.variety._S_vectors`, the closed form of the tangent
-    frame's lifts); so these 2g columns are a basis of S.
+    is the one vector of S that is e_k off {i, j}, from the closed-form basis
+    of S that the point keeps (:meth:`~qplab.variety.PointOnX.S_vectors`)
+    and the tangent frame shares; so these 2g columns are a basis of S.
     When the rows q1(v, .), q2(v, .) have pivot columns i, j they are also
     the nullspace basis of those rows.  The degree-1 column is the Koszul
     syzygy w_i = (t - lambda_j) x_j, w_j = -(t - lambda_i) x_i.  Its leading
@@ -113,9 +113,8 @@ def v_perp_kernel(p: PencilOfQuadrics, x: PointOnX) -> KernelBasis:
         raise ValueError("point does not belong to the pencil")
     v = x.coords
     lam = p.lambdas
-    i, inv_i, j, inv_j = x.pair()
-    others = [k for k in range(len(v)) if k != i and k != j]
-    cols = [[w] for w in _S_vectors(x, i, inv_i, j, inv_j, others)]
+    i, _, j, _ = x.pair()
+    cols = [[w] for w in x.S_vectors()]
     zero = v[i] - v[i]
     w0, w1 = [zero] * len(v), [zero] * len(v)
     w0[i], w0[j] = v[j] * -lam[j], v[i] * lam[i]
@@ -167,19 +166,15 @@ def _verify_kernel(kb: KernelBasis):
 
 
 def _rank_of_rows(rows) -> int:
-    """Rank of the rows, eliminated sparsest row and sparsest column first.
+    """Rank of the rows, their singleton rows cleared without elimination.
 
     A row with one nonzero entry of rational value, like a coordinate
     vector of the closed-form basis, spans its column's unit vector, so it
-    clears that column without elimination; an identity block is cleared by
-    this alone.  The rank does not depend on the order of rows and columns,
-    so the rest is eliminated with its rows and its columns each in order
-    of their number of nonzero entries: the lifts of a tangent frame,
-    e_k + beta_k e_m in these coordinates, then clear their own columns
-    before the column m they share, with two products each, instead of
-    filling in every row from m.  Over a split algebra either order
-    may meet a nonzero column of zero divisors, and then
-    :func:`~qplab.linalg.rank_exact` raises NonInvertibleError.
+    clears that column; the other rows go to :func:`~qplab.linalg.rank_exact`
+    on the columns left.  The constant columns and a tangent frame are unit
+    vectors and v in these coordinates, so what is left of them is at most
+    v's entry x_m.  Over a split algebra the rest may meet a nonzero column
+    of zero divisors, and then rank_exact raises NonInvertibleError.
     """
     cleared = set()
     rest = []
@@ -188,12 +183,9 @@ def _rank_of_rows(rows) -> int:
         if len(live) == 1 and _is_rational(row[live[0]]):
             cleared.add(live[0])
         else:
-            rest.append((row, live))
-    rest = [(row, [c for c in live if c not in cleared]) for row, live in rest]
-    rest = sorted([r for r in rest if r[1]], key=lambda r: len(r[1]))
-    counts = Counter(chain.from_iterable(live for _, live in rest))
-    cols = sorted(counts, key=counts.__getitem__)
-    return len(cleared) + rank_exact([[row[c] for c in cols] for row, _ in rest])
+            rest.append(row)
+    rest = [[x for c, x in enumerate(row) if c not in cleared] for row in rest]
+    return len(cleared) + rank_exact([row for row in rest if any(row)])
 
 
 def n_tilde_splitting(kb: KernelBasis) -> SplittingType:
@@ -220,18 +212,15 @@ def trivial_factor_matches_tangent(kb: KernelBasis, frame: TangentFrame) -> bool
     q2(v, .) vanish on it (:meth:`~qplab.variety.PointOnX.in_S`, on the
     point's numerators).  The constant columns lie in S, so the two spans
     agree iff rank(constants) = rank(frame) = rank(constants + frame) in the
-    coordinates of the closed-form basis.  The pivot columns of one echelon
-    form of the constants followed by the frame give the first and the
-    last of these; :func:`_rank_of_rows` of the frame's gives the second.
+    coordinates of the closed-form basis, three :func:`_rank_of_rows`, which
+    eliminate nothing on a frame of :func:`~qplab.variety.tangent_frame`.
     """
     if not all(kb.point.in_S(s) for s in frame.S_basis):
         return False
     constants = kb.S_coordinates(kb.constants())
     tangent = kb.S_coordinates(frame.S_basis)
-    pivots = _pivot_columns(list(zip(*constants, *tangent)))
-    if pivots and pivots[-1] >= len(constants):
-        return False
-    return _rank_of_rows(tangent) == len(pivots)
+    rank = _rank_of_rows(constants)
+    return _rank_of_rows(tangent) == rank == _rank_of_rows(constants + tangent)
 
 
 def vandermonde_normalizer(p: PencilOfQuadrics):

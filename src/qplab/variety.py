@@ -9,6 +9,10 @@ puts the point on both quadrics, solved on Python ints with the pencil's
 integer form.  Sampled points lie off the coordinate hyperplanes, apart from
 x_{2g+1} = 0 on Y.
 
+A point keeps its chart (:meth:`PointOnX.pair`) and the closed-form basis of
+S = V^perp(q1) ∩ V^perp(q2) in it (:meth:`PointOnX.S_vectors`), which the
+kernel columns of :mod:`qplab.p1bundle` and the tangent frame share.
+
 A point keeps its coordinates on one common denominator
 (:meth:`PointOnX.numerators`).  Its exact zero tests, q1 = q2 = 0,
 eta(v) = 0 and q1(v, w) = q2(v, w) = 0 (:meth:`PointOnX.in_S`), read these
@@ -23,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import _invert, _pivot_row, _scaled_matvec_numerators, dot
+from .linalg import _pivot_row, _scaled_matvec_numerators, dot
 from .pencil import PencilOfQuadrics
 from .scalars import (
     _ZERO_N,
@@ -78,7 +82,7 @@ class PointOnX:
     """A homogeneous representative of a point of X, with exact coordinates
     (``Fraction`` or ``Biquad``)."""
 
-    __slots__ = ("pencil", "coords", "on_Y", "_pair", "_nums")
+    __slots__ = ("pencil", "coords", "on_Y", "_pair", "_nums", "_S")
 
     def __init__(self, pencil: PencilOfQuadrics, coords):
         coords = list(coords)
@@ -90,6 +94,7 @@ class PointOnX:
         self._check_membership()
         self.on_Y = not coords[-1]
         self._pair = None
+        self._S = None
 
     def numerators(self):
         """(ctx, nums, d): the numerator view of the coordinates
@@ -115,6 +120,14 @@ class PointOnX:
         if self._pair is None:
             self._pair = _invertible_pair(self.coords)
         return self._pair
+
+    def S_vectors(self) -> list:
+        """The closed-form basis of S on the point's pair (:func:`_S_vectors`),
+        in which a vector of S has its entries off the pair as coordinates.
+        Built on the first call and then shared, so none may modify it."""
+        if self._S is None:
+            self._S = _S_vectors(self)
+        return self._S
 
     def _check_membership(self):
         if not _sums_vanish(self._nums, self._nums, self.pencil.integer_form()[1]):
@@ -218,64 +231,49 @@ class TangentFrame:
 def tangent_frame(x: PointOnX) -> TangentFrame:
     """Exact frame of the common orthogonal S (dim 2g) and of S/V (dim 2g-1).
 
-    S_basis is [v] followed by :func:`_lifts` of x, a basis of the vectors
-    of S that vanish at the first coordinate of :meth:`PointOnX.pair`,
-    which lift a basis of S/V one to one.  The lifts are closed forms, so
-    the frame takes no elimination.
-    """
-    return TangentFrame(x, [list(x.coords)] + _lifts(x))
-
-
-def _lifts(x: PointOnX):
-    """Basis of the vectors of S that vanish at the first coordinate x_i of
-    the point's pair (i, j); only :func:`tangent_frame` uses it.
-
-    As x_i is invertible, S is the line of v plus the vectors of S with i-th
-    coordinate 0, so these lift the quotient S/V one to one.  For m the
-    first nonzero coordinate after x_j, the lift of each other k is the
-    vector of S that is e_k off {j, m} (:func:`_S_vectors`).  As the
-    rows e_i, q1(v, .), q2(v, .) have the pivot columns i, j, m, this is
-    their nullspace basis, taken in closed form.  Where their elimination
-    raises, this raises the same type: NonInvertibleError for a nonzero
-    coordinate before x_j other than x_i (a zero divisor, as x_i and x_j are
-    the first invertible ones) and for a zero divisor x_m, and
-    ArithmeticError when no m exists, as then the rows have rank 2.
+    S_basis is [v] and the point's basis of S (:meth:`PointOnX.S_vectors`,
+    shared) less its vector at m, the first unit x_m off the pair: v has the
+    coordinates x_k there, so the rest lifts S/V one to one, with no
+    elimination.  Raises NonInvertibleError when no coordinate off the pair
+    is a unit, and ArithmeticError when all are 0, which no point of X allows.
     """
     v = x.coords
-    i, _, j, inv_j = x.pair()
-    if any(v[k] for k in range(j) if k != i):
-        raise NonInvertibleError("a zero divisor before the second invertible coordinate")
-    m = next((k for k in range(j + 1, len(v)) if v[k]), None)
-    if m is None:
+    i, _, j, _ = x.pair()
+    off = [[c] for k, c in enumerate(v) if k != i and k != j]
+    try:
+        found = _pivot_row(off, 0, 0)
+    except NonInvertibleError:
+        raise NonInvertibleError("no invertible coordinate off the point's pair") from None
+    if found is None:
         raise ArithmeticError(
             f"S has dimension {len(v) - 1}, expected {2 * x.pencil.g}; "
             "rows q1(v,.), q2(v,.) must be independent for x on X"
         )
-    others = [k for k in range(len(v)) if k not in (i, j, m)]
-    return _S_vectors(x, j, inv_j, m, _invert(v[m]), others)
+    m = found[0]
+    basis = x.S_vectors()
+    return TangentFrame(x, [list(v)] + basis[:m] + basis[m + 1:])
 
 
-def _S_vectors(x: PointOnX, p: int, inv_p, q: int, inv_q, others) -> list:
-    """For each k of `others`, the one vector of S that is e_k off {p, q}:
-    e_k + alpha_k e_p + beta_k e_q with
-    alpha_k = x_k (lambda_k - lambda_q) / ((lambda_q - lambda_p) x_p) and
-    beta_k = x_k (lambda_p - lambda_k) / ((lambda_q - lambda_p) x_q),
-    the entries that put it in the kernel of q1(v, .) and q2(v, .), given
-    inv_p = 1 / x_p and inv_q = 1 / x_q.  The tangent frame's lifts and the
-    constant kernel columns of :func:`~qplab.p1bundle.v_perp_kernel` are
-    these vectors."""
+def _S_vectors(x: PointOnX) -> list:
+    """The closed-form basis of S on the point's pair (i, j): for each k
+    off {i, j}, in order, the one vector of S that is e_k off {i, j},
+    e_k + alpha_k e_i + beta_k e_j with
+    alpha_k = x_k (lambda_k - lambda_j) / ((lambda_j - lambda_i) x_i) and
+    beta_k = x_k (lambda_i - lambda_k) / ((lambda_j - lambda_i) x_j),
+    the entries that put it in the kernel of q1(v, .) and q2(v, .)."""
     v, lam = x.coords, x.pencil.lambdas
-    d = 1 / (lam[q] - lam[p])
-    c_p, c_q = inv_p * d, inv_q * d
+    i, inv_i, j, inv_j = x.pair()
+    d = 1 / (lam[j] - lam[i])
+    c_i, c_j = inv_i * d, inv_j * d
     ctx = x.context()
     zero, one = _raw(ctx, _ZERO_N, 1), _raw(ctx, (1, 0, 0, 0), 1)
     vectors = []
-    for k in others:
+    for k in [k for k in range(len(v)) if k != i and k != j]:
         w = [zero] * len(v)
         w[k] = one
         if v[k]:
-            w[p] = c_p * (v[k] * (lam[k] - lam[q]))
-            w[q] = c_q * (v[k] * (lam[p] - lam[k]))
+            w[i] = c_i * (v[k] * (lam[k] - lam[j]))
+            w[j] = c_j * (v[k] * (lam[i] - lam[k]))
         vectors.append(w)
     return vectors
 

@@ -234,6 +234,64 @@ def test_point_with_one_invertible_coordinate_exit_2(tmp_path):
     )
 
 
+def _gaussian_point_file(tmp_path, *names):
+    from test_variety import GAUSSIAN_POINTS, gaussian_point
+
+    points = dict(zip(["a", "b", "c", "c_flip", "d", "f"], GAUSSIAN_POINTS))
+    path = tmp_path / f"{'_'.join(names)}.json"
+    path.write_text(json.dumps(gaussian_point(*[points[n] for n in names]).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "c")])
+def test_point_with_no_unit_off_its_pair_exit_2(tmp_path, names):
+    # points of X over the split algebra Q(i)^2 whose coordinates off the
+    # pair are zero divisors or 0: no coordinate can take the place of v in
+    # the tangent frame, so the point file is refused
+    path = _gaussian_point_file(tmp_path, *names)
+    r = run_cli("bundle-splitting", "--lambdas=0,9,25,-16,-144,1", "--point", path)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == (
+        "bad point file: no invertible coordinate off the point's pair"
+    )
+
+
+@pytest.mark.parametrize(
+    "names", [("a",), ("c",), ("a", "d"), ("c", "c_flip"), ("f", "b")])
+def test_gaussian_point_files_split(tmp_path, names):
+    # points over Q(i, sqrt 2) and over the split algebra with a unit off
+    # the pair, which f with b has at x_4 beside the zero divisor x_1
+    path = _gaussian_point_file(tmp_path, *names)
+    r = run_cli("bundle-splitting", "--lambdas=0,9,25,-16,-144,1", "--point", path)
+    assert r.returncode == 0, r.stderr
+    metrics = json.loads(r.stdout)["metrics"]
+    assert metrics["degrees"] == [0, 0, 0, 1]
+    assert metrics["trivial_matches_tangent"] is True
+
+
+def test_closed_stdout_stops_quietly():
+    # a reader that closes before the report is written, and one that closes
+    # after 10 bytes (`qplab fh --g=3 | head -c 10`), which may come before
+    # or after the write: no JSON on stderr, and 141 unless the report got out
+    from qplab.cli import EXIT_CLOSED, EXIT_PASS
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run(CLI + ["fh", "--g=3"], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (EXIT_CLOSED, b"")
+    with subprocess.Popen(CLI + ["fh", "--g=3"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        assert proc.wait() in (EXIT_PASS, EXIT_CLOSED)
+        assert proc.stderr.read() == b""
+    assert head == b'{\n  "comma'
+
+
 def test_skew_invariants_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[[0,1,0,0],[-1,0,0,0],[0,0,0,1],[0,0,-1,0]]")

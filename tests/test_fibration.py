@@ -333,6 +333,33 @@ def test_chain_looks_up_the_pair_once(monkeypatch):
             assert x.pair() == lookup(x.coords)
 
 
+def test_chain_builds_the_basis_of_S_once(monkeypatch):
+    # the kernel columns and the frame share the closed-form basis of S that
+    # the point keeps, whichever of the two asks first
+    calls = []
+    build = variety._S_vectors
+
+    def counted(x):
+        calls.append(1)
+        return build(x)
+
+    monkeypatch.setattr(variety, "_S_vectors", counted)
+    for p in (P2, P3):
+        for frame_first in (True, False):
+            calls.clear()
+            x, _ = sample_pair(p, 0)
+            if frame_first:
+                frame = tangent_frame(x)
+                kb = v_perp_kernel(p, x)
+            else:
+                kb = v_perp_kernel(p, x)
+                frame = tangent_frame(x)
+            n_tilde_splitting(kb)
+            assert trivial_factor_matches_tangent(kb, frame)
+            assert len(calls) == 1
+            assert kb.constants() == x.S_vectors() == build(x)
+
+
 def test_pair_on_Y_ignores_the_last_coordinate():
     # on Y the last coordinate is 0, which the pivot search passes by, so an
     # even-restricted covector is drawn in the same chart as any other

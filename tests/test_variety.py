@@ -22,7 +22,7 @@ from qplab import (
     sample_point,
     tangent_frame,
 )
-from qplab.linalg import in_span
+from qplab.linalg import in_span, rank_exact
 from qplab.scalars import _common_numerators
 from test_fibration import SPLIT_PAIRS, _typed_fields
 
@@ -115,13 +115,13 @@ def test_tangent_frame_dimensions():
         assert not in_span(frame.S_basis[1:], list(x.coords))
 
 
-def nullspace_lifts(x):
-    """Oracle for the frame's lifts: the nullspace of the rows e_i,
-    q1(v, .) and q2(v, .), i the first coordinate of the point's pair."""
-    i = x.pair()[0]
-    unit = [int(k == i) for k in range(len(x.coords))]
+def assert_frame_of_S(x, frame):
+    """The frame spans the nullspace of the rows q1(v, .) and q2(v, .), and
+    v lies off the span of the lifts."""
     p, v = x.pencil, x.coords
-    return nullspace_exact([unit, p.q1_row(v), p.q2_row(v)])
+    ns = nullspace_exact([p.q1_row(v), p.q2_row(v)])
+    assert rank_exact(frame) == rank_exact(ns) == rank_exact(frame + ns) == 2 * p.g
+    assert not in_span(frame[1:], v)
 
 
 # lambdas whose triples (0, 9, 25), (0, 25, -144) and (0, 9, -16) differ by
@@ -155,46 +155,61 @@ def gaussian_point(a, b=None):
     return PointOnX(PYTHAGOREAN, [e * lift(c) + (1 - e) * lift(d) for c, d in zip(a, b)])
 
 
+def split_factor(c, sign):
+    """The image of c in Q(i, s), s^2 = 1, under s -> sign: one of the two
+    factors Q(i) of that split algebra, in the field Q(i, sqrt 2) of
+    :func:`gaussian_point`."""
+    c0, c1, c2, c3 = c.c
+    ctx = BiquadContext(-1, 2)
+    return ctx.embed(c0 + sign * c2) + (c1 + sign * c3) * ctx.sqrt_u()
+
+
 def test_closed_form_frame_is_the_nullspace_basis():
     # sampled points on X and Y at g = 2..6 and in split contexts, and hand
-    # built points with zero divisors: the lifts equal the nullspace basis
-    # field for field, and where the nullspace raises the frame raises the
-    # same type.  Over the split algebra a zero divisor before the pair's
-    # second coordinate raises, with x_m a zero divisor too (a with b) or
-    # invertible (f with b), and so does a zero divisor at x_m (a with c);
-    # one after x_m (a with d) and m = 3 (c with its sign flip) do not
+    # built points with zero divisors: the frame spans the nullspace of the
+    # rows q1(v, .), q2(v, .), and v lies off the span of its lifts.  A
+    # basis over the split algebra Q(i)^2 is one in each factor, so there
+    # the frame is tested in both, where the ranks divide by units only.
+    # The frame raises NonInvertibleError exactly when no coordinate off the
+    # pair is a unit: a with b and a with c; f with b, whose x_1 is a zero
+    # divisor but x_4 a unit, and a with d, with x_2 a unit, do not raise
     points = [sample_point(canonical_pencil(g), 7, index=i, on_Y=y)
               for g in range(2, 7) for i in range(6) for y in (False, True)]
     points += [sample_point(canonical_pencil(g), s, index=i, on_Y=y)
                for g, s, i, y in SPLIT_PAIRS]
     a, b, c, c_flip, d, f = GAUSSIAN_POINTS
     points += [gaussian_point(a), gaussian_point(c)]
-    points += [gaussian_point(a, w) for w in (b, c, d)]
-    points += [gaussian_point(c, c_flip), gaussian_point(f, b)]
+    split = [gaussian_point(a, w) for w in (b, c, d)]
+    split += [gaussian_point(c, c_flip), gaussian_point(f, b)]
     raised = []
-    for x in points:
-        try:
-            want = nullspace_lifts(x)
-        except ArithmeticError as exc:
-            with pytest.raises(type(exc)):
+    for x in points + split:
+        i, _, j, _ = x.pair()
+        if not any(c and c.norm() for k, c in enumerate(x.coords) if k not in (i, j)):
+            with pytest.raises(NonInvertibleError, match="no invertible coordinate off"):
                 tangent_frame(x)
-            raised.append(type(exc))
+            raised.append(x)
             continue
-        got = tangent_frame(x).S_basis[1:]
-        assert [_typed_fields(w) for w in got] == [_typed_fields(w) for w in want]
-    assert raised == [NonInvertibleError] * 3
+        frame = tangent_frame(x).S_basis
+        assert len(frame) == 2 * x.pencil.g and frame[0] == list(x.coords)
+        if x not in split:
+            assert_frame_of_S(x, frame)
+            continue
+        for sign in (1, -1):
+            image = PointOnX(PYTHAGOREAN, [split_factor(c, sign) for c in x.coords])
+            assert_frame_of_S(image, [[split_factor(c, sign) for c in w] for w in frame])
+    assert raised == split[:2]
 
 
 def test_frame_raises_when_the_rows_have_rank_two():
     # no point of X is nonzero on its pair alone (x_j^2 would vanish), so a
     # stand-in with the membership check bypassed holds such coordinates:
-    # the rows then have rank 2 and S the wrong dimension
+    # no coordinate off the pair is left to take the place of v
     ctx = BiquadContext(-1, 2)
     x = object.__new__(PointOnX)
-    x.pencil, x.on_Y, x._pair = P2, False, None
+    x.pencil, x.on_Y, x._pair, x._S = P2, False, None, None
     x.coords = [ctx.sqrt_u(), ctx.sqrt_w()] + [ctx.embed(0)] * 4
     x._nums = _common_numerators(x.coords)
-    assert len(nullspace_lifts(x)) == 4
+    assert x.pair()[::2] == (0, 1)
     with pytest.raises(ArithmeticError, match="S has dimension 5, expected 4"):
         tangent_frame(x)
 
