@@ -3,7 +3,8 @@
 Every command prints one JSON report to stdout (optionally also to
 --json-out).  Reports are byte-identical for identical job specifications.
 Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal error,
-141 (as for SIGPIPE) stdout closed before the report was written.
+141 (as for SIGPIPE) stdout closed before the report was written (a
+--json-out file is written before stdout).
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def _report(args, passed: bool, metrics: dict, samples_used: int) -> int:
         "version": REPORT_VERSION,
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text, flush=True)  # a closed stdout raises here, not at exit
-    if getattr(args, "json_out", None):
+    if getattr(args, "json_out", None):  # first, so a closed stdout keeps it
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
+    print(text, flush=True)  # a closed stdout raises here, not at exit
     return EXIT_PASS if passed else EXIT_FAIL
 
 

@@ -47,7 +47,7 @@ class BiquadContext:
     different contexts must never be combined.
     """
 
-    __slots__ = ("u", "w", "_pu", "_qu", "_pw", "_qw", "_k", "_ru", "_rw")
+    __slots__ = ("u", "w", "_pu", "_qu", "_pw", "_qw", "_k")
 
     def __init__(self, u, w):
         self.u = Fraction(u)
@@ -62,8 +62,6 @@ class BiquadContext:
             self._qu * self._pw,
             self._pu * self._pw,
         )
-        self._ru = cmath.sqrt(complex(self.u))
-        self._rw = cmath.sqrt(complex(self.w))
 
     def __eq__(self, other):
         return (
@@ -322,7 +320,7 @@ class Biquad:
         return self._n != _ZERO_N
 
     def to_complex(self) -> complex:
-        ru, rw = self.ctx._ru, self.ctx._rw
+        ru, rw = cmath.sqrt(complex(self.ctx.u)), cmath.sqrt(complex(self.ctx.w))
         d = self._d
         c0, c1, c2, c3 = (complex(n / d) for n in self._n)
         return c0 + c1 * ru + c2 * rw + c3 * ru * rw

@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
 from .linalg import _pivot_row, _scaled_matvec_numerators, dot
 from .pencil import PencilOfQuadrics
 from .scalars import (
@@ -71,11 +69,66 @@ class SampleBudgetError(RuntimeError):
     """Resampling budget exceeded while drawing a point."""
 
 
-def derived_rng(seed: int, index: int) -> np.random.Generator:
-    """Philox substream for sample #index of run `seed` (counter-derived)."""
-    mask = 2 ** 64 - 1
-    key = np.array([seed & mask, index & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+
+
+def _philox4x64_halves(k0: int, k1: int):
+    """The 32-bit outputs of Philox4x64-10 (Salmon et al., SC 2011) keyed
+    (k0, k1) at counters 1, 2, ...: each 64-bit output word gives its low
+    half, then its high half."""
+    keys = []
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _M64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _M64
+    counter = 0
+    while True:
+        counter += 1  # the high counter words stay 0 before 2^64 blocks
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        for r0, r1 in keys:
+            p0 = 0xD2E7470EE14C6C93 * c0
+            p1 = 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ r0, p1 & _M64, (p0 >> 64) ^ c3 ^ r1, p0 & _M64
+        for word in (c0, c1, c2, c3):
+            yield word & _M32
+            yield word >> 32
+
+
+class PhiloxStream:
+    """Bounded integer draws from one Philox4x64-10 stream, bit for bit those
+    of the reference ``Generator(Philox(key=[k0, k1])).integers`` on the same
+    calls (the oracle is in tests/test_variety.py)."""
+
+    __slots__ = ("_halves",)
+
+    def __init__(self, k0: int, k1: int):
+        self._halves = _philox4x64_halves(k0, k1)
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        """`size` draws from [low, high): low + (w n >> 32) for the next
+        32-bit output w and n = high - low, with w redrawn while w n mod 2^32
+        < (2^32 - n) mod n (Lemire, ACM TOMACS 2019).  Raises ValueError
+        unless 2 <= n <= 2^32, as the reference draws no word for n = 1 and
+        draws wider ranges another way."""
+        n = high - low
+        if not 2 <= n <= 1 << 32:
+            raise ValueError(f"need 2 <= high - low <= 2^32, got {n}")
+        threshold = ((1 << 32) - n) % n
+        halves = self._halves
+        out = []
+        for _ in range(size):
+            m = next(halves) * n
+            while m & _M32 < threshold:
+                m = next(halves) * n
+            out.append(low + (m >> 32))
+        return out
+
+
+def derived_rng(seed: int, index: int) -> PhiloxStream:
+    """Philox substream for sample #index of run `seed`, keyed
+    (seed mod 2^64, index mod 2^64)."""
+    return PhiloxStream(seed & _M64, index & _M64)
 
 
 class PointOnX:
@@ -197,7 +250,7 @@ def sample_point(
     ms = pencil.integer_form()[1]
     m0, m1 = ms[0], ms[1]
     for _ in range(RESAMPLE_BUDGET):
-        tail = rng.integers(-9, 10, size=n - 2).tolist()
+        tail = rng.integers(-9, 10, size=n - 2)
         if on_Y:
             tail[-1] = 0
         if not all(tail[:-1] if on_Y else tail):
@@ -396,7 +449,7 @@ def sample_covector(
     view = x.numerators()
     pivot, inv_vp = x.pair()[:2]
     for _ in range(RESAMPLE_BUDGET):
-        draws = rng.integers(-9, 10, size=n).tolist()
+        draws = rng.integers(-9, 10, size=n)
         if even_restricted:
             draws[-1] = 0
         draws[pivot] = 0

@@ -228,7 +228,7 @@ def _random_distinct_lambdas(rng, n: int):
     for _ in range(256):
         nums = rng.integers(-60, 61, size=n)
         dens = rng.integers(1, 13, size=n)
-        lam = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+        lam = [Fraction(a, b) for a, b in zip(nums, dens)]
         if len(set(lam)) == n:
             return lam
     raise RuntimeError("failed to draw distinct rationals")
@@ -302,8 +302,8 @@ def run_skew_battery(seed: int, cases: int = 200) -> dict:
         rng = derived_rng(seed, (1 << 40) + i)
         n = sizes[i % len(sizes)]
         for _ in range(64):
-            u = rng.integers(-5, 6, size=n).tolist()
-            v = rng.integers(-5, 6, size=n).tolist()
+            u = rng.integers(-5, 6, size=n)
+            v = rng.integers(-5, 6, size=n)
             m = [[u[a] * v[b] - v[a] * u[b] for b in range(n)] for a in range(n)]
             if not any(any(row) for row in m):
                 continue

@@ -270,19 +270,23 @@ def test_gaussian_point_files_split(tmp_path, names):
     assert metrics["trivial_matches_tangent"] is True
 
 
-def test_closed_stdout_stops_quietly():
+def test_closed_stdout_stops_quietly(tmp_path):
     # a reader that closes before the report is written, and one that closes
     # after 10 bytes (`qplab fh --g=3 | head -c 10`), which may come before
-    # or after the write: no JSON on stderr, and 141 unless the report got out
+    # or after the write: no JSON on stderr, and 141 unless the report got out;
+    # a --json-out file is written in full either way
     from qplab.cli import EXIT_CLOSED, EXIT_PASS
 
+    out = tmp_path / "fh.json"
     read, write = os.pipe()
     os.close(read)
     try:
-        r = subprocess.run(CLI + ["fh", "--g=3"], stdout=write, stderr=subprocess.PIPE)
+        r = subprocess.run(CLI + ["fh", "--g=3", "--json-out", str(out)], stdout=write,
+                           stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert (r.returncode, r.stderr) == (EXIT_CLOSED, b"")
+    assert out.read_text() == run_cli("fh", "--g=3").stdout
     with subprocess.Popen(CLI + ["fh", "--g=3"], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
         head = proc.stdout.read(10)
@@ -656,3 +660,15 @@ def test_verify_all_verdict_stable_over_seeds():
     for seed in range(3):
         r = run_cli("verify-all", "--g", "2", "--seed", str(seed), "--budget", "0.05")
         assert r.returncode == 0
+
+
+def test_verify_all_runs_without_numpy():
+    # numpy is a test dependency only: with its import blocked, qplab imports
+    # and verify-all passes
+    code = (
+        "import sys; sys.modules['numpy'] = None; import qplab, qplab.cli; "
+        "sys.exit(qplab.cli.main(['verify-all', '--g', '2', '--budget', '0.05']))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["pass"] is True

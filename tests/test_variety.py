@@ -90,6 +90,44 @@ def test_derived_rng_distinct_seeds_distinct_streams(a, b):
     assert list(ra) != list(rb)
 
 
+def _reference_stream(seed, index):
+    """The generator derived_rng reproduces.  The key is built as a uint64
+    array: a list that mixes keys below and above 2^63 would pass through
+    float64 and lose its low bits."""
+    import numpy as np
+
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, index & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+# the ranges drawn in src and tier-1, one near 2^31 whose draws are redrawn
+# about half the time, and two of width 2^32
+ORACLE_RANGES = [
+    (-9, 10), (-60, 61), (1, 13), (-5, 6), (1, 10), (0, 2), (0, 1 << 30),
+    (0, (1 << 31) + 1), (0, 1 << 32), (-(1 << 31), 1 << 31),
+]
+
+
+@pytest.mark.parametrize("seed, index", [
+    (0, 0), (1, 0), (7, 3), (-1, -1), (-9, 5), (5, 1 << 63),
+    (1 << 63, (1 << 64) - 1), (3, (1 << 32) + 4), (3, (1 << 40) + 17),
+    (3, (1 << 44) + 2), (2, 2 << 32), (8, (5 << 32) + 1), (-2, (1 << 64) + 6),
+])
+def test_derived_rng_matches_the_reference_generator(seed, index):
+    # consecutive calls on one stream, with odd sizes, so that a call starts
+    # in the high half of a word and the stream runs over many 4-word blocks
+    ours, ref = derived_rng(seed, index), _reference_stream(seed, index)
+    for size, (low, high) in zip((1, 3, 5, 7, 9, 11, 13, 3, 5, 1), ORACLE_RANGES):
+        assert ours.integers(low, high, size) == ref.integers(low, high, size=size).tolist()
+
+
+@pytest.mark.parametrize("low, high", [(0, 1), (4, 4), (3, -3), (0, (1 << 32) + 1)])
+def test_derived_rng_rejects_ranges_outside_two_to_two_pow_32(low, high):
+    with pytest.raises(ValueError):
+        derived_rng(0, 0).integers(low, high, 1)
+
+
 def test_point_json_roundtrip():
     x = sample_point(P2, 13)
     payload = x.to_json()

@@ -310,15 +310,15 @@ def test_skew_battery_matches_fraction_battery(monkeypatch, cases):
 
 
 def test_skew_draw_matches_scalar_draws():
-    # one vector draw of the upper entries gives the numbers that one scalar
-    # draw per entry gave, so the Pf^2 = det maps of test_acceptance are the
+    # one vector draw of the upper entries gives the numbers that one draw of
+    # size 1 per entry gives, so the Pf^2 = det maps of test_acceptance are the
     # ones the battery always drew; from_upper keeps them as Python ints
     for seed in range(20):
         for n in (4, 6, 8, 10):
             count = n * (n - 1) // 2
-            vector = derived_rng(seed, n).integers(-9, 10, size=count).tolist()
+            vector = derived_rng(seed, n).integers(-9, 10, size=count)
             rng = derived_rng(seed, n)
-            assert vector == [int(rng.integers(-9, 10)) for _ in range(count)]
+            assert vector == [rng.integers(-9, 10, size=1)[0] for _ in range(count)]
             m = SkewMap.from_upper(n, vector).entries
             upper = iter(vector)
             for a in range(n):
