@@ -2,8 +2,9 @@
 
 phi_X evaluates the quadratic generator fields on a cotangent representative:
 component j is sum_{k != j} (x_j eta_k - x_k eta_j)^2 / (lambda_k - lambda_j).
-They are computed on integer numerators, with the weights 1/(lambda_k -
-lambda_j) kept as a table of the pencil, and each component is reduced once.
+They are computed in one loop on integer numerator 4-tuples, with the weights
+1/(lambda_k - lambda_j) kept as a table of the pencil, and each component is
+reduced once.
 f_H computes the same data geometrically: the binary form (degree 2g-2) cutting
 out the degenerate members of the pencil restricted to the hyperplane
 H = ker(eta) of the tangent space S/V.  The determinant of q_t on H is a
@@ -20,7 +21,6 @@ by one exact rank of the closed-form Jacobian dF/deta and exact brackets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 
 from .binary_forms import BinaryForm, _lagrange_matrix, _root_quotients
@@ -28,8 +28,7 @@ from .linalg import (
     _integer_rows, _scaled_matvec_numerators, det_exact, rank_exact, scaled_matvec)
 from .pencil import PencilOfQuadrics
 from .scalars import (
-    _ZERO_N, _columns, _common_numerators, _make, _product_numerators, _raw,
-    _scaled_product)
+    _ZERO_N, _common_numerators, _product_numerators, _raw, _reduce, _scaled_product)
 from .variety import CotangentRep, PointOnX, _sums_vanish, _vanishes_on_S
 
 __all__ = [
@@ -74,31 +73,20 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
     on one common denominator d (one numerator view,
     :func:`~qplab.scalars._common_numerators`), each pair j < k forms w_jk^2
     once and adds it into F_j and F_k (w_kj^2 = w_jk^2) with the integer rows
-    of :func:`_phi_table`, and each component is reduced once.  The outputs
-    are typed by the view's context: without one every entry is an int, w^2
-    is an integer product over d^4 and each component a ``Fraction``; with
-    one every entry is a numerator 4-tuple, the products are those of
+    of :func:`_phi_table`, and each component is reduced once
+    (:func:`~qplab.scalars._reduce`).  The products are those of
     :func:`~qplab.scalars._scaled_product` (a factor of rational value
     scales the other, two irrational ones take the product formula, each
-    scaled by k0 = qu*qw), w^2 lies over k0^3 d^4 and each component is a
-    ``Biquad``.  Raises :class:`~qplab.scalars.ModeMismatchError` for an
-    entry that is not an exact scalar and for two contexts.
+    scaled by k0 = qu*qw, 1 without a context), so w^2 lies over
+    k0^3 d^4, and each component is a ``Biquad`` of the view's context or
+    a ``Fraction`` without one.  Raises
+    :class:`~qplab.scalars.ModeMismatchError` for an entry that is not an
+    exact scalar and for two contexts.
     """
     rows, scales = p.derived("phi_table", _phi_table)
     n = len(v)
     ctx, nums, d = _common_numerators(list(v) + list(eta))
     xs, es = nums[:n], nums[n:]
-    if ctx is None:
-        c0 = [0] * n
-        for j in range(n):
-            xj, ej, rj = xs[j], es[j], rows[j]
-            for k in range(j + 1, n):
-                w = xj * es[k] - xs[k] * ej
-                w2 = w * w
-                c0[j] += rj[k] * w2
-                c0[k] += rows[k][j] * w2
-        d = d ** 4
-        return [Fraction(a, s * d) for a, s in zip(c0, scales)]
     c0, c1, c2, c3 = [0] * n, [0] * n, [0] * n, [0] * n
     for j in range(n):
         xj, ej, rj = xs[j], es[j], rows[j]
@@ -116,8 +104,8 @@ def phi_components(p: PencilOfQuadrics, v, eta) -> list:
             c1[k] += akj * w1
             c2[k] += akj * w2
             c3[k] += akj * w3
-    d = ctx._k[0] ** 3 * d ** 4
-    return [_make(ctx, c0[j], c1[j], c2[j], c3[j], scales[j] * d) for j in range(n)]
+    d = (1 if ctx is None else ctx._k[0]) ** 3 * d ** 4
+    return [_reduce(ctx, (c0[j], c1[j], c2[j], c3[j]), scales[j] * d) for j in range(n)]
 
 
 def phi_X(x: PointOnX, xi: CotangentRep) -> FibrationValue:
@@ -364,10 +352,10 @@ def _gauge_vanishes(x: PointOnX, ctx, J) -> bool:
 
 def _brackets_vanish(ctx, J, H) -> bool:
     """True iff {F_i, F_j} = sum_k (J_ik H_jk - H_ik J_jk) is 0 for every
-    i < j, each sum tested on its integer numerator columns, unreduced."""
+    i < j, each sum tested on its integer numerator 4-tuple, unreduced."""
     for i in range(len(J)):
         for j in range(i + 1, len(J)):
-            plus, minus = [_columns(_product_numerators((ctx, a, 1), (ctx, b, 1)))
+            plus, minus = [zip(*_product_numerators((ctx, a, 1), (ctx, b, 1))[1])
                            for a, b in ((J[i], H[j]), (H[i], J[j]))]
             if any(sum(p) != sum(m) for p, m in zip(plus, minus)):
                 return False

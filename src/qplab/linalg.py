@@ -46,10 +46,9 @@ from operator import mul
 from .scalars import (
     Biquad,
     NonInvertibleError,
-    _columns,
     _common_numerators,
     _exact_context,
-    _make,
+    _reduce,
 )
 
 __all__ = [
@@ -433,17 +432,15 @@ def scaled_matvec(rows, scales, v):
 
 def _scaled_matvec_numerators(rows, scales, view):
     """:func:`scaled_matvec` on a vector already on one common denominator,
-    given as its numerator view (ctx, nums, d): one ``_make`` per output
-    under a context, one ``Fraction`` without one.  A point keeps such a
-    view of its coordinates, and f_H weighs the views of its products."""
-    ctx, _, d = view
-    if ctx is None:
-        (c0,) = _columns(view)
-        return [Fraction(sum(map(mul, row, c0)), s * d) for row, s in zip(rows, scales)]
-    c0, c1, c2, c3 = _columns(view)
+    given as its numerator view (ctx, nums, d): the dot product of each row
+    with each numerator column, reduced once per output
+    (:func:`~qplab.scalars._reduce`).  A point keeps such a view of its
+    coordinates, and f_H weighs the views of its products."""
+    ctx, nums, d = view
+    c0, c1, c2, c3 = zip(*nums) if nums else ((), (), (), ())
     return [
-        _make(ctx, sum(map(mul, row, c0)), sum(map(mul, row, c1)),
-              sum(map(mul, row, c2)), sum(map(mul, row, c3)), s * d)
+        _reduce(ctx, (sum(map(mul, row, c0)), sum(map(mul, row, c1)),
+                      sum(map(mul, row, c2)), sum(map(mul, row, c3))), s * d)
         for row, s in zip(rows, scales)
     ]
 

@@ -130,8 +130,8 @@ def _verify_kernel(kb: KernelBasis):
     # of M(t) * sum_k t^k w_k is a.w_{k-1} - b.w_k; for a constant column w
     # that says a.w = b.w = 0, that is w lies in S.  The products are taken
     # on the point's numerators (:func:`~qplab.scalars._product_sums`): with
-    # m_k = L lambda_k, each w_k gives the integer columns of a.w_k and of
-    # L b.w_k, all over one denominator
+    # m_k = L lambda_k, each w_k gives the integer numerator 4-tuples of
+    # a.w_k and of L b.w_k, all over one denominator
     x = kb.point
     p = x.pencil
     view, (L, ms) = x.numerators(), p.integer_form()

@@ -8,7 +8,10 @@ floating-point differences.
 
 A :class:`Biquad` keeps its four coordinates as integer numerators over one
 shared positive denominator, reduced by a single gcd, so ring operations run
-on Python integers and need no optional big-rational library.
+on Python integers and need no optional big-rational library.  An exact
+vector goes to the integer kernels as a numerator view: every entry an
+integer numerator 4-tuple over one common denominator, a rational value as
+(n, 0, 0, 0), so each kernel has one loop, and each sum is reduced once.
 """
 
 from __future__ import annotations
@@ -355,11 +358,11 @@ def _exact_context(values, what: str):
 
 
 # A numerator view (ctx, nums, d) is an exact vector on one common
-# denominator d > 0, with nums[k] = v[k] * d.  Its entries have one shape per
-# context: ints without a context, and integer numerator 4-tuples with one,
-# (n, 0, 0, 0) for a rational value.  Only this module reads the shape; the
-# kernels that sum a view read its integer columns (:func:`_columns`) and
-# reduce each sum once, to a Biquad of ctx or to a Fraction without one.
+# denominator d > 0, with nums[k] = v[k] * d.  Every entry is an integer
+# numerator 4-tuple, (n, 0, 0, 0) for a rational value, and ctx is the
+# context of the vector's ``Biquad`` entries, None only when every entry is
+# rational.  The kernels that sum a view reduce each summed 4-tuple once
+# (:func:`_reduce`).
 
 
 def _common_numerators(v, what: str = "vector entry") -> tuple:
@@ -369,8 +372,6 @@ def _common_numerators(v, what: str = "vector entry") -> tuple:
     ctx = _exact_context(v, what)
     dens = [x._d if type(x) is Biquad else x.denominator for x in v]
     d = lcm(*dens)
-    if ctx is None:
-        return None, [x.numerator * (d // e) for x, e in zip(v, dens)], d
     nums = []
     for x, e in zip(v, dens):
         s = d // e
@@ -382,21 +383,24 @@ def _common_numerators(v, what: str = "vector entry") -> tuple:
     return ctx, nums, d
 
 
-def _columns(view) -> list:
-    """The integer columns of a numerator view: its numerators without a
-    context, and the four coordinate columns with one."""
-    ctx, nums, _ = view
-    return [nums] if ctx is None else list(zip(*nums))
+def _reduce(ctx, n, d):
+    """The exact scalar with the numerator 4-tuple n over d > 0: a canonical
+    ``Biquad`` of ctx, or the ``Fraction`` n[0] / d without a context (every
+    entry of such a view is rational)."""
+    if ctx is None:
+        return Fraction(n[0], d)
+    return _make(ctx, n[0], n[1], n[2], n[3], d)
 
 
 def _scaled_product(ctx, a, b) -> tuple:
     """k0 times the numerators of a*b, for numerator 4-tuples a and b of ctx
-    and k0 = qu*qw: a factor of rational value scales the other's
-    numerators, and two irrational factors take :func:`_mul_numerators`,
-    which carries k0 already.  Such products of entries of views over d_a
-    and d_b all lie over k0*d_a*d_b, so they add as integers."""
+    and k0 = qu*qw (1 without a context): a factor of rational value scales
+    the other's numerators, and two irrational factors take
+    :func:`_mul_numerators`, which carries k0 already.  Such products of
+    entries of views over d_a and d_b all lie over k0*d_a*d_b, so they add
+    as integers."""
     if not (b[1] or b[2] or b[3]):
-        s = ctx._k[0] * b[0]
+        s = b[0] if ctx is None else ctx._k[0] * b[0]
         return (a[0] * s, a[1] * s, a[2] * s, a[3] * s)
     if not (a[1] or a[2] or a[3]):
         s = ctx._k[0] * a[0]
@@ -404,52 +408,35 @@ def _scaled_product(ctx, a, b) -> tuple:
     return _mul_numerators(ctx, a, b)
 
 
-def _joint_entries(a, b) -> tuple:
-    """(ctx, xs, ys): the entries of two views of one length in one shape,
-    ctx their context (None when neither has one); a view without a
-    context takes the other's.  Raises :class:`ModeMismatchError` for two
-    different contexts."""
-    actx, xs, _ = a
-    bctx, ys, _ = b
-    if bctx is None:
-        if actx is not None:
-            ys = [(n, 0, 0, 0) for n in ys]
-        return actx, xs, ys
+def _joint_context(a, b):
+    """The one context of two views, None when neither has one.  Raises
+    :class:`ModeMismatchError` for two different contexts."""
+    actx, bctx = a[0], b[0]
     if actx is None:
-        xs = [(m, 0, 0, 0) for m in xs]
-    elif actx is not bctx and actx != bctx:
+        return bctx
+    if bctx is not None and bctx is not actx and bctx != actx:
         raise ModeMismatchError("mixed biquadratic contexts in vector")
-    return bctx, xs, ys
+    return actx
 
 
 def _product_numerators(a, b) -> tuple:
     """The numerator view of the entrywise products a_k * b_k of two views
-    of one length (:func:`_joint_entries`), over k0*d_a*d_b for k0 = qu*qw
-    of their context (1 without one)."""
-    ctx, xs, ys = _joint_entries(a, b)
-    if ctx is None:
-        return None, [m * n for m, n in zip(xs, ys)], a[2] * b[2]
-    return ctx, [_scaled_product(ctx, m, n) for m, n in zip(xs, ys)], ctx._k[0] * a[2] * b[2]
+    of one length and one context (:func:`_joint_context`), over
+    k0*d_a*d_b for k0 = qu*qw of that context (1 without one)."""
+    ctx = _joint_context(a, b)
+    k0 = 1 if ctx is None else ctx._k[0]
+    return ctx, [_scaled_product(ctx, m, n) for m, n in zip(a[1], b[1])], k0 * a[2] * b[2]
 
 
 def _product_sums(a, b, ms) -> tuple:
-    """(s, t): the integer numerator columns of sum_k a_k b_k and of
-    sum_k m_k a_k b_k, for two views a and b of one length
-    (:func:`_joint_entries`) and integers m_k, unreduced over the
+    """(s, t): the integer numerator 4-tuples of sum_k a_k b_k and of
+    sum_k m_k a_k b_k, for two views a and b of one length and one context
+    (:func:`_joint_context`) and integers m_k, unreduced over the
     denominator of :func:`_product_numerators`.  One pass over the nonzero
-    entries of b forms each product once for both sums; one column each
-    without a context, four with one."""
-    ctx, xs, ys = _joint_entries(a, b)
-    if ctx is None:
-        s = t = 0
-        for x, y, m in zip(xs, ys, ms):
-            if y:
-                p = x * y
-                s += p
-                t += m * p
-        return (s,), (t,)
+    entries of b forms each product once for both sums."""
+    ctx = _joint_context(a, b)
     s0 = s1 = s2 = s3 = t0 = t1 = t2 = t3 = 0
-    for x, y, m in zip(xs, ys, ms):
+    for x, y, m in zip(a[1], b[1], ms):
         if y != _ZERO_N:
             p0, p1, p2, p3 = _scaled_product(ctx, x, y)
             s0 += p0

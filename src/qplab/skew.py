@@ -10,12 +10,12 @@ eliminate the entries again.
 
 The characteristic coefficients and the Pfaffian run on Python ints, so they
 need rational entries, and each result becomes a ``Fraction`` once, at the
-end.  The characteristic coefficients read the rank r of B from its echelon.
-At full rank they come from the power sums tr(B^k) by Newton's identities;
-each power of B is symmetric or skew, so only its upper triangle is computed.
-Below full rank no power of B is formed: B factors through the r x r minor K
-on the echelon's pivot rows and columns, and the coefficients are those of
-an integer r x r core built from the echelon rows by one integer back
+end.  The characteristic coefficients read the rank r of B from its echelon
+and come, at every rank, from the power sums of an integer r x r core by
+Newton's identities.  B factors through the invertible r x r minor K on
+the echelon's pivot rows and columns, and the core is K^{-1} times the
+product of those rows and columns of B: B itself at full rank, and below it
+an integer core built from the echelon rows by one integer back
 substitution.  Every division is checked to be exact and every odd-power
 coefficient checked to vanish.  The Pfaffian is fraction-free skew
 elimination on a copy of B.  The rank-two decomposition also works over the
@@ -164,21 +164,13 @@ def char_coeffs(m: SkewMap):
     has integer c_k and a_j = c_{2j} / D^{2j}.  The rank r and the pivot
     columns P come from the map's echelon form of B.
 
-    At full rank the c_k come from the power sums p_k = tr(B^k) by Newton's
-    identities (:func:`_newton`).  Only B^2, ..., B^n are formed, by n - 1
-    steps of :func:`_power_step`; as each power is skew or symmetric a step
-    takes the size (size + 1) / 2 dot products on and above the diagonal.
-    p_k is tr(B^i B^j) with i + j = k, which for the same reason is
-    +-sum_rc (B^i)_rc (B^j)_rc, so no power beyond B^n is built and at most
-    n matrices are held.
-
-    Below full rank no power of B is formed.  With Q the pivot rows of the
-    echelon, the minor K = B[Q,P] is invertible (its determinant is, up to
-    sign, the echelon's last pivot), B = B[:,P] K^{-1} B[Q,:], and so
+    With Q the pivot rows of the echelon, the minor K = B[Q,P] is invertible
+    (its determinant is, up to sign, the echelon's last pivot),
+    B = B[:,P] K^{-1} B[Q,:], and so
     det(xI - B) = x^{size-r} det(xI_r - K^{-1} B[Q,:] B[:,P]): c_k = 0 for
     k > r, and c_1, ..., c_r are those of an r x r integer core scaled by
-    the last pivot (:func:`_core_coeffs`).  That costs O(size r^2 + r^4)
-    after the echelon, against n - 1 power steps of O(size^3).
+    the last pivot, from its power sums by Newton's identities
+    (:func:`_core_coeffs`).  At full rank the core is B itself.
 
     Each division is checked to be exact, and the odd-power coefficients are
     verified to vanish exactly; either failure raises ``ArithmeticError``.
@@ -186,57 +178,42 @@ def char_coeffs(m: SkewMap):
     size = m.size
     b, d = m._integer_image()
     rows, pivots, _ = m._echelon_form()
-    if len(pivots) == size:
-        coeffs = _newton(_skew_power_traces(b, m.n))
-    else:
-        coeffs = _core_coeffs(b, rows, pivots)
+    coeffs = _core_coeffs(b, rows, pivots)
     if any(coeffs[0::2]):
         raise ArithmeticError("odd characteristic coefficient nonzero")
     return tuple([Fraction(coeffs[k], d ** (k + 1)) if k < len(coeffs) else Fraction(0)
                   for k in range(1, size, 2)])
 
 
-def _skew_power_traces(b, n):
-    """p_1, ..., p_{2n} with p_k = tr(B^k), for a skew integer B of size
-    2n, from B, ..., B^n."""
-    powers = [b]  # B^1, ..., B^n
-    for j in range(1, n):
-        powers.append(_power_step(b, powers[-1], -1 if j % 2 else 1))
-    traces = [sum(b[i][i] for i in range(2 * n))]  # p_1
-    for k in range(2, 2 * n + 1):
-        # p_k = tr(B^i B^j) with 1 <= i <= j <= n; (B^j)_cr = (-1)^j (B^j)_rc
-        i = k // 2
-        j = k - i
-        t = sum([sum(map(mul, u, v)) for u, v in zip(powers[i - 1], powers[j - 1])])
-        traces.append(-t if j % 2 else t)
-    return traces
-
-
 def _core_coeffs(b, rows, pivots):
-    """c_1, ..., c_r of det(xI - B) for an integer skew B of rank r below its
-    size, from the echelon rows of B and their pivot columns P.
+    """c_1, ..., c_r of det(xI - B) for an integer skew B of rank r, from
+    the echelon rows of B and their pivot columns P.
 
     Let Q be the rows of B that the elimination took as pivot rows.  The
     columns P span the image of B, so B = B[:,P] X, and rows Q are
     independent, so K = B[Q,P] is invertible: the last pivot D_K of the
     echelon is, up to sign, det K.  Then X = K^{-1} B[Q,:] and
-    det(xI - B) = x^{size-r} det(xI_r - N), N = K^{-1} B[Q,:] B[:,P].  The
-    echelon rows are E_r = T B[Q,:] with T invertible and E_r[:,P] = U upper
-    triangular, so N = U^{-1} H with H = E_r B[:,P], and as B[:,P] is minus
-    the transpose of B[P,:], H[a][c] = -E_a . B_{P_c}.  One integer back
-    substitution on [U | -H] over D_K gives M = D_K N, an integer matrix
-    (D_K K^{-1} is, up to sign, the adjugate of K).  M goes through power
-    sums and :func:`_newton`, and c_k = c_k(M) / D_K^k, each division
-    checked to be exact.
+    det(xI - B) = x^{size-r} det(xI_r - N), N = K^{-1} B[Q,:] B[:,P].  At
+    full rank K is B with its rows reordered, so N = B and D_K is taken as
+    1.  Below it, the echelon rows are E_r = T B[Q,:] with T invertible and
+    E_r[:,P] = U upper triangular, so N = U^{-1} H with H = E_r B[:,P], and
+    as B[:,P] is minus the transpose of B[P,:], H[a][c] = -E_a . B_{P_c}.
+    One integer back substitution on [U | -H] over D_K gives M = D_K N, an
+    integer matrix (D_K K^{-1} is, up to sign, the adjugate of K).  M goes
+    through power sums and :func:`_newton`, and c_k = c_k(M) / D_K^k, each
+    division checked to be exact.
     """
     r = len(pivots)
     if not r:  # the zero map
         return []
-    piv_rows = [b[p] for p in pivots]
-    aug = [[e[p] for p in pivots] + [sum(map(mul, e, bp)) for bp in piv_rows]
-           for e in rows[:r]]
-    d_k, vectors = _integer_null_vectors(aug, range(r), range(r, 2 * r))
-    core = [[w[a] for w in vectors] for a in range(r)]  # column c is vectors[c][:r]
+    if r == len(b):
+        core, d_k = b, 1
+    else:
+        piv_rows = [b[p] for p in pivots]
+        aug = [[e[p] for p in pivots] + [sum(map(mul, e, bp)) for bp in piv_rows]
+               for e in rows[:r]]
+        d_k, vectors = _integer_null_vectors(aug, range(r), range(r, 2 * r))
+        core = [[w[a] for w in vectors] for a in range(r)]  # column c is vectors[c][:r]
     coeffs = []
     for k, c in enumerate(_newton(_power_traces(core)), 1):
         q, rem = divmod(c, d_k ** k)
@@ -275,24 +252,6 @@ def _newton(traces):
             raise ArithmeticError(f"Newton's sum for c_{k} is not divisible by {k}")
         coeffs.append(ck)
     return coeffs
-
-
-def _power_step(b, p, sign):
-    """B P for a skew integer B and a power P of B with P^T = sign * P.
-
-    Entry (r, c) is row r of B dot column c of P, which is sign * (row c of
-    P).  B and P commute, so (B P)^T = -sign * B P: only the entries on and
-    above the diagonal are dot products, size (size + 1) / 2 of them, and
-    entry (c, r) is minus the dot product of (r, c) for either sign.
-    """
-    size = len(b)
-    q = [[0] * size for _ in range(size)]
-    for r, br in enumerate(b):
-        dots = [sum(map(mul, br, pc)) for pc in p[r:]]
-        for c, x in enumerate(dots, r):
-            q[c][r] = -x
-        q[r][r:] = dots if sign > 0 else [-x for x in dots]
-    return q
 
 
 def pfaffian(m: SkewMap):

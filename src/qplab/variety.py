@@ -395,9 +395,9 @@ class CotangentRep:
     q1(v, .) and q2(v, .).
     """
 
-    __slots__ = ("point", "eta", "even_restricted", "_degenerate")
+    __slots__ = ("point", "eta", "_degenerate")
 
-    def __init__(self, point: PointOnX, eta, even_restricted: bool = False):
+    def __init__(self, point: PointOnX, eta):
         eta = list(eta)
         if len(eta) != point.pencil.dim_ambient:
             raise ValueError("wrong covector length")
@@ -408,12 +408,6 @@ class CotangentRep:
         ms = point.pencil.integer_form()[1]
         if any(_product_sums(point.numerators(), view, ms)[0]):
             raise GaugeError(f"eta(v) = {dot(point.coords, eta)} != 0")
-        if even_restricted:
-            if not point.on_Y:
-                raise GaugeError("even_restricted covector at a point off Y")
-            if eta[-1]:
-                raise GaugeError("even_restricted requires eta_{2g+1} = 0")
-        self.even_restricted = even_restricted
         self._degenerate = None
 
     def vanishes_on_S(self) -> bool:
@@ -425,16 +419,15 @@ class CotangentRep:
         return self._degenerate
 
     def scaled(self, s) -> "CotangentRep":
-        return CotangentRep(self.point, [s * c for c in self.eta], self.even_restricted)
+        return CotangentRep(self.point, [s * c for c in self.eta])
 
     def __repr__(self):
-        return f"CotangentRep(eta={self.eta}, even_restricted={self.even_restricted})"
+        return f"CotangentRep(eta={self.eta})"
 
 
-def sample_covector(
-    x: PointOnX, seed: int, index: int = 0, even_restricted: bool = False
-) -> CotangentRep:
-    """Random exact covector with eta(v) = 0 (and eta_{2g+1} = 0 if even).
+def sample_covector(x: PointOnX, seed: int, index: int = 0) -> CotangentRep:
+    """Random exact covector with eta(v) = 0, and eta_{2g+1} = 0 when x lies
+    on Y.
 
     The entries are integer draws but at the first coordinate p of the
     point's pair, which is -(sum_{k != p} x_k eta_k) / x_p.  That sum is
@@ -450,13 +443,13 @@ def sample_covector(
     pivot, inv_vp = x.pair()[:2]
     for _ in range(RESAMPLE_BUDGET):
         draws = rng.integers(-9, 10, size=n)
-        if even_restricted:
+        if x.on_Y:
             draws[-1] = 0
         draws[pivot] = 0
         s = _scaled_matvec_numerators([draws], [1], view)[0]
         eta = [Fraction(c) for c in draws]
         eta[pivot] = -(s * inv_vp)
-        xi = CotangentRep(x, eta, even_restricted)
+        xi = CotangentRep(x, eta)
         if not xi.vanishes_on_S():
             return xi
     raise SampleBudgetError("no covector nonzero on S drawn within budget")
@@ -468,7 +461,7 @@ def sample_pair(
     index: int = 0,
     on_Y: bool = False,
 ):
-    """A (point, covector) pair; even-restricted covector when on_Y."""
+    """A (point, covector) pair; the covector has eta_{2g+1} = 0 when on_Y."""
     x = sample_point(pencil, seed, index=index, on_Y=on_Y)
-    xi = sample_covector(x, seed, index=index, even_restricted=on_Y)
+    xi = sample_covector(x, seed, index=index)
     return x, xi

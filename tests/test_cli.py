@@ -5,19 +5,23 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "qplab.cli"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
-    )
+def cli_env():
+    """The environment of a subprocess: this checkout's src in front of
+    PYTHONPATH, so that it runs without an install."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=cli_env())
 
 
 def test_pencil_info():
@@ -282,13 +286,13 @@ def test_closed_stdout_stops_quietly(tmp_path):
     os.close(read)
     try:
         r = subprocess.run(CLI + ["fh", "--g=3", "--json-out", str(out)], stdout=write,
-                           stderr=subprocess.PIPE)
+                           stderr=subprocess.PIPE, env=cli_env())
     finally:
         os.close(write)
     assert (r.returncode, r.stderr) == (EXIT_CLOSED, b"")
     assert out.read_text() == run_cli("fh", "--g=3").stdout
     with subprocess.Popen(CLI + ["fh", "--g=3"], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
+                          stderr=subprocess.PIPE, env=cli_env()) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()
         assert proc.wait() in (EXIT_PASS, EXIT_CLOSED)
@@ -669,6 +673,7 @@ def test_verify_all_runs_without_numpy():
         "import sys; sys.modules['numpy'] = None; import qplab, qplab.cli; "
         "sys.exit(qplab.cli.main(['verify-all', '--g', '2', '--budget', '0.05']))"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=cli_env())
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["pass"] is True

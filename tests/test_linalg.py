@@ -48,7 +48,7 @@ from qplab.linalg import (
     dot,
     scaled_matvec,
 )
-from qplab.scalars import ModeMismatchError, _make
+from qplab.scalars import ModeMismatchError, _reduce
 from qplab.variety import _vanishes_on_S
 import qplab.fibration as fibration
 
@@ -826,10 +826,10 @@ def test_verify_lagrangian_cost_grows_cubically(monkeypatch):
 
 def test_phi_components_takes_no_biquad_product(monkeypatch):
     # phi_components forms each w_jk^2 on integer numerators and reduces
-    # each of its 2g + 2 components once, so it takes no Biquad product and
-    # exactly 2g + 2 reductions at every g, on X and on Y (with the Biquad
-    # operators on each pair j < k it took 45 / 135 / 273 products at
-    # g = 2 / 4 / 6)
+    # each of its 2g + 2 components once (_reduce), so it takes no Biquad
+    # product and exactly 2g + 2 reductions at every g, on X and on Y (with
+    # the Biquad operators on each pair j < k it took 45 / 135 / 273
+    # products at g = 2 / 4 / 6)
     for g in range(2, 9):
         p = canonical_pencil(g)
         for on_Y in (False, True):
@@ -838,8 +838,8 @@ def test_phi_components_takes_no_biquad_product(monkeypatch):
             counts = count_biquad_ops(monkeypatch)
             reductions = []
             monkeypatch.setattr(
-                fibration, "_make",
-                lambda *args: reductions.append(1) or _make(*args),
+                fibration, "_reduce",
+                lambda *args: reductions.append(1) or _reduce(*args),
             )
             phi_components(p, x.coords, xi.eta)
             assert counts["mul"] == 0, (g, on_Y)
@@ -1074,6 +1074,9 @@ def test_scaled_matvec_typed_zero_and_rational_terms():
     got = scaled_matvec(*rows, [Fraction(5), 2])
     assert [_fields(x) for x in got] == [
         ("rational", 0, 1), ("rational", 5, 1), ("rational", 3, 1)]
+    # and the empty vector a rational zero per row
+    got = scaled_matvec([[], []], [1, 2], [])
+    assert [_fields(x) for x in got] == [("rational", 0, 1), ("rational", 0, 1)]
 
 
 def test_scaled_matvec_refuses_mixed_contexts_and_inexact_entries():

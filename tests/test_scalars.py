@@ -29,6 +29,7 @@ from qplab.scalars import (
     _common_numerators,
     _make,
     _product_numerators,
+    _reduce,
     rational_to_string,
     scalar_to_json,
 )
@@ -276,20 +277,23 @@ def _view_pairs(draw):
 @given(_view_pairs())
 @settings(max_examples=200, deadline=None)
 def test_product_numerators_reduce_to_the_entrywise_products(case):
-    # each product numerator reduced once, by _make under the context and as
-    # a Fraction without one, has the fields of a_k * b_k by the operators
+    # each product numerator is a 4-tuple, (n, 0, 0, 0) without a context;
+    # reduced once by _reduce, to a Biquad under the context and to a
+    # Fraction without one, it has the fields of a_k * b_k by the operators
     a, b = case
     ctx, nums, d = _product_numerators(_common_numerators(a), _common_numerators(b))
     for x, y, n in zip(a, b, nums):
         want = x * y
+        assert len(n) == 4 and all(type(c) is int for c in n)
+        got = _reduce(ctx, n, d)
         if ctx is None:
-            assert type(n) is int
-            got, want = Fraction(n, d), Fraction(want)
+            assert n[1:] == (0, 0, 0)
+            assert type(got) is Fraction
+            want = Fraction(want)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         else:
             if not isinstance(want, Biquad):
                 want = ctx.embed(want)
-            got = _make(ctx, *n, d)
             assert (got.ctx, got._n, got._d) == (want.ctx, want._n, want._d)
 
 

@@ -166,41 +166,6 @@ def test_char_coeffs_from_power_sums_match_fraction_oracle():
             assert coeffs[0] == squares and not any(coeffs[1:])
 
 
-def test_char_coeffs_forms_powers_up_to_half_the_size(monkeypatch):
-    # the power sums need B^2, ..., B^n of a 2n x 2n map: n - 1 power steps
-    # (Faddeev-LeVerrier took 2n - 1 products); each power is symmetric or
-    # skew, so a step takes size (size + 1) / 2 dot products, not size^2
-    import qplab.skew as skew
-
-    steps, dots, inside = [], [], []
-
-    def counted_sum(*args):
-        if inside:
-            dots.append(1)
-        return sum(*args)
-
-    def counted_step(*args, step=skew._power_step):
-        steps.append(1)
-        inside.append(1)
-        try:
-            return step(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(skew, "sum", counted_sum, raising=False)
-    monkeypatch.setattr(skew, "_power_step", counted_step)
-    rng = random.Random(12)
-    for size in range(2, 13, 2):
-        upper = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                 for _ in range(size * (size - 1) // 2)]
-        m = SkewMap.from_upper(size, upper)
-        steps.clear()
-        dots.clear()
-        assert char_coeffs(m) == _char_coeffs_fraction(m.entries)
-        assert len(steps) == size // 2 - 1, size
-        assert len(dots) == len(steps) * size * (size + 1) // 2, size
-
-
 def rank_sweep_cases(seed):
     """(map, rank) for sizes 2..12 and every even rank r from 0 to the size:
     sums of r/2 rational wedges u v^T - v u^T with denominators, and the
@@ -222,27 +187,28 @@ def rank_sweep_cases(seed):
 
 
 def test_char_coeffs_rank_sweep_match_fraction_oracle(monkeypatch):
-    # below full rank the coefficients come from the rank-r core and no
-    # power of B is formed; at full rank the power steps run as before
+    # the coefficients come from the power sums of the rank-r core at every
+    # rank: below full rank one integer back substitution builds the core,
+    # at full rank the core is B and none runs, nor for the zero map
     import qplab.skew as skew
 
-    steps = []
+    substitutions = []
 
-    def counted_step(*args, step=skew._power_step):
-        steps.append(1)
-        return step(*args)
+    def counted_null_vectors(*args, null_vectors=skew._integer_null_vectors):
+        substitutions.append(1)
+        return null_vectors(*args)
 
-    monkeypatch.setattr(skew, "_power_step", counted_step)
+    monkeypatch.setattr(skew, "_integer_null_vectors", counted_null_vectors)
     for m, r in rank_sweep_cases(seed=23):
         assert m.rank == r, (m.size, r)
-        steps.clear()
+        substitutions.clear()
         coeffs = char_coeffs(m)
         assert all(type(x) is Fraction for x in coeffs)
         assert coeffs == _char_coeffs_fraction(m.entries), (m.size, r)
         assert not any(coeffs[r // 2:]), (m.size, r)
         if r:
             assert coeffs[r // 2 - 1], (m.size, r)
-        assert len(steps) == (m.n - 1 if r == m.size else 0), (m.size, r)
+        assert len(substitutions) == (1 if 0 < r < m.size else 0), (m.size, r)
 
 
 def test_block_diagonal_known_answers():

@@ -259,15 +259,28 @@ def test_covector_gauge_constraint():
     assert pairing == 0
     with pytest.raises(GaugeError):
         CotangentRep(x, [Fraction(1)] + [Fraction(0)] * 5)
+    # a rational covector, whose numerator view has no context: eta_0 =
+    # eta_1 = 0 and sum_k t_k eta_k = 0 on the integer tail t of the point,
+    # and its phi and f_H still match
+    from qplab import fit_identification, verify_identification
+
+    t = [c.c[0] for c in x.coords[2:]]
+    eta = [Fraction(0)] * 2 + [t[1], -t[0]] + [Fraction(0)] * 2
+    xi = CotangentRep(x, eta)
+    assert verify_identification(fit_identification(P2), [(x, xi)])["pass"]
+    with pytest.raises(GaugeError):
+        CotangentRep(x, [Fraction(0)] * 2 + [t[1], t[0]] + [Fraction(0)] * 2)
 
 
 def test_even_restricted_covector():
+    # the sampler reads the restriction off the point: at a point of Y it
+    # draws eta_{2g+1} = 0, at a point of X it draws that entry as any other
     y, xi = sample_pair(P2, 23, on_Y=True)
-    assert xi.even_restricted
-    assert not xi.eta[-1]
+    assert y.on_Y and not xi.eta[-1]
+    assert not any(sample_covector(y, 23, index=i).eta[-1] for i in range(20))
     x = sample_point(P2, 23)
-    with pytest.raises(GaugeError):
-        CotangentRep(x, sample_covector(x, 23).eta, even_restricted=True)
+    assert not x.on_Y
+    assert any(sample_covector(x, 23, index=i).eta[-1] for i in range(20))
 
 
 def test_quotient_maps():
@@ -309,8 +322,9 @@ def sample_point_fraction_oracle(pencil, seed, index=0, on_Y=False):
     raise AssertionError("budget")
 
 
-def sample_covector_dot_oracle(x, seed, index=0, even_restricted=False):
-    """sample_covector with eta(v) summed by linalg.dot, term by term."""
+def sample_covector_dot_oracle(x, seed, index=0):
+    """sample_covector with eta(v) summed by linalg.dot, term by term, and
+    eta_{2g+1} = 0 at a point of Y."""
     from qplab.linalg import dot
     from qplab.variety import _vanishes_on_S
 
@@ -319,7 +333,7 @@ def sample_covector_dot_oracle(x, seed, index=0, even_restricted=False):
     pivot, inv_vp = x.pair()[:2]
     for _ in range(64):
         eta = [Fraction(int(c)) for c in rng.integers(-9, 10, size=n)]
-        if even_restricted:
+        if x.on_Y:
             eta[-1] = Fraction(0)
         eta[pivot] = Fraction(0)
         eta[pivot] = -(dot(x.coords, eta) * inv_vp)
@@ -343,8 +357,8 @@ def test_sampling_matches_fraction_construction(p):
             assert _typed_fields(x.coords) == _typed_fields(want.coords), (on_Y, index)
             assert (x.context().u, x.context().w) == (want.context().u, want.context().w)
             assert type(x.context().u) is Fraction and type(x.context().w) is Fraction
-            eta = sample_covector(x, 3, index=index, even_restricted=on_Y).eta
-            want_eta = sample_covector_dot_oracle(want, 3, index=index, even_restricted=on_Y)
+            eta = sample_covector(x, 3, index=index).eta
+            want_eta = sample_covector_dot_oracle(want, 3, index=index)
             assert _typed_fields(eta) == _typed_fields(want_eta), (on_Y, index)
 
 
@@ -358,9 +372,9 @@ def test_sampling_on_a_non_integer_pencil_matches_fraction_construction():
             x = sample_point(p, 9, index=index, on_Y=on_Y)
             want = sample_point_fraction_oracle(p, 9, index=index, on_Y=on_Y)
             assert _typed_fields(x.coords) == _typed_fields(want.coords)
-            eta = sample_covector(x, 9, index=index, even_restricted=on_Y).eta
+            eta = sample_covector(x, 9, index=index).eta
             assert _typed_fields(eta) == _typed_fields(
-                sample_covector_dot_oracle(want, 9, index=index, even_restricted=on_Y))
+                sample_covector_dot_oracle(want, 9, index=index))
 
 
 # -- zero tests on numerators: a defect in an irrational coordinate only -----
@@ -423,7 +437,13 @@ def test_in_S_matches_the_rows_and_reads_every_coordinate():
     from test_p1bundle import _irrational_moves, _moved
 
     x = sample_point(P3, 7)
-    for w in tangent_frame(x).S_basis:
+    # rational vectors of S, whose numerator views have no context: 0 on the
+    # irrational head, and on the integer tail t orthogonal to t and lambda t
+    t = [c.c[0] for c in x.coords[2:]]
+    tail_rows = [t, [lam * c for lam, c in zip(P3.lambdas[2:], t)]]
+    rational = [[Fraction(0)] * 2 + w for w in nullspace_exact(tail_rows)]
+    assert len(rational) == 4
+    for w in tangent_frame(x).S_basis + rational:
         assert x.in_S(w)
         for move in _irrational_moves(x) + [[(3, Fraction(1, 7))]]:
             moved = _moved(w, move)
